@@ -13,6 +13,7 @@ from .behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     correlator,
+    correlator_table,
     independence_check,
     load_behavior,
     marginal_party,
@@ -66,6 +67,7 @@ __all__ = [
     "InvalidBehaviorError",
     "ScenarioShape",
     "correlator",
+    "correlator_table",
     "independence_check",
     "load_behavior",
     "marginal_party",

@@ -10,12 +10,16 @@ P(a_1..a_n, c_0..c_{k-1} | x_1..x_n), stored as a float64 array of shape
 indexed [x_1, .., x_n, a_1, .., a_n, c_0, .., c_{k-1}] so each per-setting
 probability slice is a contiguous row-major block.
 
+Every full correlator <A^1_{x_1} .. A^n_{x_n} C^i> comes from one table,
+correlator_table(behavior)[x_1, .., x_n, i], of shape (k,)*n + (k,).
+
 Tolerances: entries may be negative down to -1e-12 (clamped to 0 on load),
 and each setting slice must sum to 1 within 1e-10.
 """
+import functools
 import itertools
 import json
-import re
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,11 +108,17 @@ def validate_behavior(behavior):
             f"negative probability {arr.min():.3e} at index {idx} (tolerance -{NEGATIVITY_TOL:g})"
         )
     sums = arr.reshape(shape.settings_shape + (-1,)).sum(axis=-1)
-    bad = np.abs(sums - 1.0) > NORMALIZATION_TOL
-    if bad.any():
-        for st in zip(*np.nonzero(bad)):
+    # a non-finite entry makes its setting's sum NaN or infinite, and the
+    # negated comparison flags NaN too
+    bad = ~(np.abs(sums - 1.0) <= NORMALIZATION_TOL)
+    for st in zip(*np.nonzero(bad)):
+        setting = tuple(int(s) for s in st)
+        nonfinite = np.count_nonzero(~np.isfinite(arr[st]))
+        if nonfinite:
+            problems.append(f"setting {setting} has {nonfinite} non-finite entries (NaN or infinity)")
+        else:
             problems.append(
-                f"setting {tuple(int(s) for s in st)} sums to {sums[st]:.12f}, "
+                f"setting {setting} sums to {sums[st]:.12f}, "
                 f"expected 1 within {NORMALIZATION_TOL:g}"
             )
     return problems
@@ -157,6 +167,36 @@ def independence_check(behavior):
     return worst
 
 
+@functools.cache
+def _party_signs(n):
+    """(-1)**(a_1 + .. + a_n) over the 2**n party outputs, row-major."""
+    signs = functools.reduce(np.kron, [np.array([1.0, -1.0])] * n)
+    signs.setflags(write=False)
+    return signs
+
+
+@functools.cache
+def _charlie_bit_signs(k):
+    """Matrix S of shape (2**k, k): S[c, i] = (-1)**c_i over the row-major
+    Charlie outcomes c = (c_0 .. c_{k-1}), c_0 the most significant bit.
+
+    The optimizer keeps its own copy (classical._charlie_signs), so its fast
+    statistic stays an independent check of this route."""
+    bits = (np.arange(2**k)[:, None] >> (k - 1 - np.arange(k))) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
+
+
+def correlator_table(behavior):
+    """Every full correlator at once: an array T of shape (k,)*n + (k,) with
+    T[x_1, .., x_n, i] = <A^1_{x_1} .. A^n_{x_n} C^i>."""
+    n, k = behavior.shape.n, behavior.shape.k
+    probs = behavior.probabilities.reshape(k**n, 2**n, 2**k)
+    charlie = _party_signs(n) @ probs  # (k**n, 2**k): party parity summed out
+    return (charlie @ _charlie_bit_signs(k)).reshape((k,) * n + (k,))
+
+
 def correlator(behavior, spec):
     """Full correlator <A^1_{x_1} .. A^n_{x_n} C^i> = sum (-1)^(a_1+..+a_n+c_i) P,
     with any sign-flipped party contributing an extra factor -1."""
@@ -168,19 +208,9 @@ def correlator(behavior, spec):
         raise ValueError(f"settings {spec.settings} out of range for k={k}")
     if not 0 <= spec.charlie_bit < k:
         raise ValueError(f"charlie bit {spec.charlie_bit} out of range for k={k}")
-    block = behavior.probabilities[spec.settings]  # (2,)*n + (2,)*k
-    sign = np.array([1.0, -1.0])
-    total = block
-    for ax in range(n):  # party outputs
-        total = np.tensordot(sign, total, axes=([0], [0]))
-    # party axes consumed; Charlie bit axes remain in order
-    total = np.moveaxis(total, spec.charlie_bit, 0)
-    total = np.tensordot(sign, total, axes=([0], [0]))
-    value = float(total.sum())
-    for flip in spec.sign_flips:
-        if flip:
-            value = -value
-    return value
+    block = behavior.probabilities[spec.settings].reshape(2**n, 2**k)
+    value = _party_signs(n) @ block @ _charlie_bit_signs(k)[:, spec.charlie_bit]
+    return float(value) * (-1.0) ** sum(spec.sign_flips)
 
 
 def save_behavior(behavior, path):
@@ -218,12 +248,16 @@ def load_behavior(path, strict=False):
     for key in ("n", "k", "probabilities"):
         if key not in doc:
             raise InvalidBehaviorError(f"missing required key {key!r}")
+    for key in ("n", "k"):
+        # bool is a subclass of int, but "n": true is not a party count
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise InvalidBehaviorError(f"{key} must be an integer, got {doc[key]!r}")
     try:
-        shape = ScenarioShape(int(doc["n"]), int(doc["k"]))
-    except (TypeError, ValueError) as exc:
+        shape = ScenarioShape(doc["n"], doc["k"])
+    except ValueError as exc:
         raise InvalidBehaviorError(f"bad scenario shape: {exc}") from exc
     values = doc["probabilities"]
-    expected = int(np.prod(shape.tensor_shape))
+    expected = math.prod(shape.tensor_shape)
     if not isinstance(values, list) or len(values) != expected:
         got = len(values) if isinstance(values, list) else type(values).__name__
         raise InvalidBehaviorError(

@@ -16,6 +16,7 @@ enumeration of deterministic strategies, a known family saturating the
 two-setting bound, and a seeded multi-restart ascent optimizer over the full
 (continuous) strategy class.
 """
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -88,10 +89,11 @@ def strategy_to_behavior(strategy):
         out = np.multiply.outer(out, table)
     perm = [2 * j for j in range(n)] + [2 * j + 1 for j in range(n)]
     out = out.transpose(perm)  # (k,)*n + (2,)*n
-    # measuring-device part: average the response table over the hidden sources
-    cdist = strategy.charlie_table
-    for dist in strategy.hidden_dists:
-        cdist = np.tensordot(dist, cdist, axes=([0], [0]))
+    # measuring-device part: average the response table over the joint
+    # hidden-source distribution, the outer product of the per-party ones
+    weights = functools.reduce(np.multiply.outer, strategy.hidden_dists)
+    responses = strategy.charlie_table.reshape(weights.size, 2**shape.k)
+    cdist = (weights.reshape(-1) @ responses).reshape((2,) * shape.k)
     return BehaviorTensor(shape, np.multiply.outer(out, cdist))
 
 

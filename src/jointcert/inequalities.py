@@ -18,6 +18,10 @@ Two evaluators are provided:
 
    Classical models satisfy sum_i |I_i|^(1/n) <= k-1.
 
+Both evaluators read their correlators from behavior.correlator_table, whose
+entry [x_1, .., x_n, i] is <A^1_{x_1} .. A^n_{x_n} C^i>, and each applies its
+own sign pattern, so criterion 6 still compares two independent formulas.
+
 At n = k = 2 the chain form reduces exactly to (M, N): I_0 = M and I_1 = N.
 Verdicts are strict: a report is violated only when statistic > bound.
 """
@@ -25,7 +29,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .behavior import CorrelatorSpec, correlator
+import numpy as np
+
+from .behavior import correlator_table
 
 
 @dataclass(frozen=True)
@@ -52,21 +58,15 @@ def _report(statistic, bound, components):
 def chain_components(behavior):
     """The k correlator averages I_0 .. I_{k-1} entering the chain statistic."""
     n, k = behavior.shape.n, behavior.shape.k
+    table = correlator_table(behavior)
+    # pick 0 -> setting i, pick 1 -> setting i+1; at i = k-1 that wraps to
+    # A_k = -A_0, one negation per wrapped party
+    picks = np.indices((2,) * n).sum(axis=0)
     components = []
     for i in range(k):
-        total = 0.0
-        for picks in itertools.product((0, 1), repeat=n):
-            # pick 0 -> setting i, pick 1 -> setting i+1 (wrapping to -A_0)
-            settings = []
-            flips = []
-            for p in picks:
-                raw = i + p
-                settings.append(raw % k)
-                flips.append(raw == k)
-            total += correlator(
-                behavior, CorrelatorSpec(tuple(settings), i, tuple(flips))
-            )
-        components.append(total / 2**n)
+        block = table[np.ix_(*[(i, (i + 1) % k)] * n + [(i,)])].reshape((2,) * n)
+        wrap = -1.0 if i == k - 1 else 1.0
+        components.append(float((wrap**picks * block).sum()) / 2**n)
     return components
 
 
@@ -83,11 +83,12 @@ def evaluate_mn(behavior):
     n, k = behavior.shape.n, behavior.shape.k
     if (n, k) != (2, 2):
         raise ValueError(f"this form needs n = k = 2, got n={n}, k={k}")
+    table = correlator_table(behavior).tolist()
     m = 0.0
     n_comp = 0.0
     for x, y in itertools.product(range(2), repeat=2):
-        m += correlator(behavior, CorrelatorSpec((x, y), 0))
-        n_comp += (-1.0) ** (x + y) * correlator(behavior, CorrelatorSpec((x, y), 1))
+        m += table[x][y][0]
+        n_comp += (-1.0) ** (x + y) * table[x][y][1]
     m /= 4.0
     n_comp /= 4.0
     statistic = abs(m) ** 0.5 + abs(n_comp) ** 0.5

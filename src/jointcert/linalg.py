@@ -35,10 +35,6 @@ def proj(vec):
     return np.outer(v, v.conj())
 
 
-def dagger(op):
-    return np.asarray(op).conj().T
-
-
 def permute_qubits(op, perm):
     """Reorder the tensor factors of a multi-qubit operator.
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointcert.behavior import (
     BehaviorTensor,
@@ -9,6 +11,7 @@ from jointcert.behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     correlator,
+    correlator_table,
     independence_check,
     load_behavior,
     marginal_party,
@@ -56,6 +59,11 @@ def test_validate_catches_negative_and_unnormalized():
     arr[1, 1] *= 2.0
     problems = validate_behavior(BehaviorTensor(SHAPE22, arr))
     assert any("sums to" in p for p in problems)
+    for value in (np.nan, np.inf, -np.inf):
+        arr = BehaviorTensor.uniform(SHAPE22).probabilities.copy()
+        arr[0, 1, 1, 0, 0, 1] = value
+        problems = validate_behavior(BehaviorTensor(SHAPE22, arr))
+        assert any("setting (0, 1) has 1 non-finite" in p for p in problems), problems
 
 
 def test_marginal_of_product_behavior():
@@ -128,6 +136,40 @@ def test_correlator_input_validation():
         CorrelatorSpec((0, 1), 0, (True,))
 
 
+def nested_loop_table(behavior):
+    """Reference correlator table: sum (-1)^(a_1+..+a_n+c_i) P entry by entry."""
+    n, k = behavior.shape.n, behavior.shape.k
+    table = np.zeros((k,) * n + (k,))
+    arr = behavior.probabilities
+    for index in itertools.product(*(range(d) for d in arr.shape)):
+        setting, outputs, bits = index[:n], index[n : 2 * n], index[2 * n :]
+        for i in range(k):
+            table[setting + (i,)] += (-1.0) ** (sum(outputs) + bits[i]) * arr[index]
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nk=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 3), (4, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_correlator_table_matches_nested_loop(nk, seed):
+    shape = ScenarioShape(*nk)
+    rng = np.random.default_rng(seed)
+    arr = rng.random(shape.tensor_shape)
+    sums = arr.reshape(shape.settings_shape + (-1,)).sum(-1)
+    behavior = BehaviorTensor(shape, arr / sums.reshape(shape.settings_shape + (1,) * (shape.n + shape.k)))
+    table = correlator_table(behavior)
+    assert table.shape == (shape.k,) * shape.n + (shape.k,)
+    np.testing.assert_allclose(table, nested_loop_table(behavior), rtol=0, atol=1e-12)
+    for _ in range(5):
+        setting = tuple(int(s) for s in rng.integers(0, shape.k, shape.n))
+        bit = int(rng.integers(shape.k))
+        flips = tuple(bool(f) for f in rng.integers(0, 2, shape.n))
+        got = correlator(behavior, CorrelatorSpec(setting, bit, flips))
+        assert got == pytest.approx(table[setting + (bit,)] * (-1.0) ** sum(flips), abs=1e-12)
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(7)
     arr = rng.random(SHAPE22.tensor_shape)
@@ -183,6 +225,20 @@ def test_load_structural_errors(tmp_path):
         load_behavior(path)
     path.write_text('{"n": 0, "k": 2, "probabilities": []}')
     with pytest.raises(InvalidBehaviorError):
+        load_behavior(path)
+    # true is not n = 1, and 2.5 is not a party count
+    path.write_text('{"n": true, "k": 2, "probabilities": [%s]}' % ", ".join(["0.125"] * 16))
+    with pytest.raises(InvalidBehaviorError, match="n must be an integer"):
+        load_behavior(path)
+    path.write_text('{"n": 2.5, "k": 2, "probabilities": []}')
+    with pytest.raises(InvalidBehaviorError, match="n must be an integer"):
+        load_behavior(path)
+    path.write_text('{"n": 2, "k": false, "probabilities": []}')
+    with pytest.raises(InvalidBehaviorError, match="k must be an integer"):
+        load_behavior(path)
+    # 2**130 entries: an int64 product wraps to 0 and would accept this empty list
+    path.write_text('{"n": 64, "k": 2, "probabilities": []}')
+    with pytest.raises(InvalidBehaviorError, match="list of %d numbers" % 2**130):
         load_behavior(path)
     # truncated file
     good = tmp_path / "good.json"

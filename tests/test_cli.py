@@ -75,6 +75,27 @@ def test_certify_rejects_invariant_violation(tmp_path, capsys):
     assert "sums to" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("0.0625", "NaN", 1), "non-finite"),
+        (lambda text: text.replace("0.0625", "Infinity", 1), "non-finite"),
+        (lambda text: text.replace('"n": 2', '"n": true'), "n must be an integer"),
+        (lambda text: text.replace('"k": 2', '"k": 2.5'), "k must be an integer"),
+        (lambda text: '{"n": 64, "k": 2, "probabilities": []}', "probabilities"),
+    ],
+    ids=["nan", "inf", "bool-n", "fractional-k", "overflowing-shape"],
+)
+def test_certify_rejects_bad_numbers(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.json"
+    save_behavior(BehaviorTensor.uniform(ScenarioShape(2, 2)), path)
+    path.write_text(edit(path.read_text()))
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert message in err
+
+
 def test_certify_missing_file(capsys):
     code, _, err = run(capsys, "certify", "/nonexistent/behavior.json")
     assert code == EXIT_INVALID
