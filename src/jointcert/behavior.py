@@ -26,6 +26,7 @@ import numpy as np
 
 NEGATIVITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
+MAX_AXES = 64  # numpy's limit on array dimensions
 
 
 class InvalidBehaviorError(ValueError):
@@ -230,6 +231,15 @@ def save_behavior(behavior, path):
         fh.write(text)
 
 
+def _entry_count_text(shape):
+    """k**n * 2**(n + k) in decimal, or its lower bound 2**(2n + k) once the
+    exact count is too long to be worth computing and printing."""
+    n, k = shape.n, shape.k
+    if 2 * n + k > 1024:
+        return f"at least 2**{2 * n + k}"
+    return str(k**n * 2 ** (n + k))
+
+
 def load_behavior(path, strict=False):
     """Read a behavior JSON file.
 
@@ -257,13 +267,27 @@ def load_behavior(path, strict=False):
     except ValueError as exc:
         raise InvalidBehaviorError(f"bad scenario shape: {exc}") from exc
     values = doc["probabilities"]
+    got = len(values) if isinstance(values, list) else type(values).__name__
+    axes = 2 * shape.n + shape.k
+    if axes > MAX_AXES:
+        # at least 2**axes entries, which no list holds: refuse before a
+        # tensor_shape tuple of that length is built
+        raise InvalidBehaviorError(
+            f"probabilities must be a list of {_entry_count_text(shape)} numbers, "
+            f"got {got}; a tensor with {axes} axes exceeds numpy's {MAX_AXES}"
+        )
     expected = math.prod(shape.tensor_shape)
     if not isinstance(values, list) or len(values) != expected:
-        got = len(values) if isinstance(values, list) else type(values).__name__
         raise InvalidBehaviorError(
             f"probabilities must be a list of {expected} numbers, got {got}"
         )
-    arr = np.asarray(values, dtype=float).reshape(shape.tensor_shape)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidBehaviorError(f"probabilities must all be numbers: {exc}") from exc
+    if arr.ndim != 1:
+        raise InvalidBehaviorError("probabilities must all be numbers, got nested lists")
+    arr = arr.reshape(shape.tensor_shape)
     arr = np.where((arr < 0) & (arr >= -NEGATIVITY_TOL), 0.0, arr)
     behavior = BehaviorTensor(shape, arr)
     if strict:

@@ -27,6 +27,9 @@ from .behavior import BehaviorTensor, InvalidBehaviorError, ScenarioShape
 from .inequalities import evaluate_chain
 
 ROW_TOL = 1e-12
+# the optimizer refuses runs whose logits alone exceed this many floats; its
+# gradient holds a few arrays of the response-logit size (128 MiB each at the cap)
+MAX_OPTIMIZER_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -217,16 +220,21 @@ def load_strategy(path):
 #     hbar_j(i) = (<A_i> + sigma_i <A_{i+1 mod k}>) / 2,   sigma_i = -1 at i = k-1,
 #     Gamma_i = sum_lambda w_lambda <C^i>_lambda,
 #
-# and ascent directions come from central differences evaluated in grouped
-# form: each coordinate perturbs exactly one softmax row, so only the pieces
-# of the decomposition touching that row are recomputed.  Everything is
-# batched over restarts.
+# and ascent directions are its exact gradient: a vector-Jacobian product run
+# back through that decomposition and through each row's softmax.  The slope
+# of |I_i|^(1/n) is infinite at I_i = 0; the gradient takes it as 0 there.
+# Everything is batched over restarts.
 
 
 def _softmax(z):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(p, g):
+    """Pull a gradient g with respect to softmax rows p back to their logits."""
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 
 def _charlie_signs(k):
@@ -238,33 +246,13 @@ def _charlie_signs(k):
     return 1.0 - 2.0 * bits
 
 
-def _party_letters(n):
-    return "abcdefgh"[:n]
-
-
 def _hidden_weights(hid_probs):
-    """Joint hidden weight w[r, lambda_flat] from per-party dists (R, n, L)."""
-    n = hid_probs.shape[1]
-    letters = _party_letters(n)
-    spec = ",".join("r" + let for let in letters) + "->r" + letters
-    w = np.einsum(spec, *[hid_probs[:, j] for j in range(n)])
-    return w.reshape(hid_probs.shape[0], -1)
-
-
-def _charlie_partials(c_corr, hid_probs, L):
-    """T[r, j, v, i]: Gamma_i contribution with party j's hidden value pinned
-    to v and every other party averaged.  Gamma_i = sum_v hid[j, v] T[j, v, i]."""
-    R, n = hid_probs.shape[0], hid_probs.shape[1]
-    k = c_corr.shape[-1]
-    grid = c_corr.reshape((R,) + (L,) * n + (k,))
-    letters = _party_letters(n)
-    out = np.empty((R, n, L, k))
-    for j in range(n):
-        others = [jp for jp in range(n) if jp != j]
-        terms = ["r" + letters + "i"] + ["r" + letters[jp] for jp in others]
-        spec = ",".join(terms) + "->r" + letters[j] + "i"
-        out[:, j] = np.einsum(spec, grid, *[hid_probs[:, jp] for jp in others])
-    return out
+    """Joint hidden weight w[r, lambda_flat] from per-party dists (R, n, L);
+    n = 0 parties give the weight 1 of the empty product."""
+    w = np.ones((hid_probs.shape[0], 1))
+    for j in range(hid_probs.shape[1]):
+        w = (w[:, :, None] * hid_probs[:, j, None, :]).reshape(w.shape[0], -1)
+    return w
 
 
 def _decompose(out_logits, hid_logits, cha_logits, n, k, L):
@@ -303,97 +291,88 @@ def _batched_statistic(out_logits, hid_logits, cha_logits, n, k, L):
     return _decompose(out_logits, hid_logits, cha_logits, n, k, L)["stat"]
 
 
-def _batched_gradient(out_logits, hid_logits, cha_logits, n, k, L, step):
-    """Central-difference gradient of the chain statistic in logit space.
+def _analytic_gradient(out_logits, hid_logits, cha_logits, n, k, L):
+    """Exact gradient of the chain statistic in logit space.
 
     Returns (g_out, g_hid, g_cha, stat) with gradients shaped like the inputs.
     """
     d = _decompose(out_logits, hid_logits, cha_logits, n, k, L)
     R = out_logits.shape[0]
-    root = 1.0 / n
-    stat = d["stat"]
-    sigma, means, h, gamma, comps = d["sigma"], d["means"], d["h"], d["gamma"], d["comps"]
-    part = np.abs(comps) ** root  # (R, k)
-    bump = step * np.array([1.0, -1.0])  # sign axis
+    h, comps, hid_probs = d["h"], d["comps"], d["hid_probs"]
 
-    # product over parties except j, per component
+    # d stat / d I_i = sign(I_i) |I_i|^(1/n - 1) / n = |I_i|^(1/n) / (n I_i)
+    g_comps = np.divide(
+        np.abs(comps) ** (1.0 / n),
+        n * comps,
+        out=np.zeros_like(comps),
+        where=comps != 0,
+    )  # (R, k)
+    g_gamma = g_comps * d["hprod"]  # (R, k)
+
+    # output rows: hbar_j(i) enters I_i times the other parties' factors
     excl = np.empty((R, n, k))
     for j in range(n):
-        others = [jp for jp in range(n) if jp != j]
-        excl[:, j] = h[:, others].prod(axis=1) if others else 1.0
+        excl[:, j] = np.delete(h, j, axis=1).prod(axis=1)
+    g_h = (g_comps * d["gamma"])[:, None, :] * excl  # (R, n, k)
+    # <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2
+    g_means = 0.5 * (g_h + np.roll(d["sigma"] * g_h, 1, axis=-1))
+    g_out_probs = np.stack([g_means, -g_means], axis=-1)  # (R, n, k, 2)
 
-    # output coordinates: logit (j, x, b) alters <A_x> for party j only,
-    # touching components x and (x-1) mod k
-    eye2 = np.eye(2)
-    bumped = (
-        out_logits[:, :, :, None, None, :]
-        + eye2[None, None, None, :, None, :] * bump[None, None, None, None, :, None]
-    )  # (R, n, k, b, s, comp)
-    p = _softmax(bumped)
-    means_new = p[..., 0] - p[..., 1]  # (R, n, k, b, s)
-    prev = (np.arange(k) - 1) % k
-    nxt = (np.arange(k) + 1) % k
-    # component i1 = x: h' = (A'_x + sigma_x A_{x+1}) / 2
-    h_i1 = 0.5 * (
-        means_new + sigma[None, None, :, None, None] * means[..., nxt][:, :, :, None, None]
-    )
-    # component i0 = (x-1) mod k: h' = (A_{x-1} + sigma_{x-1} A'_x) / 2
-    h_i0 = 0.5 * (
-        means[..., prev][:, :, :, None, None]
-        + sigma[prev][None, None, :, None, None] * means_new
-    )
-    i1_new = gamma[:, None, :, None, None] * excl[:, :, :, None, None] * h_i1
-    i0_new = (
-        np.take(gamma, prev, axis=1)[:, None, :, None, None]
-        * np.take(excl, prev, axis=2)[:, :, :, None, None]
-        * h_i0
-    )
-    drop = (
-        part[:, None, :, None, None]
-        + np.take(part, prev, axis=1)[:, None, :, None, None]
-    )
-    s_out = (
-        stat[:, None, None, None, None]
-        - drop
-        + np.abs(i1_new) ** root
-        + np.abs(i0_new) ** root
-    )  # (R, n, k, b, s)
-    g_out = (s_out[..., 0] - s_out[..., 1]) / (2.0 * step)
+    # response rows: Gamma_i = sum_m w_m (S^T p_m)_i
+    g_cha_probs = d["w"][:, :, None] * (g_gamma @ _charlie_signs(k).T)[:, None, :]
 
-    # hidden coordinates: logit (j, v) reweights Gamma through the partials T
-    T = _charlie_partials(d["c_corr"], d["hid_probs"], L)  # (R, n, L, k)
-    eyeL = np.eye(L)
-    bumped = (
-        hid_logits[:, :, None, None, :]
-        + eyeL[None, None, :, None, :] * bump[None, None, None, :, None]
-    )  # (R, n, v, s, comp)
-    hid_new = _softmax(bumped)
-    gamma_new = np.einsum("rjvsu,rjui->rjvsi", hid_new, T)
-    comps_new = gamma_new * d["hprod"][:, None, None, None, :]
-    s_hid = (np.abs(comps_new) ** root).sum(axis=-1)  # (R, n, v, s)
-    g_hid = (s_hid[..., 0] - s_hid[..., 1]) / (2.0 * step)
+    # hidden rows: w_m is the product of one entry per party, so party j's
+    # slope sums d stat / d w over the other parties' weights
+    g_w = (d["c_corr"] @ g_gamma[:, :, None])[..., 0]  # (R, L**n)
+    g_hid_probs = np.empty((R, n, L))
+    for j in range(n):
+        before = _hidden_weights(hid_probs[:, :j])
+        after = _hidden_weights(hid_probs[:, j + 1 :])
+        grid = g_w.reshape(R, before.shape[1], L, after.shape[1])
+        g_hid_probs[:, j] = np.einsum("rapb,ra,rb->rp", grid, before, after)
 
-    # charlie coordinates: logit (m, c) changes one response row, a rank-one
-    # update to Gamma
-    M, C = cha_logits.shape[1], cha_logits.shape[2]
-    eyeC = np.eye(C)
-    bumped = (
-        cha_logits[:, :, None, None, :]
-        + eyeC[None, None, :, None, :] * bump[None, None, None, :, None]
-    )  # (R, m, c, s, comp)
-    rows_new = _softmax(bumped)
-    corr_new = rows_new @ _charlie_signs(k)  # (R, m, c, s, i)
-    delta = corr_new - d["c_corr"][:, :, None, None, :]
-    gamma_new = gamma[:, None, None, None, :] + d["w"][:, :, None, None, None] * delta
-    comps_new = gamma_new * d["hprod"][:, None, None, None, :]
-    s_cha = (np.abs(comps_new) ** root).sum(axis=-1)  # (R, m, c, s)
-    g_cha = (s_cha[..., 0] - s_cha[..., 1]) / (2.0 * step)
-
-    return g_out, g_hid, g_cha, stat
+    return (
+        _softmax_vjp(d["out_probs"], g_out_probs),
+        _softmax_vjp(hid_probs, g_hid_probs),
+        _softmax_vjp(d["cha_probs"], g_cha_probs),
+        d["stat"],
+    )
 
 
 def _normalize_logits(z):
     return np.clip(z - z.max(axis=-1, keepdims=True), -60.0, 0.0)
+
+
+def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
+    """Gradient ascent with a per-restart step size: a step that raises the
+    statistic is kept and grows eta by 1.25, any other is dropped and halves
+    it.  Returns the final (out, hid, cha) logits."""
+    eta = np.full(out_logits.shape[0], 0.5)
+    for _ in range(iterations):
+        g_out, g_hid, g_cha, stat = _analytic_gradient(
+            out_logits, hid_logits, cha_logits, n, k, L
+        )
+        e1 = eta[:, None, None, None]
+        cand_out = _normalize_logits(out_logits + e1 * g_out)
+        cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
+        cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
+        cand_stat = _batched_statistic(cand_out, cand_hid, cand_cha, n, k, L)
+        accept = cand_stat > stat
+        out_logits = np.where(accept[:, None, None, None], cand_out, out_logits)
+        hid_logits = np.where(accept[:, None, None], cand_hid, hid_logits)
+        cha_logits = np.where(accept[:, None, None], cand_cha, cha_logits)
+        eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
+    return out_logits, hid_logits, cha_logits
+
+
+def _too_many_logits(restarts, n, k, L):
+    """Whether restarts * (L**n * 2**k + 2nk + nL) logits exceed
+    MAX_OPTIMIZER_CELLS.  A power-of-two lower bound from bit lengths screens
+    huge n and k first, so no huge L**n or 2**k is ever formed."""
+    low_bits = (int(restarts).bit_length() - 1) + (L.bit_length() - 1) * n + k
+    if low_bits > MAX_OPTIMIZER_CELLS.bit_length() - 1:
+        return True
+    return restarts * (L**n * 2**k + 2 * n * k + n * L) > MAX_OPTIMIZER_CELLS
 
 
 def optimize_classical(
@@ -402,7 +381,6 @@ def optimize_classical(
     restarts=20,
     seed=0,
     iterations=500,
-    step=1e-6,
 ):
     """Seeded multi-restart ascent over the continuous classical strategy class.
 
@@ -410,7 +388,8 @@ def optimize_classical(
     numpy's default generator seeded with seed + r, so results are fully
     reproducible; ties resolve to the lowest restart index.  Returns
     (report, strategy) where the report is computed through the public
-    behavior-tensor route on the best strategy found.
+    behavior-tensor route on the best strategy found.  Raises ValueError
+    before allocating when the logits would exceed MAX_OPTIMIZER_CELLS floats.
     """
     n, k = shape.n, shape.k
     L = int(hidden_alphabet)
@@ -418,6 +397,13 @@ def optimize_classical(
         raise ValueError(f"hidden alphabet size must be >= 1, got {L}")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if _too_many_logits(restarts, n, k, L):
+        raise ValueError(
+            f"{restarts} restarts at n={n}, k={k}, hidden alphabet {L} need more "
+            f"than {MAX_OPTIMIZER_CELLS} logits"
+        )
     M, C = L**n, 2**k
 
     out_logits = np.empty((restarts, n, k, 2))
@@ -432,21 +418,9 @@ def optimize_classical(
     hid_logits = _normalize_logits(hid_logits)
     cha_logits = _normalize_logits(cha_logits)
 
-    eta = np.full(restarts, 0.5)
-    for _ in range(iterations):
-        g_out, g_hid, g_cha, stat = _batched_gradient(
-            out_logits, hid_logits, cha_logits, n, k, L, step
-        )
-        e1 = eta[:, None, None, None]
-        cand_out = _normalize_logits(out_logits + e1 * g_out)
-        cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
-        cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
-        cand_stat = _batched_statistic(cand_out, cand_hid, cand_cha, n, k, L)
-        accept = cand_stat > stat
-        out_logits = np.where(accept[:, None, None, None], cand_out, out_logits)
-        hid_logits = np.where(accept[:, None, None], cand_hid, hid_logits)
-        cha_logits = np.where(accept[:, None, None], cand_cha, cha_logits)
-        eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
+    out_logits, hid_logits, cha_logits = _ascend(
+        out_logits, hid_logits, cha_logits, n, k, L, iterations
+    )
 
     final = _batched_statistic(out_logits, hid_logits, cha_logits, n, k, L)
     best = int(np.argmax(final))

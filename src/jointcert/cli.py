@@ -121,12 +121,15 @@ def cmd_optimize(args):
     except ValueError as exc:
         return _fail(str(exc))
     text = report_to_json(report)
+    try:
+        if args.report_out:
+            with open(args.report_out, "w") as fh:
+                fh.write(text + "\n")
+        if args.strategy_out:
+            save_strategy(strategy, args.strategy_out)
+    except OSError as exc:
+        return _fail(str(exc))
     print(text)
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(text + "\n")
-    if args.strategy_out:
-        save_strategy(strategy, args.strategy_out)
     return EXIT_OK
 
 

@@ -240,6 +240,17 @@ def test_load_structural_errors(tmp_path):
     path.write_text('{"n": 64, "k": 2, "probabilities": []}')
     with pytest.raises(InvalidBehaviorError, match="list of %d numbers" % 2**130):
         load_behavior(path)
+    # the tensor for n = 10**9 would have 2 * 10**9 + 2 axes; refused without
+    # building its shape
+    path.write_text('{"n": 1000000000, "k": 2, "probabilities": [0.5]}')
+    with pytest.raises(InvalidBehaviorError, match="2000000002 axes"):
+        load_behavior(path)
+    path.write_text('{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(['"a"'] * 64))
+    with pytest.raises(InvalidBehaviorError, match="must all be numbers"):
+        load_behavior(path)
+    path.write_text('{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(["[0.5]"] * 64))
+    with pytest.raises(InvalidBehaviorError, match="must all be numbers"):
+        load_behavior(path)
     # truncated file
     good = tmp_path / "good.json"
     save_behavior(BehaviorTensor.uniform(SHAPE22), good)

@@ -6,9 +6,12 @@ import pytest
 
 from jointcert.behavior import BehaviorTensor, ScenarioShape, validate_behavior
 from jointcert.classical import (
+    MAX_OPTIMIZER_CELLS,
     ClassicalStrategy,
-    _batched_gradient,
+    _analytic_gradient,
+    _ascend,
     _batched_statistic,
+    _decompose,
     deterministic_count,
     enumerate_deterministic,
     load_strategy,
@@ -168,32 +171,57 @@ def test_fast_statistic_matches_public_route():
             assert abs(public - fast) < 1e-12
 
 
-def test_grouped_gradient_matches_naive_differences():
-    # the grouped evaluation recomputes only the touched factors; agreement
-    # with full recomputation is limited by rounding amplified through the
-    # 1e-6 step, hence the 1e-8 tolerance
-    rng = np.random.default_rng(41)
-    step = 1e-6
-    for n, k, L in [(2, 2, 2), (2, 3, 2), (3, 2, 2)]:
-        strategy = random_strategy(n, k, L, rng)
-        out, hid, cha = logits_of(strategy)
-        g_out, g_hid, g_cha, _ = _batched_gradient(out, hid, cha, n, k, L, step)
-
-        def naive(which, idx, arrs=(out, hid, cha)):
-            plus = [a.copy() for a in arrs]
-            minus = [a.copy() for a in arrs]
+def naive_gradient(out, hid, cha, n, k, L, step=1e-6):
+    """Central differences of the full statistic, one logit at a time."""
+    grads = []
+    for which, arr in enumerate((out, hid, cha)):
+        grad = np.empty_like(arr)
+        for idx in np.ndindex(arr.shape):
+            plus = [a.copy() for a in (out, hid, cha)]
+            minus = [a.copy() for a in (out, hid, cha)]
             plus[which][idx] += step
             minus[which][idx] -= step
             sp = _batched_statistic(*plus, n, k, L)[0]
             sm = _batched_statistic(*minus, n, k, L)[0]
-            return (sp - sm) / (2 * step)
+            grad[idx] = (sp - sm) / (2 * step)
+        grads.append(grad)
+    return grads
 
-        for j, x, b in itertools.product(range(n), range(k), range(2)):
-            assert abs(g_out[0, j, x, b] - naive(0, (0, j, x, b))) < 1e-8
-        for j, v in itertools.product(range(n), range(L)):
-            assert abs(g_hid[0, j, v] - naive(1, (0, j, v))) < 1e-8
-        for m, c in itertools.product(range(L**n), range(2**k)):
-            assert abs(g_cha[0, m, c] - naive(2, (0, m, c))) < 1e-8
+
+def test_analytic_gradient_matches_naive_differences():
+    # central differences with a 1e-6 step carry about 1e-10 of rounding
+    # error on these O(0.1) slopes, hence the 1e-8 tolerance; n = 9 runs the
+    # hidden-weight contractions past eight parties
+    rng = np.random.default_rng(41)
+    for n, k, L in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (9, 2, 1)]:
+        strategy = random_strategy(n, k, L, rng)
+        out, hid, cha = logits_of(strategy)
+        g_out, g_hid, g_cha, stat = _analytic_gradient(out, hid, cha, n, k, L)
+        assert stat[0] == _batched_statistic(out, hid, cha, n, k, L)[0]
+        for analytic, naive in zip((g_out, g_hid, g_cha), naive_gradient(out, hid, cha, n, k, L)):
+            np.testing.assert_allclose(analytic, naive, rtol=0, atol=1e-8)
+
+
+def test_gradient_is_finite_where_a_component_vanishes():
+    # |I_i|^(1/n) has an infinite slope at I_i = 0; the gradient must take
+    # it as 0 there instead of producing inf or NaN
+    rng = np.random.default_rng(47)
+    n, k, L = 2, 3, 2
+    out, hid, cha = logits_of(random_strategy(n, k, L, rng))
+    # party 0 uniform at settings 0 and 1: hbar_0(0) = 0, so only I_0 = 0
+    zero_mean = out.copy()
+    zero_mean[0, 0, :2] = 0.0
+    # uniform responses: every <C^i> = 0, so every Gamma_i and I_i = 0
+    zero_gamma = np.zeros_like(cha)
+    for logits, zeros in [((zero_mean, hid, cha), [0]), ((out, hid, zero_gamma), [0, 1, 2])]:
+        comps = _decompose(*logits, n, k, L)["comps"][0]
+        assert list(np.flatnonzero(comps == 0.0)) == zeros
+        g_out, g_hid, g_cha, stat = _analytic_gradient(*logits, n, k, L)
+        for g in (g_out, g_hid, g_cha):
+            assert np.isfinite(g).all()
+        final = _ascend(*logits, n, k, L, iterations=5)
+        assert all(np.isfinite(z).all() for z in final)
+        assert _batched_statistic(*final, n, k, L)[0] >= stat[0]
 
 
 def test_optimizer_is_deterministic():
@@ -219,12 +247,31 @@ def test_optimizer_stays_below_bound_and_makes_progress():
     assert report31.bound == 1.0
     assert report31.statistic <= 1.0 + 1e-6
 
+    report91, strategy91 = optimize_classical(
+        ScenarioShape(9, 2), hidden_alphabet=1, restarts=2, seed=1, iterations=20
+    )
+    assert report91.bound == 1.0
+    assert report91.statistic <= 1.0 + 1e-6
+    assert validate_strategy(strategy91) == []
+
 
 def test_optimizer_input_validation():
     with pytest.raises(ValueError):
         optimize_classical(SHAPE22, hidden_alphabet=0)
     with pytest.raises(ValueError):
         optimize_classical(SHAPE22, restarts=0)
+    with pytest.raises(ValueError, match="iterations"):
+        optimize_classical(SHAPE22, iterations=-5)
+    # refused before anything is allocated; 2**10**9 would not fit in memory
+    for shape, alphabet, restarts in [
+        (ScenarioShape(10**9, 2), 2, 1),
+        (ScenarioShape(10**9, 2), 1, 1),
+        (ScenarioShape(2, 10**9), 2, 1),
+        (SHAPE22, 2, 10**12),
+        (ScenarioShape(22, 2), 2, 1),  # 2**24 response logits plus the rest
+    ]:
+        with pytest.raises(ValueError, match=str(MAX_OPTIMIZER_CELLS)):
+            optimize_classical(shape, hidden_alphabet=alphabet, restarts=restarts)
 
 
 def test_strategy_save_load_round_trip(tmp_path):

@@ -83,8 +83,10 @@ def test_certify_rejects_invariant_violation(tmp_path, capsys):
         (lambda text: text.replace('"n": 2', '"n": true'), "n must be an integer"),
         (lambda text: text.replace('"k": 2', '"k": 2.5'), "k must be an integer"),
         (lambda text: '{"n": 64, "k": 2, "probabilities": []}', "probabilities"),
+        (lambda text: '{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(['"a"'] * 64), "numbers"),
+        (lambda text: text.replace('"n": 2', '"n": 1000000000'), "exceeds numpy's 64"),
     ],
-    ids=["nan", "inf", "bool-n", "fractional-k", "overflowing-shape"],
+    ids=["nan", "inf", "bool-n", "fractional-k", "overflowing-shape", "strings", "huge-n"],
 )
 def test_certify_rejects_bad_numbers(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
@@ -178,6 +180,33 @@ def test_optimize_rejects_bad_flags(capsys):
     code, _, err = run(capsys, "optimize", "--n", "0", "--k", "2")
     assert code == EXIT_INVALID
     assert "party" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--iterations", "-5"], "iterations"),
+        (["--n", "1000000000"], "logits"),
+        (["--restarts", "1000000000000"], "logits"),
+    ],
+    ids=["negative-iterations", "huge-n", "huge-restarts"],
+)
+def test_optimize_rejects_bad_sizes(capsys, flags, message):
+    code, out, err = run(capsys, "optimize", *flags)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--report-out", "--strategy-out"])
+def test_optimize_unwritable_output(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(
+        capsys, "optimize", "--restarts", "1", "--iterations", "1", flag, str(target)
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "No such file" in err
 
 
 def parse_report_line(out, label):
