@@ -9,10 +9,8 @@ attributable to the measurement itself.
 """
 from .behavior import (
     BehaviorTensor,
-    CorrelatorSpec,
     InvalidBehaviorError,
     ScenarioShape,
-    correlator,
     correlator_table,
     independence_check,
     load_behavior,
@@ -50,7 +48,6 @@ from .postselect import (
 )
 from .quantum import (
     BELL_LABELING,
-    QuantumScenario,
     closed_form_behavior,
     noisy_bsm,
     party_observable,
@@ -63,10 +60,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BehaviorTensor",
-    "CorrelatorSpec",
     "InvalidBehaviorError",
     "ScenarioShape",
-    "correlator",
     "correlator_table",
     "independence_check",
     "load_behavior",
@@ -96,7 +91,6 @@ __all__ = [
     "induced_state",
     "werner_visibility",
     "BELL_LABELING",
-    "QuantumScenario",
     "closed_form_behavior",
     "noisy_bsm",
     "party_observable",

@@ -13,6 +13,10 @@ probability slice is a contiguous row-major block.
 Every full correlator <A^1_{x_1} .. A^n_{x_n} C^i> comes from one table,
 correlator_table(behavior)[x_1, .., x_n, i], of shape (k,)*n + (k,).
 
+This module also owns the file format, for behaviors and for the strategy
+files of classical.save_strategy/load_strategy alike: one JSON object with
+integer header fields and flat row-major lists of 17-digit floats.
+
 Tolerances: entries may be negative down to -1e-12 (clamped to 0 on load),
 and each setting slice must sum to 1 within 1e-10.
 """
@@ -20,7 +24,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,25 +81,6 @@ class BehaviorTensor:
     def uniform(cls, shape):
         arr = np.full(shape.tensor_shape, 1.0 / shape.cells_per_setting)
         return cls(shape, arr)
-
-
-@dataclass(frozen=True)
-class CorrelatorSpec:
-    """One full-correlator query: a setting per party, which Charlie bit, and
-    optional per-party sign flips (used to express wrapped settings A_k = -A_0)."""
-
-    settings: tuple
-    charlie_bit: int
-    sign_flips: tuple = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
-        if self.sign_flips is None:
-            object.__setattr__(self, "sign_flips", (False,) * len(self.settings))
-        else:
-            object.__setattr__(self, "sign_flips", tuple(bool(f) for f in self.sign_flips))
-        if len(self.sign_flips) != len(self.settings):
-            raise ValueError("sign_flips length must match settings length")
 
 
 def validate_behavior(behavior):
@@ -198,46 +183,19 @@ def correlator_table(behavior):
     return (charlie @ _charlie_bit_signs(k)).reshape((k,) * n + (k,))
 
 
-def correlator(behavior, spec):
-    """Full correlator <A^1_{x_1} .. A^n_{x_n} C^i> = sum (-1)^(a_1+..+a_n+c_i) P,
-    with any sign-flipped party contributing an extra factor -1."""
-    shape = behavior.shape
-    n, k = shape.n, shape.k
-    if len(spec.settings) != n:
-        raise ValueError(f"expected {n} settings, got {len(spec.settings)}")
-    if any(not 0 <= s < k for s in spec.settings):
-        raise ValueError(f"settings {spec.settings} out of range for k={k}")
-    if not 0 <= spec.charlie_bit < k:
-        raise ValueError(f"charlie bit {spec.charlie_bit} out of range for k={k}")
-    block = behavior.probabilities[spec.settings].reshape(2**n, 2**k)
-    value = _party_signs(n) @ block @ _charlie_bit_signs(k)[:, spec.charlie_bit]
-    return float(value) * (-1.0) ** sum(spec.sign_flips)
-
-
 def save_behavior(behavior, path):
     """Write the behavior as JSON with a flat row-major probability list.
 
     Floats are written with 17 significant digits, which round-trips float64
     exactly, so save -> load -> save is byte-identical.
     """
-    flat = behavior.probabilities.reshape(-1)
-    body = ", ".join("%.17g" % v for v in flat)
-    text = '{"n": %d, "k": %d, "probabilities": [%s]}\n' % (
+    text = '{"n": %d, "k": %d, "probabilities": %s}\n' % (
         behavior.shape.n,
         behavior.shape.k,
-        body,
+        _number_text(behavior.probabilities),
     )
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _entry_count_text(shape):
-    """k**n * 2**(n + k) in decimal, or its lower bound 2**(2n + k) once the
-    exact count is too long to be worth computing and printing."""
-    n, k = shape.n, shape.k
-    if 2 * n + k > 1024:
-        return f"at least 2**{2 * n + k}"
-    return str(k**n * 2 ** (n + k))
 
 
 def load_behavior(path, strict=False):
@@ -248,46 +206,10 @@ def load_behavior(path, strict=False):
     when strict is set; otherwise the behavior is returned as stored, with
     entries in [-1e-12, 0) clamped to exact zeros.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidBehaviorError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidBehaviorError("top level must be a JSON object")
-    for key in ("n", "k", "probabilities"):
-        if key not in doc:
-            raise InvalidBehaviorError(f"missing required key {key!r}")
-    for key in ("n", "k"):
-        # bool is a subclass of int, but "n": true is not a party count
-        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-            raise InvalidBehaviorError(f"{key} must be an integer, got {doc[key]!r}")
-    try:
-        shape = ScenarioShape(doc["n"], doc["k"])
-    except ValueError as exc:
-        raise InvalidBehaviorError(f"bad scenario shape: {exc}") from exc
-    values = doc["probabilities"]
-    got = len(values) if isinstance(values, list) else type(values).__name__
-    axes = 2 * shape.n + shape.k
-    if axes > MAX_AXES:
-        # at least 2**axes entries, which no list holds: refuse before a
-        # tensor_shape tuple of that length is built
-        raise InvalidBehaviorError(
-            f"probabilities must be a list of {_entry_count_text(shape)} numbers, "
-            f"got {got}; a tensor with {axes} axes exceeds numpy's {MAX_AXES}"
-        )
-    expected = math.prod(shape.tensor_shape)
-    if not isinstance(values, list) or len(values) != expected:
-        raise InvalidBehaviorError(
-            f"probabilities must be a list of {expected} numbers, got {got}"
-        )
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidBehaviorError(f"probabilities must all be numbers: {exc}") from exc
-    if arr.ndim != 1:
-        raise InvalidBehaviorError("probabilities must all be numbers, got nested lists")
-    arr = arr.reshape(shape.tensor_shape)
+    doc = _read_object(path, ("n", "k", "probabilities"))
+    shape = _read_shape(doc)
+    n, k = shape.n, shape.k
+    arr = _read_numbers(doc["probabilities"], "probabilities", ((k, n), (2, n + k)))
     arr = np.where((arr < 0) & (arr >= -NEGATIVITY_TOL), 0.0, arr)
     behavior = BehaviorTensor(shape, arr)
     if strict:
@@ -295,3 +217,93 @@ def load_behavior(path, strict=False):
         if problems:
             raise InvalidBehaviorError("; ".join(problems))
     return behavior
+
+
+# --- the file codec, shared with classical.load_strategy -------------------
+#
+# A file is one JSON object: integer header fields and flat row-major lists of
+# floats written with 17 significant digits.  Every structural fault raises
+# InvalidBehaviorError, and no array is built before its size is checked.
+
+
+def _number_text(values):
+    """values as a flat row-major JSON list of 17-digit floats."""
+    return "[%s]" % ", ".join("%.17g" % v for v in np.asarray(values).reshape(-1))
+
+
+def _read_object(path, keys):
+    """The JSON object in the file at path, which must hold every key."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integer literals past Python's digit limit
+        # and undecodable bytes; RecursionError, arrays nested too deep
+        raise InvalidBehaviorError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidBehaviorError("top level must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InvalidBehaviorError(f"missing required key {key!r}")
+    return doc
+
+
+def _int_field(doc, key):
+    value = doc[key]
+    # bool is a subclass of int, but "n": true is not a party count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidBehaviorError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _read_shape(doc):
+    n, k = _int_field(doc, "n"), _int_field(doc, "k")
+    try:
+        return ScenarioShape(n, k)
+    except ValueError as exc:
+        raise InvalidBehaviorError(f"bad scenario shape: {exc}") from exc
+
+
+def _length_text(values):
+    return len(values) if isinstance(values, list) else type(values).__name__
+
+
+def _count_text(dims):
+    """prod(size**repeat) over dims in decimal, or its lower bound 2**(axes of
+    length > 1) once the exact count is too long to be worth printing (and
+    Python refuses to print integers of more than 4300 digits)."""
+    floor = sum(repeat for size, repeat in dims if size > 1)
+    if floor > 1024 or sum(repeat * size.bit_length() for size, repeat in dims if size > 1) > 8192:
+        return f"at least 2**{floor}"
+    return str(math.prod(size**repeat for size, repeat in dims))
+
+
+def _read_numbers(values, key, dims):
+    """A flat row-major list of plain numbers as a float array with `repeat`
+    axes of length `size` for each (size, repeat) in dims."""
+    axes = sum(repeat for _, repeat in dims)
+    if axes > MAX_AXES:
+        # refused before a shape tuple of that length is built
+        raise InvalidBehaviorError(
+            f"{key} must be a list of {_count_text(dims)} numbers, got {_length_text(values)}; "
+            f"a tensor with {axes} axes exceeds numpy's {MAX_AXES}"
+        )
+    shape = sum(((size,) * repeat for size, repeat in dims), ())
+    if not isinstance(values, list) or len(values) != math.prod(shape):
+        raise InvalidBehaviorError(
+            f"{key} must be a list of {_count_text(dims)} numbers, got {_length_text(values)}"
+        )
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidBehaviorError(f"{key} must all be numbers: {exc}") from exc
+    if arr.ndim != 1:
+        raise InvalidBehaviorError(f"{key} must all be numbers, got nested lists")
+    return arr.reshape(shape)
+
+
+def _read_lists(values, key, count, dims):
+    """A list of count number lists, each read by _read_numbers with dims."""
+    if not isinstance(values, list) or len(values) != count:
+        raise InvalidBehaviorError(f"{key} must be a list of {count} lists, got {_length_text(values)}")
+    return tuple(_read_numbers(v, f"{key}[{j}]", dims) for j, v in enumerate(values))

@@ -18,12 +18,21 @@ two-setting bound, and a seeded multi-restart ascent optimizer over the full
 """
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import BehaviorTensor, InvalidBehaviorError, ScenarioShape
+from .behavior import (
+    BehaviorTensor,
+    InvalidBehaviorError,
+    ScenarioShape,
+    _int_field,
+    _number_text,
+    _read_lists,
+    _read_numbers,
+    _read_object,
+    _read_shape,
+)
 from .inequalities import evaluate_chain
 
 ROW_TOL = 1e-12
@@ -71,8 +80,13 @@ def validate_strategy(strategy):
         if rows.min() < -ROW_TOL:
             problems.append(f"{name} has a negative entry {rows.min():.3e}")
         err = np.abs(rows.sum(axis=-1) - 1.0).max()
-        if err > ROW_TOL:
-            problems.append(f"{name} rows off normalization by {err:.3e}")
+        # a non-finite entry makes err NaN or infinite; NaN fails err > tol
+        if not err <= ROW_TOL:
+            nonfinite = np.count_nonzero(~np.isfinite(rows))
+            if nonfinite:
+                problems.append(f"{name} has {nonfinite} non-finite entries (NaN or infinity)")
+            else:
+                problems.append(f"{name} rows off normalization by {err:.3e}")
 
     for j in range(n):
         check_rows(f"output table {j}", strategy.output_tables[j])
@@ -171,44 +185,33 @@ def enumerate_deterministic(shape, hidden_alphabet, cap=10**8):
 
 def save_strategy(strategy, path):
     """Write a strategy as JSON with flat row-major float lists (17 digits)."""
-
-    def fmt(arr):
-        return "[%s]" % ", ".join("%.17g" % v for v in np.asarray(arr).reshape(-1))
-
     parts = [
         '"n": %d' % strategy.shape.n,
         '"k": %d' % strategy.shape.k,
         '"hidden_alphabet": %d' % strategy.hidden_alphabet,
-        '"output_tables": [%s]' % ", ".join(fmt(t) for t in strategy.output_tables),
-        '"hidden_dists": [%s]' % ", ".join(fmt(d) for d in strategy.hidden_dists),
-        '"charlie_table": %s' % fmt(strategy.charlie_table),
+        '"output_tables": [%s]' % ", ".join(_number_text(t) for t in strategy.output_tables),
+        '"hidden_dists": [%s]' % ", ".join(_number_text(d) for d in strategy.hidden_dists),
+        '"charlie_table": %s' % _number_text(strategy.charlie_table),
     ]
     with open(path, "w") as fh:
         fh.write("{" + ", ".join(parts) + "}\n")
 
 
 def load_strategy(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidBehaviorError(f"not valid JSON: {exc}") from exc
-    try:
-        shape = ScenarioShape(int(doc["n"]), int(doc["k"]))
-        L = int(doc["hidden_alphabet"])
-        n, k = shape.n, shape.k
-        tables = tuple(
-            np.asarray(t, dtype=float).reshape(k, 2) for t in doc["output_tables"]
-        )
-        dists = tuple(
-            np.asarray(d, dtype=float).reshape(L) for d in doc["hidden_dists"]
-        )
-        charlie = np.asarray(doc["charlie_table"], dtype=float).reshape(
-            (L,) * n + (2,) * k
-        )
-        return ClassicalStrategy(shape, L, tables, dists, charlie)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidBehaviorError(f"bad strategy file: {exc}") from exc
+    """Read a strategy file; any structural problem raises InvalidBehaviorError."""
+    doc = _read_object(
+        path, ("n", "k", "hidden_alphabet", "output_tables", "hidden_dists", "charlie_table")
+    )
+    shape = _read_shape(doc)
+    n, k = shape.n, shape.k
+    L = _int_field(doc, "hidden_alphabet")
+    if L < 1:
+        raise InvalidBehaviorError(f"hidden_alphabet must be >= 1, got {L}")
+    # the response table first: it refuses n + k past numpy's axis limit
+    charlie = _read_numbers(doc["charlie_table"], "charlie_table", ((L, n), (2, k)))
+    tables = _read_lists(doc["output_tables"], "output_tables", n, ((k, 1), (2, 1)))
+    dists = _read_lists(doc["hidden_dists"], "hidden_dists", n, ((L, 1),))
+    return ClassicalStrategy(shape, L, tables, dists, charlie)
 
 
 # --- optimizer over the continuous strategy class -------------------------

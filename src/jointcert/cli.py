@@ -30,7 +30,7 @@ from .behavior import InvalidBehaviorError, ScenarioShape, load_behavior, save_b
 from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
 from .inequalities import evaluate_chain, evaluate_mn, report_to_json
 from .postselect import gap_report
-from .quantum import _bsm_elements, closed_form_behavior, quantum_behavior, validate_povm
+from .quantum import _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
@@ -135,10 +135,8 @@ def cmd_optimize(args):
 
 def cmd_validate_povm(args):
     elements = _bsm_elements(args.p)
-    floor = min(np.linalg.eigvalsh(el).min() for el in elements)
-    residual = np.abs(sum(elements) - np.eye(4)).max()
+    problems, floor, residual = _check_povm(elements)
     projective = all(np.abs(el @ el - el).max() <= 1e-10 for el in elements)
-    problems = validate_povm(elements)
     print("eigenvalue floor: %.17g" % floor)
     print("completeness residual: %.17g" % residual)
     print("projective: %s" % ("true" if projective else "false"))

@@ -28,7 +28,6 @@ giving M = N = p/2, statistic sqrt(2p), which exceeds the classical bound 1
 exactly when p > 1/2.
 """
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,28 +88,41 @@ def noisy_bsm(p):
 def validate_povm(elements, tol=POVM_TOL):
     """Return a list of POVM violations: non-Hermitian or non-positive
     elements, or completeness failure (sum != identity), checked within tol."""
+    return _check_povm(elements, tol)[0]
+
+
+def _check_povm(elements, tol=POVM_TOL):
+    """(problems, floor, residual): validate_povm's list, the lowest
+    eigenvalue of any well-shaped Hermitian element, and the largest entry of
+    |sum - identity|; floor and residual are NaN where undefined."""
     problems = []
     elements = [np.asarray(e, dtype=complex) for e in elements]
     if not elements:
-        return ["no elements given"]
+        return ["no elements given"], np.nan, np.nan
     dim = elements[0].shape[0]
+    lows = []
     for idx, el in enumerate(elements):
         if el.shape != (dim, dim):
             problems.append(f"element {idx} has shape {el.shape}, expected ({dim}, {dim})")
+            continue
+        if not np.isfinite(el).all():
+            problems.append(f"element {idx} has non-finite entries")
             continue
         herm = np.abs(el - el.conj().T).max()
         if herm > tol:
             problems.append(f"element {idx} deviates from Hermitian by {herm:.3e}")
             continue
         low = np.linalg.eigvalsh(el).min()
+        lows.append(low)
         if low < -tol:
             problems.append(f"element {idx} has negative eigenvalue {low:.3e}")
+    residual = np.nan
     total = sum(elements)
     if total.shape == (dim, dim):
-        gap = np.abs(total - np.eye(dim)).max()
-        if gap > tol:
-            problems.append(f"elements sum to identity only within {gap:.3e}")
-    return problems
+        residual = np.abs(total - np.eye(dim)).max()
+        if not residual <= tol:
+            problems.append(f"elements sum to identity only within {residual:.3e}")
+    return problems, min(lows, default=np.nan), residual
 
 
 def quantum_behavior(p):
@@ -139,23 +151,3 @@ def closed_form_behavior(p):
         bracket = ((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0
         arr[x, y, a, b, c0, c1] = (1.0 + p * (-1.0) ** (a + b) * bracket) / 16.0
     return BehaviorTensor(ScenarioShape(2, 2), arr)
-
-
-@dataclass(frozen=True)
-class QuantumScenario:
-    """The singlet-pair model at a fixed measurement sharpness."""
-
-    sharpness: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sharpness <= 1.0:
-            raise ValueError(f"sharpness must lie in [0, 1], got {self.sharpness}")
-
-    def povm(self):
-        return noisy_bsm(self.sharpness)
-
-    def behavior(self):
-        return quantum_behavior(self.sharpness)
-
-    def closed_form(self):
-        return closed_form_behavior(self.sharpness)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from jointcert.behavior import (
     BehaviorTensor,
-    CorrelatorSpec,
     InvalidBehaviorError,
     ScenarioShape,
-    correlator,
     correlator_table,
     independence_check,
     load_behavior,
@@ -105,35 +103,12 @@ def test_correlator_on_parity_behavior():
     behavior = deterministic_behavior(
         SHAPE22, lambda s: ((s[0], s[1]), ((s[0] + s[1]) % 2, 0))
     )
+    table = correlator_table(behavior)
     for x, y in itertools.product(range(2), repeat=2):
         want = (-1.0) ** (x + y + (x + y) % 2)
-        got = correlator(behavior, CorrelatorSpec((x, y), 0))
-        assert got == pytest.approx(want, abs=1e-14)
+        assert table[x, y, 0] == pytest.approx(want, abs=1e-14)
         # charlie bit 1 is constantly 0
-        got1 = correlator(behavior, CorrelatorSpec((x, y), 1))
-        assert got1 == pytest.approx((-1.0) ** (x + y), abs=1e-14)
-
-
-def test_correlator_sign_flips():
-    behavior = deterministic_behavior(SHAPE22, lambda s: ((0, 0), (0, 0)))
-    base = correlator(behavior, CorrelatorSpec((0, 1), 0))
-    assert base == pytest.approx(1.0)
-    flipped = correlator(behavior, CorrelatorSpec((0, 1), 0, (True, False)))
-    assert flipped == pytest.approx(-1.0)
-    both = correlator(behavior, CorrelatorSpec((0, 1), 0, (True, True)))
-    assert both == pytest.approx(1.0)
-
-
-def test_correlator_input_validation():
-    behavior = BehaviorTensor.uniform(SHAPE22)
-    with pytest.raises(ValueError):
-        correlator(behavior, CorrelatorSpec((0,), 0))
-    with pytest.raises(ValueError):
-        correlator(behavior, CorrelatorSpec((0, 2), 0))
-    with pytest.raises(ValueError):
-        correlator(behavior, CorrelatorSpec((0, 1), 5))
-    with pytest.raises(ValueError):
-        CorrelatorSpec((0, 1), 0, (True,))
+        assert table[x, y, 1] == pytest.approx((-1.0) ** (x + y), abs=1e-14)
 
 
 def nested_loop_table(behavior):
@@ -162,12 +137,6 @@ def test_correlator_table_matches_nested_loop(nk, seed):
     table = correlator_table(behavior)
     assert table.shape == (shape.k,) * shape.n + (shape.k,)
     np.testing.assert_allclose(table, nested_loop_table(behavior), rtol=0, atol=1e-12)
-    for _ in range(5):
-        setting = tuple(int(s) for s in rng.integers(0, shape.k, shape.n))
-        bit = int(rng.integers(shape.k))
-        flips = tuple(bool(f) for f in rng.integers(0, 2, shape.n))
-        got = correlator(behavior, CorrelatorSpec(setting, bit, flips))
-        assert got == pytest.approx(table[setting + (bit,)] * (-1.0) ** sum(flips), abs=1e-12)
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
@@ -250,6 +219,17 @@ def test_load_structural_errors(tmp_path):
         load_behavior(path)
     path.write_text('{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(["[0.5]"] * 64))
     with pytest.raises(InvalidBehaviorError, match="must all be numbers"):
+        load_behavior(path)
+    # a 5000-digit literal passes Python's int-parsing limit, a 401-digit entry
+    # overflows float, and 10**5 open brackets pass the decoder's recursion limit
+    path.write_text('{"n": %s, "k": 2, "probabilities": []}' % ("9" * 5000))
+    with pytest.raises(InvalidBehaviorError, match="not valid JSON"):
+        load_behavior(path)
+    path.write_text('{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(["1" + "0" * 400] * 64))
+    with pytest.raises(InvalidBehaviorError, match="must all be numbers"):
+        load_behavior(path)
+    path.write_text("[" * 10**5)
+    with pytest.raises(InvalidBehaviorError, match="not valid JSON"):
         load_behavior(path)
     # truncated file
     good = tmp_path / "good.json"

@@ -3,8 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointcert.behavior import BehaviorTensor, ScenarioShape, validate_behavior
+from jointcert.behavior import (
+    BehaviorTensor,
+    InvalidBehaviorError,
+    ScenarioShape,
+    load_behavior,
+    save_behavior,
+    validate_behavior,
+)
 from jointcert.classical import (
     MAX_OPTIMIZER_CELLS,
     ClassicalStrategy,
@@ -83,6 +92,18 @@ def test_validate_strategy_reports_bad_rows():
         strategy.charlie_table,
     )
     assert any("negative" in p for p in validate_strategy(neg))
+    # NaN compares false against any tolerance, so it must be named, not missed
+    for value in (np.nan, np.inf):
+        table = np.full((2, 2), 0.5)
+        table[1, 0] = value
+        charlie = strategy.charlie_table.copy()
+        charlie[1, 0, 0, 1] = value
+        odd = ClassicalStrategy(
+            SHAPE22, 2, (table, np.full((2, 2), 0.5)), (np.full(2, 0.5), np.full(2, 0.5)), charlie
+        )
+        problems = validate_strategy(odd)
+        assert "output table 0 has 1 non-finite entries (NaN or infinity)" in problems, problems
+        assert "charlie table has 1 non-finite entries (NaN or infinity)" in problems, problems
 
 
 def test_strategy_behavior_is_valid_and_factorizes():
@@ -284,7 +305,78 @@ def test_strategy_save_load_round_trip(tmp_path):
     assert loaded.hidden_alphabet == strategy.hidden_alphabet
     for t1, t2 in zip(loaded.output_tables, strategy.output_tables):
         np.testing.assert_array_equal(t1, t2)
+    for d1, d2 in zip(loaded.hidden_dists, strategy.hidden_dists):
+        np.testing.assert_array_equal(d1, d2)
     np.testing.assert_array_equal(loaded.charlie_table, strategy.charlie_table)
     # stored file is well-formed JSON
     doc = json.loads(path.read_text())
     assert doc["hidden_alphabet"] == 2
+    # byte-identical on re-save
+    second = tmp_path / "strategy2.json"
+    save_strategy(loaded, second)
+    assert path.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nkl=st.sampled_from([(1, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_strategies_obey_the_bound_and_round_trip(tmp_path_factory, nkl, seed):
+    strategy = random_strategy(*nkl, np.random.default_rng(seed))
+    behavior = strategy_to_behavior(strategy)
+    report = evaluate_chain(behavior)
+    assert report.statistic <= report.bound + 1e-9
+    folder = tmp_path_factory.mktemp("round-trip")
+    for obj, save, load in [
+        (strategy, save_strategy, load_strategy),
+        (behavior, save_behavior, load_behavior),
+    ]:
+        save(obj, folder / "first.json")
+        save(load(folder / "first.json"), folder / "second.json")
+        assert (folder / "first.json").read_bytes() == (folder / "second.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"hidden_alphabet": 2.7}, "hidden_alphabet must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"hidden_alphabet": 0}, "hidden_alphabet must be >= 1"),
+        ({"charlie_table": ["a"] * 16}, "charlie_table must all be numbers"),
+        ({"output_tables": [["a"] * 4] * 2}, r"output_tables\[0\] must all be numbers"),
+        ({"hidden_dists": [[[0.5], [0.5]]] * 2}, r"hidden_dists\[0\] must all be numbers, got nested"),
+        ({"charlie_table": [[0.25] * 4] * 4}, "charlie_table must be a list of 16 numbers, got 4"),
+        ({"output_tables": [[0.5] * 4]}, "output_tables must be a list of 2 lists, got 1"),
+        ({"hidden_dists": [[1.0], [1.0]]}, r"hidden_dists\[0\] must be a list of 2 numbers, got 1"),
+        ({"n": 1000000000}, "1000000002 axes exceeds numpy's 64"),
+        ({"k": 10**40}, "axes exceeds numpy's 64"),
+        ({"n": 3, "k": 2}, "charlie_table must be a list of 32 numbers, got 16"),
+        # L**2 * 4 has 8001 digits, more than Python will print
+        ({"hidden_alphabet": 10**4000}, r"charlie_table must be a list of at least 2\*\*4 numbers"),
+        ("top-level list", "top level must be a JSON object"),
+        ("missing key", "missing required key 'charlie_table'"),
+        ("truncated", "not valid JSON"),
+    ],
+    ids=[
+        "fractional-alphabet", "bool-n", "zero-alphabet", "strings", "string-rows",
+        "nested-entries", "nested-table", "too-few-tables", "short-dist", "huge-n",
+        "huge-k", "wrong-count", "huge-alphabet", "top-level-list", "missing-key", "truncated",
+    ],
+)
+def test_load_strategy_structural_errors(tmp_path, edit, message):
+    path = tmp_path / "bad.json"
+    save_strategy(saturation_strategy(0.3), path)
+    text = path.read_text()
+    doc = json.loads(text)
+    if edit == "top-level list":
+        text = json.dumps([doc])
+    elif edit == "missing key":
+        text = json.dumps({key: value for key, value in doc.items() if key != "charlie_table"})
+    elif edit == "truncated":
+        text = text[: len(text) // 2]
+    else:
+        text = json.dumps({**doc, **edit})
+    path.write_text(text)
+    with pytest.raises(InvalidBehaviorError, match=message):
+        load_strategy(path)

@@ -85,8 +85,14 @@ def test_certify_rejects_invariant_violation(tmp_path, capsys):
         (lambda text: '{"n": 64, "k": 2, "probabilities": []}', "probabilities"),
         (lambda text: '{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(['"a"'] * 64), "numbers"),
         (lambda text: text.replace('"n": 2', '"n": 1000000000'), "exceeds numpy's 64"),
+        (lambda text: text.replace('"n": 2', '"n": ' + "9" * 5000), "not valid JSON"),
+        (lambda text: text.replace("0.0625", "1" + "0" * 400, 1), "numbers"),
+        (lambda text: "[" * 10**5, "not valid JSON"),
     ],
-    ids=["nan", "inf", "bool-n", "fractional-k", "overflowing-shape", "strings", "huge-n"],
+    ids=[
+        "nan", "inf", "bool-n", "fractional-k", "overflowing-shape", "strings", "huge-n",
+        "huge-literal", "huge-entry", "deep-nesting",
+    ],
 )
 def test_certify_rejects_bad_numbers(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
@@ -238,6 +244,10 @@ def test_validate_povm_invalid_sharpness(capsys):
     assert "valid: false" in out
     assert parse_report_line(out, "eigenvalue floor") == pytest.approx(-0.125, abs=1e-12)
     assert "negative eigenvalue" in err
+    code, out, err = run(capsys, "validate-povm", "--p", "nan")
+    assert code == EXIT_INVALID
+    assert "valid: false" in out
+    assert "non-finite" in err
 
 
 def test_gen_validates_parameters(tmp_path, capsys):

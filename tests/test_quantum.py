@@ -7,7 +7,6 @@ from jointcert.behavior import independence_check, marginal_party, validate_beha
 from jointcert.linalg import KET_0, KET_1, kron_all
 from jointcert.quantum import (
     BELL_LABELING,
-    QuantumScenario,
     _bsm_elements,
     closed_form_behavior,
     noisy_bsm,
@@ -125,15 +124,3 @@ def test_validate_povm_catches_defects():
     broken[0] = broken[0] + 1j * np.eye(4) * 1e-3
     assert any("Hermitian" in p for p in validate_povm(broken))
     assert validate_povm([]) == ["no elements given"]
-
-
-def test_scenario_wrapper():
-    scenario = QuantumScenario(0.75)
-    np.testing.assert_allclose(
-        scenario.behavior().probabilities,
-        scenario.closed_form().probabilities,
-        atol=1e-10,
-    )
-    assert len(scenario.povm()) == 4
-    with pytest.raises(ValueError):
-        QuantumScenario(1.5)
