@@ -278,6 +278,9 @@ def _count_text(dims):
     return str(math.prod(size**repeat for size, repeat in dims))
 
 
+_JSON_KINDS = {list: "nested lists", dict: "objects", str: "strings", bool: "booleans", type(None): "nulls"}
+
+
 def _read_numbers(values, key, dims):
     """A flat row-major list of plain numbers as a float array with `repeat`
     axes of length `size` for each (size, repeat) in dims."""
@@ -293,12 +296,15 @@ def _read_numbers(values, key, dims):
         raise InvalidBehaviorError(
             f"{key} must be a list of {_count_text(dims)} numbers, got {_length_text(values)}"
         )
+    # one C-level pass; bool is its own type here, so true and false fail it
+    odd = set(map(type, values)) - {int, float}
+    if odd:
+        kinds = ", ".join(sorted(_JSON_KINDS.get(t, t.__name__) for t in odd))
+        raise InvalidBehaviorError(f"{key} must all be numbers, got {kinds}")
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer entry past float's range
         raise InvalidBehaviorError(f"{key} must all be numbers: {exc}") from exc
-    if arr.ndim != 1:
-        raise InvalidBehaviorError(f"{key} must all be numbers, got nested lists")
     return arr.reshape(shape)
 
 

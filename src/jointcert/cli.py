@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_VIOLATED = 10
 EXIT_INVALID = 2
 
+# sweep refuses longer grids before it builds one: a million rows of CSV,
+# at about a millisecond of simulation each
+MAX_SWEEP_STEPS = 10**6
+
 SWEEP_COLUMNS = (
     "p",
     "component0",
@@ -80,8 +84,8 @@ def cmd_certify(args):
 def cmd_sweep(args):
     if not 0.0 <= args.pmin <= args.pmax <= 1.0:
         return _fail(f"need 0 <= pmin <= pmax <= 1, got {args.pmin}, {args.pmax}")
-    if args.steps < 2:
-        return _fail(f"need at least 2 steps, got {args.steps}")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        return _fail(f"need 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
     try:
         fh = open(args.out, "w", newline="")
     except OSError as exc:

@@ -15,14 +15,21 @@ the local bound 2 only at p = 1/sqrt(2).
 The certification gap: for 1/2 < p < 0.66 the joint statistic sqrt(2p)
 already exceeds its classical bound while every post-selected state is
 LHV-simulable, so the violation is attributable to the measurement itself.
+
+Each induced state is one contraction of the quantum model's rank-8 state
+tensor, axes (i0, i1, j0, j1, i2, i3, j2, j3) for row (i) and column (j)
+index of each qubit, with the POVM element on the ancillas (qubits 1 and 3);
+the system qubits 0 and 2 stay open.  The correlation matrix is one
+contraction against a fixed stack of the nine Pauli pairs.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inequalities import evaluate_mn
-from .linalg import PAULIS, PSI_MINUS, embed_operator, partial_trace, proj, trace_distance
-from .quantum import BELL_LABELING, noisy_bsm, quantum_behavior
+from .linalg import PAULIS, proj, trace_distance
+from .quantum import BELL_LABELING, _state_tensor, noisy_bsm, quantum_behavior
 
 WERNER_LHV_THRESHOLD = 0.66
 VERDICT_TOL = 1e-9
@@ -33,10 +40,10 @@ def induced_state(p, outcome):
     probability.  Returns (rho, probability); rho is a 4x4 density matrix."""
     if not 0 <= outcome < 4:
         raise ValueError(f"outcome must be one of 0..3, got {outcome}")
-    povm = noisy_bsm(p)
-    rho = np.kron(proj(PSI_MINUS), proj(PSI_MINUS))
-    element = embed_operator(povm[outcome], [1, 3], 4)
-    unnorm = partial_trace(rho @ element, keep=[0, 2], n_qubits=4)
+    element = noisy_bsm(p)[outcome].reshape(2, 2, 2, 2)
+    # Tr_{1,3}[rho (I (x) E_c)]: E_c's rows meet the ancillas' state columns,
+    # its columns the ancillas' state rows
+    unnorm = np.einsum("ABCDEFGH,DHBF->AECG", _state_tensor(), element).reshape(4, 4)
     prob = float(np.trace(unnorm).real)
     return unnorm / prob, prob
 
@@ -55,13 +62,17 @@ def werner_visibility(rho, target):
     return v, trace_distance(rho, model)
 
 
+@functools.cache
+def _pauli_pairs():
+    """pairs[i, j] = sigma_i (x) sigma_j over (X, Y, Z), shape (3, 3, 4, 4)."""
+    pairs = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
+    pairs.setflags(write=False)
+    return pairs
+
+
 def correlation_matrix(rho):
     """T[i, j] = Tr[rho sigma_i x sigma_j] for i, j over (X, Y, Z)."""
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = np.trace(rho @ np.kron(si, sj)).real
-    return t
+    return np.einsum("rc,ijcr->ij", rho, _pauli_pairs()).real
 
 
 def chsh_max(rho):

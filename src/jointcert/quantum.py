@@ -26,7 +26,17 @@ The exact behavior is
 
 giving M = N = p/2, statistic sqrt(2p), which exceeds the classical bound 1
 exactly when p > 1/2.
+
+The simulation never reads the closed form.  It holds the 4-qubit state
+once as a rank-8 tensor, the outer product of the two singlet projectors,
+
+    state[i0, i1, j0, j1, i2, i3, j2, j3] = <i0 i1 i2 i3| rho |j0 j1 j2 j3>
+
+(i row and j column indices, one per qubit), and computes the whole behavior
+as one einsum of that tensor with the two parties' projector stacks [x, a]
+and the four POVM elements.
 """
+import functools
 import itertools
 
 import numpy as np
@@ -40,8 +50,6 @@ from .linalg import (
     PSI_PLUS,
     SIGMA_X,
     SIGMA_Z,
-    embed_operator,
-    kron_all,
     proj,
 )
 
@@ -66,12 +74,18 @@ def party_projector(party, outcome, setting):
     return (ID2 + sign * party_observable(setting)) / 2
 
 
+@functools.cache
+def _bell_projectors():
+    """|beta_c><beta_c| in outcome order, shape (4, 4, 4), read-only."""
+    stack = np.array([proj(vec) for _, vec in BELL_LABELING])
+    stack.setflags(write=False)
+    return stack
+
+
 def _bsm_elements(p):
     """Noisy Bell-state measurement elements for any real p (no range check)."""
-    return tuple(
-        p * proj(vec) + (1 - p) * np.eye(4, dtype=complex) / 4
-        for _, vec in BELL_LABELING
-    )
+    noise = (1 - p) * np.eye(4, dtype=complex) / 4
+    return tuple(p * bell + noise for bell in _bell_projectors())
 
 
 def noisy_bsm(p):
@@ -125,21 +139,51 @@ def _check_povm(elements, tol=POVM_TOL):
     return problems, min(lows, default=np.nan), residual
 
 
+@functools.cache
+def _state_tensor():
+    """The 4-qubit state as the read-only rank-8 tensor described above."""
+    singlet = proj(PSI_MINUS).reshape(2, 2, 2, 2)
+    state = np.multiply.outer(singlet, singlet)
+    state.setflags(write=False)
+    return state
+
+
+@functools.cache
+def _projector_stack(party):
+    """stack[x, a] = party_projector(party, a, x), shape (2, 2, 2, 2)."""
+    stack = np.array([[party_projector(party, a, x) for a in range(2)] for x in range(2)])
+    stack.setflags(write=False)
+    return stack
+
+
+# P(a, b, c | x, y) = Tr[rho P^0_{a|x} P^1_{b|y} E_c].  State axes: rows
+# A B E F and columns C D G H of qubits 0 1 2 3.  The trace pairs each
+# operator's row index with a state column and its column index with a state
+# row: P^0 on qubit 0 [C, A], P^1 on qubit 2 [G, E], E_c on the ancillas
+# 1 and 3 [D H, B F].
+_BEHAVIOR_SUBSCRIPTS = "ABCDEFGH,xaCA,ybGE,cDHBF->xyabc"
+
+
+@functools.cache
+def _behavior_path():
+    """einsum contraction order for _BEHAVIOR_SUBSCRIPTS, searched once."""
+    operands = (_state_tensor(), _projector_stack(0), _projector_stack(1), np.empty((4,) + (2,) * 4))
+    return np.einsum_path(_BEHAVIOR_SUBSCRIPTS, *operands, optimize="optimal")[0]
+
+
 def quantum_behavior(p):
     """Behavior tensor of the singlet-pair model, by full density-matrix
     simulation of the 4-qubit state."""
-    povm = noisy_bsm(p)
-    rho = np.kron(proj(PSI_MINUS), proj(PSI_MINUS))
-    arr = np.empty((2, 2, 2, 2, 2, 2))
-    for x, y in itertools.product(range(2), repeat=2):
-        for a, b in itertools.product(range(2), repeat=2):
-            local = kron_all(
-                party_projector(0, a, x), ID2, party_projector(1, b, y), ID2
-            )
-            for c0, c1 in itertools.product(range(2), repeat=2):
-                joint = embed_operator(povm[2 * c0 + c1], [1, 3], 4)
-                arr[x, y, a, b, c0, c1] = np.trace(rho @ local @ joint).real
-    return BehaviorTensor(ScenarioShape(2, 2), arr)
+    povm = np.array(noisy_bsm(p)).reshape((4,) + (2,) * 4)
+    arr = np.einsum(
+        _BEHAVIOR_SUBSCRIPTS,
+        _state_tensor(),
+        _projector_stack(0),
+        _projector_stack(1),
+        povm,
+        optimize=_behavior_path(),
+    )
+    return BehaviorTensor(ScenarioShape(2, 2), arr.real.reshape((2,) * 6))
 
 
 def closed_form_behavior(p):

@@ -218,8 +218,20 @@ def test_load_structural_errors(tmp_path):
     with pytest.raises(InvalidBehaviorError, match="must all be numbers"):
         load_behavior(path)
     path.write_text('{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(["[0.5]"] * 64))
-    with pytest.raises(InvalidBehaviorError, match="must all be numbers"):
+    with pytest.raises(InvalidBehaviorError, match="must all be numbers, got nested lists"):
         load_behavior(path)
+    # strings that spell numbers and JSON booleans are not probabilities, even
+    # where float() would read them as a valid behavior
+    for entries, kinds in [
+        (['"0.0625"'] * 64, "strings"),
+        (['"6.25e-2"'] + ["0.0625"] * 63, "strings"),
+        ((["true"] + ["false"] * 15) * 4, "booleans"),
+        (["0.0625"] * 63 + ["null"], "nulls"),
+        (["0.0625"] * 63 + ["{}"], "objects"),
+    ]:
+        path.write_text('{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join(entries))
+        with pytest.raises(InvalidBehaviorError, match="probabilities must all be numbers, got " + kinds):
+            load_behavior(path)
     # a 5000-digit literal passes Python's int-parsing limit, a 401-digit entry
     # overflows float, and 10**5 open brackets pass the decoder's recursion limit
     path.write_text('{"n": %s, "k": 2, "probabilities": []}' % ("9" * 5000))

@@ -54,6 +54,15 @@ def logits_of(strategy):
 def test_strategy_shape_validation():
     with pytest.raises(ValueError):
         ClassicalStrategy(SHAPE22, 0, (), (), np.zeros(()))
+    # alphabet 0 with shapes that agree with it: only the alphabet check can raise
+    with pytest.raises(ValueError, match="hidden alphabet size must be >= 1"):
+        ClassicalStrategy(
+            SHAPE22,
+            0,
+            (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+            (np.zeros(0), np.zeros(0)),
+            np.zeros((0, 0, 2, 2)),
+        )
     with pytest.raises(ValueError):
         ClassicalStrategy(
             SHAPE22,
@@ -346,6 +355,8 @@ def test_random_strategies_obey_the_bound_and_round_trip(tmp_path_factory, nkl, 
         ({"charlie_table": ["a"] * 16}, "charlie_table must all be numbers"),
         ({"output_tables": [["a"] * 4] * 2}, r"output_tables\[0\] must all be numbers"),
         ({"hidden_dists": [[[0.5], [0.5]]] * 2}, r"hidden_dists\[0\] must all be numbers, got nested"),
+        ({"charlie_table": ["0.25"] * 16}, "charlie_table must all be numbers, got strings"),
+        ({"hidden_dists": [[True, False]] * 2}, r"hidden_dists\[0\] must all be numbers, got booleans"),
         ({"charlie_table": [[0.25] * 4] * 4}, "charlie_table must be a list of 16 numbers, got 4"),
         ({"output_tables": [[0.5] * 4]}, "output_tables must be a list of 2 lists, got 1"),
         ({"hidden_dists": [[1.0], [1.0]]}, r"hidden_dists\[0\] must be a list of 2 numbers, got 1"),
@@ -360,7 +371,7 @@ def test_random_strategies_obey_the_bound_and_round_trip(tmp_path_factory, nkl, 
     ],
     ids=[
         "fractional-alphabet", "bool-n", "zero-alphabet", "strings", "string-rows",
-        "nested-entries", "nested-table", "too-few-tables", "short-dist", "huge-n",
+        "nested-entries", "numeric-strings", "booleans", "nested-table", "too-few-tables", "short-dist", "huge-n",
         "huge-k", "wrong-count", "huge-alphabet", "top-level-list", "missing-key", "truncated",
     ],
 )

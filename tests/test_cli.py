@@ -88,10 +88,17 @@ def test_certify_rejects_invariant_violation(tmp_path, capsys):
         (lambda text: text.replace('"n": 2', '"n": ' + "9" * 5000), "not valid JSON"),
         (lambda text: text.replace("0.0625", "1" + "0" * 400, 1), "numbers"),
         (lambda text: "[" * 10**5, "not valid JSON"),
+        (lambda text: text.replace("0.0625", '"0.0625"'), "got strings"),
+        (lambda text: text.replace("0.0625", '"6.25e-2"', 1), "got strings"),
+        (
+            lambda text: '{"n": 2, "k": 2, "probabilities": [%s]}' % ", ".join((["true"] + ["false"] * 15) * 4),
+            "got booleans",
+        ),
     ],
     ids=[
         "nan", "inf", "bool-n", "fractional-k", "overflowing-shape", "strings", "huge-n",
-        "huge-literal", "huge-entry", "deep-nesting",
+        "huge-literal", "huge-entry", "deep-nesting", "numeric-strings", "one-numeric-string",
+        "booleans",
     ],
 )
 def test_certify_rejects_bad_numbers(tmp_path, capsys, edit, message):
@@ -160,6 +167,11 @@ def test_sweep_validates_range(tmp_path, capsys):
     assert code == EXIT_INVALID and "pmin" in err
     code, _, err = run(capsys, "sweep", "--steps", "1", "--out", str(tmp_path / "x.csv"))
     assert code == EXIT_INVALID and "steps" in err
+    # refused before the grid is built or the output file is opened
+    out = tmp_path / "huge.csv"
+    code, _, err = run(capsys, "sweep", "--steps", "100000000000", "--out", str(out))
+    assert code == EXIT_INVALID and "steps" in err
+    assert not out.exists()
 
 
 def test_optimize_outputs_byte_identical(tmp_path, capsys):

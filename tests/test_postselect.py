@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointcert.linalg import PAULIS, proj, trace_distance
+from jointcert.linalg import PAULIS, PSI_MINUS, embed_operator, partial_trace, proj, trace_distance
 from jointcert.postselect import (
     WERNER_LHV_THRESHOLD,
     chsh_max,
@@ -10,7 +12,7 @@ from jointcert.postselect import (
     induced_state,
     werner_visibility,
 )
-from jointcert.quantum import BELL_LABELING
+from jointcert.quantum import BELL_LABELING, noisy_bsm
 
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
 
@@ -19,6 +21,23 @@ def random_density(rng):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def reference_induced_state(p, outcome):
+    """Tr_{1,3}[rho (I (x) E_c)] on 16x16 matrices, normalized."""
+    rho = np.kron(proj(PSI_MINUS), proj(PSI_MINUS))
+    element = embed_operator(noisy_bsm(p)[outcome], [1, 3], 4)
+    unnorm = partial_trace(rho @ element, keep=[0, 2], n_qubits=4)
+    prob = np.trace(unnorm).real
+    return unnorm / prob, prob
+
+
+def reference_correlation_matrix(rho):
+    t = np.empty((3, 3))
+    for i, si in enumerate(PAULIS):
+        for j, sj in enumerate(PAULIS):
+            t[i, j] = np.trace(rho @ np.kron(si, sj)).real
+    return t
 
 
 def werner(v, target):
@@ -61,6 +80,32 @@ def test_induced_states_are_werner_with_matching_label():
         assert total == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         induced_state(0.5, 4)
+
+
+def assert_matches_reference(p):
+    for outcome in range(4):
+        rho, prob = induced_state(p, outcome)
+        want_rho, want_prob = reference_induced_state(p, outcome)
+        np.testing.assert_allclose(rho, want_rho, rtol=0, atol=1e-12)
+        assert prob == pytest.approx(want_prob, abs=1e-12)
+
+
+def test_induced_state_matches_partial_trace_reference_on_grid():
+    for p in P_GRID:
+        assert_matches_reference(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_induced_state_matches_partial_trace_reference(p):
+    assert_matches_reference(p)
+
+
+def test_correlation_matrix_matches_kron_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        rho = random_density(rng)
+        np.testing.assert_allclose(correlation_matrix(rho), reference_correlation_matrix(rho), rtol=0, atol=1e-12)
 
 
 def test_werner_visibility_recovers_parameter():

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointcert.behavior import independence_check, marginal_party, validate_behavior
-from jointcert.linalg import KET_0, KET_1, kron_all
+from jointcert.linalg import ID2, KET_0, KET_1, PSI_MINUS, embed_operator, kron_all, proj
 from jointcert.quantum import (
     BELL_LABELING,
     _bsm_elements,
@@ -17,6 +19,31 @@ from jointcert.quantum import (
 )
 
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
+
+
+def reference_behavior(p):
+    """P(a, b, c | x, y) entry by entry: Tr[rho (P_a (x) I (x) P_b (x) I) E_c]
+    with 16x16 matrices and E_c embedded on qubits 1 and 3."""
+    povm = noisy_bsm(p)
+    rho = np.kron(proj(PSI_MINUS), proj(PSI_MINUS))
+    arr = np.empty((2, 2, 2, 2, 2, 2))
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        local = kron_all(party_projector(0, a, x), ID2, party_projector(1, b, y), ID2)
+        for c0, c1 in itertools.product(range(2), repeat=2):
+            joint = embed_operator(povm[2 * c0 + c1], [1, 3], 4)
+            arr[x, y, a, b, c0, c1] = np.trace(rho @ local @ joint).real
+    return arr
+
+
+def test_contraction_matches_entrywise_reference_on_grid():
+    for p in P_GRID:
+        np.testing.assert_allclose(quantum_behavior(p).probabilities, reference_behavior(p), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_contraction_matches_entrywise_reference(p):
+    np.testing.assert_allclose(quantum_behavior(p).probabilities, reference_behavior(p), rtol=0, atol=1e-12)
 
 
 def test_simulation_matches_closed_form_on_grid():
