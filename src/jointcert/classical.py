@@ -227,10 +227,19 @@ def load_strategy(path):
 # back through that decomposition and through each row's softmax.  The slope
 # of |I_i|^(1/n) is infinite at I_i = 0; the gradient takes it as 0 there.
 # Everything is batched over restarts.
+#
+# Each ascent step evaluates the model once: the gradient pass on the
+# candidate also yields its statistic, and a restart that rejects its
+# candidate keeps the gradient and statistic of the point it stays at.
+# Every logit array the optimizer builds comes out of _normalize_logits, so
+# each row has a max of exactly 0.0; _softmax relies on that instead of
+# taking a row max of its own.
 
 
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
+    """Softmax over the last axis of rows whose max is at most 0, such as
+    normalized logits or log-probabilities.  It takes no row max, so a row
+    with large positive entries would overflow."""
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -240,13 +249,19 @@ def _softmax_vjp(p, g):
     return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 
+@functools.cache
 def _charlie_signs(k):
     """Matrix S of shape (2**k, k): S[c, i] = (-1)**(bit i of outcome c),
-    with bit 0 the most significant (row-major outcome flattening)."""
+    with bit 0 the most significant (row-major outcome flattening).
+
+    Built here rather than taken from behavior._charlie_bit_signs, so the
+    fast statistic stays an independent check of the behavior route."""
     c = np.arange(2**k)
     i = np.arange(k)
     bits = (c[:, None] >> (k - 1 - i[None, :])) & 1
-    return 1.0 - 2.0 * bits
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
 
 
 def _hidden_weights(hid_probs):
@@ -351,19 +366,27 @@ def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
     statistic is kept and grows eta by 1.25, any other is dropped and halves
     it.  Returns the final (out, hid, cha) logits."""
     eta = np.full(out_logits.shape[0], 0.5)
+    g_out, g_hid, g_cha, stat = _analytic_gradient(
+        out_logits, hid_logits, cha_logits, n, k, L
+    )
     for _ in range(iterations):
-        g_out, g_hid, g_cha, stat = _analytic_gradient(
-            out_logits, hid_logits, cha_logits, n, k, L
-        )
         e1 = eta[:, None, None, None]
         cand_out = _normalize_logits(out_logits + e1 * g_out)
         cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
         cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
-        cand_stat = _batched_statistic(cand_out, cand_hid, cand_cha, n, k, L)
+        cand_g_out, cand_g_hid, cand_g_cha, cand_stat = _analytic_gradient(
+            cand_out, cand_hid, cand_cha, n, k, L
+        )
         accept = cand_stat > stat
-        out_logits = np.where(accept[:, None, None, None], cand_out, out_logits)
-        hid_logits = np.where(accept[:, None, None], cand_hid, hid_logits)
-        cha_logits = np.where(accept[:, None, None], cand_cha, cha_logits)
+        a4 = accept[:, None, None, None]
+        a3 = accept[:, None, None]
+        out_logits = np.where(a4, cand_out, out_logits)
+        hid_logits = np.where(a3, cand_hid, hid_logits)
+        cha_logits = np.where(a3, cand_cha, cha_logits)
+        g_out = np.where(a4, cand_g_out, g_out)
+        g_hid = np.where(a3, cand_g_hid, g_hid)
+        g_cha = np.where(a3, cand_g_cha, g_cha)
+        stat = np.where(accept, cand_stat, stat)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
     return out_logits, hid_logits, cha_logits
 
@@ -392,7 +415,8 @@ def optimize_classical(
     reproducible; ties resolve to the lowest restart index.  Returns
     (report, strategy) where the report is computed through the public
     behavior-tensor route on the best strategy found.  Raises ValueError
-    before allocating when the logits would exceed MAX_OPTIMIZER_CELLS floats.
+    before allocating on a negative seed, or when the logits would exceed
+    MAX_OPTIMIZER_CELLS floats.
     """
     n, k = shape.n, shape.k
     L = int(hidden_alphabet)
@@ -402,6 +426,8 @@ def optimize_classical(
         raise ValueError("need at least one restart")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if _too_many_logits(restarts, n, k, L):
         raise ValueError(
             f"{restarts} restarts at n={n}, k={k}, hidden alphabet {L} need more "

@@ -16,9 +16,11 @@ Subcommands:
 
 The violation verdict from the library is strict; certify applies --tol
 (default 1e-9) on top of the bound before choosing its exit code, so
-rounding-level excesses are not reported as violations.  The correlator
-columns of sweep come from the exact closed form of the quantum model, the
-post-selection columns from density-matrix simulation.
+rounding-level excesses are not reported as violations.  A negative or
+non-finite --tol would decide verdicts by itself, so certify and sweep
+refuse it with exit 2.  The correlator columns of sweep come from the exact
+closed form of the quantum model, the post-selection columns from
+density-matrix simulation.
 """
 import argparse
 import csv
@@ -65,6 +67,8 @@ def _fmt(value):
 
 
 def cmd_certify(args):
+    if not 0.0 <= args.tol < np.inf:
+        return _fail(f"--tol must be finite and >= 0, got {args.tol}")
     try:
         behavior = load_behavior(args.behavior, strict=True)
     except (OSError, InvalidBehaviorError) as exc:
@@ -86,6 +90,8 @@ def cmd_sweep(args):
         return _fail(f"need 0 <= pmin <= pmax <= 1, got {args.pmin}, {args.pmax}")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         return _fail(f"need 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
+    if not 0.0 <= args.tol < np.inf:
+        return _fail(f"--tol must be finite and >= 0, got {args.tol}")
     try:
         fh = open(args.out, "w", newline="")
     except OSError as exc:

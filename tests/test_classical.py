@@ -21,6 +21,7 @@ from jointcert.classical import (
     _ascend,
     _batched_statistic,
     _decompose,
+    _normalize_logits,
     deterministic_count,
     enumerate_deterministic,
     load_strategy,
@@ -232,9 +233,9 @@ def test_analytic_gradient_matches_naive_differences():
             np.testing.assert_allclose(analytic, naive, rtol=0, atol=1e-8)
 
 
-def test_gradient_is_finite_where_a_component_vanishes():
-    # |I_i|^(1/n) has an infinite slope at I_i = 0; the gradient must take
-    # it as 0 there instead of producing inf or NaN
+def vanishing_component_starts():
+    """Logits of a (n, k, L) = (2, 3, 2) strategy where some I_i = 0, with the
+    indices of the vanishing components."""
     rng = np.random.default_rng(47)
     n, k, L = 2, 3, 2
     out, hid, cha = logits_of(random_strategy(n, k, L, rng))
@@ -243,7 +244,14 @@ def test_gradient_is_finite_where_a_component_vanishes():
     zero_mean[0, 0, :2] = 0.0
     # uniform responses: every <C^i> = 0, so every Gamma_i and I_i = 0
     zero_gamma = np.zeros_like(cha)
-    for logits, zeros in [((zero_mean, hid, cha), [0]), ((out, hid, zero_gamma), [0, 1, 2])]:
+    return (n, k, L), [((zero_mean, hid, cha), [0]), ((out, hid, zero_gamma), [0, 1, 2])]
+
+
+def test_gradient_is_finite_where_a_component_vanishes():
+    # |I_i|^(1/n) has an infinite slope at I_i = 0; the gradient must take
+    # it as 0 there instead of producing inf or NaN
+    (n, k, L), starts = vanishing_component_starts()
+    for logits, zeros in starts:
         comps = _decompose(*logits, n, k, L)["comps"][0]
         assert list(np.flatnonzero(comps == 0.0)) == zeros
         g_out, g_hid, g_cha, stat = _analytic_gradient(*logits, n, k, L)
@@ -252,6 +260,44 @@ def test_gradient_is_finite_where_a_component_vanishes():
         final = _ascend(*logits, n, k, L, iterations=5)
         assert all(np.isfinite(z).all() for z in final)
         assert _batched_statistic(*final, n, k, L)[0] >= stat[0]
+
+
+def reference_ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
+    """The two-pass ascent _ascend replaced: a fresh gradient at the current
+    point and a separate statistic of the candidate in every iteration."""
+    eta = np.full(out_logits.shape[0], 0.5)
+    for _ in range(iterations):
+        g_out, g_hid, g_cha, stat = _analytic_gradient(
+            out_logits, hid_logits, cha_logits, n, k, L
+        )
+        e1 = eta[:, None, None, None]
+        cand_out = _normalize_logits(out_logits + e1 * g_out)
+        cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
+        cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
+        cand_stat = _batched_statistic(cand_out, cand_hid, cand_cha, n, k, L)
+        accept = cand_stat > stat
+        out_logits = np.where(accept[:, None, None, None], cand_out, out_logits)
+        hid_logits = np.where(accept[:, None, None], cand_hid, hid_logits)
+        cha_logits = np.where(accept[:, None, None], cand_cha, cha_logits)
+        eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
+    return out_logits, hid_logits, cha_logits
+
+
+def test_one_pass_ascent_matches_two_pass_reference():
+    # reusing the candidate's gradient and statistic must not move a single
+    # bit of the ascent, so equality is exact, not within a tolerance
+    rng = np.random.default_rng(53)
+    cases = []
+    for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (9, 2, 1)]:
+        shapes = [(5, n, k, 2), (5, n, L), (5, L**n, 2**k)]
+        cases.append(((n, k, L), [_normalize_logits(rng.normal(size=s)) for s in shapes]))
+    nkl, starts = vanishing_component_starts()
+    cases += [(nkl, logits) for logits, _ in starts]
+    for (n, k, L), logits in cases:
+        got = _ascend(*logits, n, k, L, iterations=50)
+        want = reference_ascend(*logits, n, k, L, iterations=50)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_optimizer_is_deterministic():
@@ -292,6 +338,8 @@ def test_optimizer_input_validation():
         optimize_classical(SHAPE22, restarts=0)
     with pytest.raises(ValueError, match="iterations"):
         optimize_classical(SHAPE22, iterations=-5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        optimize_classical(SHAPE22, seed=-1)
     # refused before anything is allocated; 2**10**9 would not fit in memory
     for shape, alphabet, restarts in [
         (ScenarioShape(10**9, 2), 2, 1),

@@ -111,6 +111,22 @@ def test_certify_rejects_bad_numbers(tmp_path, capsys, edit, message):
     assert message in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_certify_refuses_bad_tolerance(tmp_path, capsys, tol):
+    # without the check, nan and inf pass a statistic of sqrt(2) as not
+    # violated, and -0.5 turns a behavior at the bound into a violation
+    quantum, saturation = tmp_path / "q.json", tmp_path / "s.json"
+    main(["gen", "quantum", "--p", "1.0", "--out", str(quantum)])
+    main(["gen", "saturation", "--r", "0.25", "--out", str(saturation)])
+    capsys.readouterr()
+    for path in (quantum, saturation, tmp_path / "missing.json"):
+        code, out, err = run(capsys, "certify", str(path), "--tol", tol)
+        assert code == EXIT_INVALID
+        assert out == ""
+        # refused before the file is read, so the missing file goes unnamed
+        assert err.startswith("error:") and "--tol" in err and "missing" not in err
+
+
 def test_certify_missing_file(capsys):
     code, _, err = run(capsys, "certify", "/nonexistent/behavior.json")
     assert code == EXIT_INVALID
@@ -174,6 +190,17 @@ def test_sweep_validates_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_sweep_refuses_bad_tolerance(tmp_path, capsys, tol):
+    # a nan tolerance used to flip jointly_nonclassical to false at p = 1
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run(capsys, "sweep", "--tol", tol, "--out", str(out))
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert err.startswith("error:") and "--tol" in err
+    assert not out.exists()
+
+
 def test_optimize_outputs_byte_identical(tmp_path, capsys):
     args = [
         "optimize", "--n", "2", "--k", "2", "--alphabet", "2",
@@ -206,8 +233,9 @@ def test_optimize_rejects_bad_flags(capsys):
         (["--iterations", "-5"], "iterations"),
         (["--n", "1000000000"], "logits"),
         (["--restarts", "1000000000000"], "logits"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
-    ids=["negative-iterations", "huge-n", "huge-restarts"],
+    ids=["negative-iterations", "huge-n", "huge-restarts", "negative-seed"],
 )
 def test_optimize_rejects_bad_sizes(capsys, flags, message):
     code, out, err = run(capsys, "optimize", *flags)
