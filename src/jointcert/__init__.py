@@ -34,7 +34,6 @@ from .inequalities import (
     chain_components,
     evaluate_chain,
     evaluate_mn,
-    report_from_json,
     report_to_json,
 )
 from .postselect import (
@@ -81,7 +80,6 @@ __all__ = [
     "chain_components",
     "evaluate_chain",
     "evaluate_mn",
-    "report_from_json",
     "report_to_json",
     "GapReport",
     "WERNER_LHV_THRESHOLD",

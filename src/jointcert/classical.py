@@ -39,6 +39,18 @@ ROW_TOL = 1e-12
 # the optimizer refuses runs whose logits alone exceed this many floats; its
 # gradient holds a few arrays of the response-logit size (128 MiB each at the cap)
 MAX_OPTIMIZER_CELLS = 2**24
+# enumerate_deterministic refuses shapes with more strategies than this
+MAX_DETERMINISTIC = 10**8
+
+
+def _alphabet_size(value):
+    """The hidden alphabet size as an int.  Refuses booleans, non-integers
+    and sizes below 1 with a ValueError instead of truncating them."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"hidden alphabet size must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"hidden alphabet size must be >= 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -51,9 +63,7 @@ class ClassicalStrategy:
 
     def __post_init__(self):
         n, k = self.shape.n, self.shape.k
-        L = int(self.hidden_alphabet)
-        if L < 1:
-            raise ValueError(f"hidden alphabet size must be >= 1, got {L}")
+        L = _alphabet_size(self.hidden_alphabet)
         object.__setattr__(self, "hidden_alphabet", L)
         tables = tuple(np.asarray(t, dtype=float) for t in self.output_tables)
         dists = tuple(np.asarray(d, dtype=float) for d in self.hidden_dists)
@@ -146,40 +156,42 @@ def deterministic_count(shape, hidden_alphabet):
     return (2**k) ** n * L**n * (2**k) ** (L**n)
 
 
-def enumerate_deterministic(shape, hidden_alphabet, cap=10**8):
+@functools.cache
+def _identity(m):
+    """Read-only m x m identity; row v is the point mass on value v."""
+    eye = np.eye(m)
+    eye.setflags(write=False)
+    return eye
+
+
+def enumerate_deterministic(shape, hidden_alphabet):
     """Yield every deterministic strategy of the given shape.
 
-    Refuses upfront (ValueError) when the total count exceeds cap.
+    Refuses upfront (ValueError) when the total count exceeds
+    MAX_DETERMINISTIC.  The yielded strategies share their output tables and
+    hidden distributions, which are read-only.
     """
     n, k = shape.n, shape.k
     L = hidden_alphabet
-    total = deterministic_count(shape, hidden_alphabet)
-    if total > cap:
-        raise ValueError(f"{total} deterministic strategies exceeds cap {cap}")
+    total = deterministic_count(shape, L)
+    if total > MAX_DETERMINISTIC:
+        raise ValueError(f"{total} deterministic strategies exceeds {MAX_DETERMINISTIC}")
 
-    table_pool = []
-    for func in itertools.product(range(2), repeat=k):
-        table = np.zeros((k, 2))
-        for x, a in enumerate(func):
-            table[x, a] = 1.0
-        table_pool.append(table)
-    dist_pool = [np.eye(L)[v] for v in range(L)]
-
-    n_cells = L**n
-    n_outcomes = 2**k
-    for out_choice in itertools.product(range(len(table_pool)), repeat=n):
-        tables = tuple(table_pool[c] for c in out_choice)
-        for hid_choice in itertools.product(range(L), repeat=n):
-            dists = tuple(dist_pool[v] for v in hid_choice)
-            for response in itertools.product(range(n_outcomes), repeat=n_cells):
-                charlie = np.zeros((n_cells, n_outcomes))
-                charlie[np.arange(n_cells), response] = 1.0
+    # table f has row x at the point mass on a = f(x), for each f: x -> a
+    functions = np.array(list(itertools.product(range(2), repeat=k)))
+    table_pool = _identity(2)[functions]
+    table_pool.setflags(write=False)
+    responses = _identity(2**k)
+    charlie_shape = (L,) * n + (2,) * k
+    for tables in itertools.product(table_pool, repeat=n):
+        for dists in itertools.product(_identity(L), repeat=n):
+            for response in itertools.product(range(2**k), repeat=L**n):
                 yield ClassicalStrategy(
                     shape=shape,
                     hidden_alphabet=L,
                     output_tables=tables,
                     hidden_dists=dists,
-                    charlie_table=charlie.reshape((L,) * n + (2,) * k),
+                    charlie_table=responses[list(response)].reshape(charlie_shape),
                 )
 
 
@@ -305,10 +317,6 @@ def _decompose(out_logits, hid_logits, cha_logits, n, k, L):
     }
 
 
-def _batched_statistic(out_logits, hid_logits, cha_logits, n, k, L):
-    return _decompose(out_logits, hid_logits, cha_logits, n, k, L)["stat"]
-
-
 def _analytic_gradient(out_logits, hid_logits, cha_logits, n, k, L):
     """Exact gradient of the chain statistic in logit space.
 
@@ -364,7 +372,8 @@ def _normalize_logits(z):
 def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
     """Gradient ascent with a per-restart step size: a step that raises the
     statistic is kept and grows eta by 1.25, any other is dropped and halves
-    it.  Returns the final (out, hid, cha) logits."""
+    it.  Returns the final (out, hid, cha) logits and each restart's
+    statistic at them."""
     eta = np.full(out_logits.shape[0], 0.5)
     g_out, g_hid, g_cha, stat = _analytic_gradient(
         out_logits, hid_logits, cha_logits, n, k, L
@@ -388,7 +397,7 @@ def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
         g_cha = np.where(a3, cand_g_cha, g_cha)
         stat = np.where(accept, cand_stat, stat)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
-    return out_logits, hid_logits, cha_logits
+    return out_logits, hid_logits, cha_logits, stat
 
 
 def _too_many_logits(restarts, n, k, L):
@@ -415,13 +424,11 @@ def optimize_classical(
     reproducible; ties resolve to the lowest restart index.  Returns
     (report, strategy) where the report is computed through the public
     behavior-tensor route on the best strategy found.  Raises ValueError
-    before allocating on a negative seed, or when the logits would exceed
-    MAX_OPTIMIZER_CELLS floats.
+    before allocating on a hidden alphabet that is not an integer >= 1, a
+    negative seed, or when the logits would exceed MAX_OPTIMIZER_CELLS floats.
     """
     n, k = shape.n, shape.k
-    L = int(hidden_alphabet)
-    if L < 1:
-        raise ValueError(f"hidden alphabet size must be >= 1, got {L}")
+    L = _alphabet_size(hidden_alphabet)
     if restarts < 1:
         raise ValueError("need at least one restart")
     if iterations < 0:
@@ -447,12 +454,11 @@ def optimize_classical(
     hid_logits = _normalize_logits(hid_logits)
     cha_logits = _normalize_logits(cha_logits)
 
-    out_logits, hid_logits, cha_logits = _ascend(
+    out_logits, hid_logits, cha_logits, stat = _ascend(
         out_logits, hid_logits, cha_logits, n, k, L, iterations
     )
 
-    final = _batched_statistic(out_logits, hid_logits, cha_logits, n, k, L)
-    best = int(np.argmax(final))
+    best = int(np.argmax(stat))
     strategy = ClassicalStrategy(
         shape=shape,
         hidden_alphabet=L,

@@ -105,13 +105,3 @@ def report_to_json(report):
     }
     return json.dumps(doc, sort_keys=True)
 
-
-def report_from_json(text):
-    doc = json.loads(text)
-    return InequalityReport(
-        statistic=float(doc["statistic"]),
-        bound=float(doc["bound"]),
-        components=tuple(float(c) for c in doc["components"]),
-        violated=bool(doc["violated"]),
-        margin=float(doc["margin"]),
-    )

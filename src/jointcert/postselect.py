@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import evaluate_mn
-from .linalg import PAULIS, proj, trace_distance
-from .quantum import BELL_LABELING, _state_tensor, noisy_bsm, quantum_behavior
+from .quantum import BELL_LABELING, PAULIS, _state_tensor, noisy_bsm, proj, quantum_behavior
 
 WERNER_LHV_THRESHOLD = 0.66
 VERDICT_TOL = 1e-9
@@ -46,6 +45,12 @@ def induced_state(p, outcome):
     unnorm = np.einsum("ABCDEFGH,DHBF->AECG", _state_tensor(), element).reshape(4, 4)
     prob = float(np.trace(unnorm).real)
     return unnorm / prob, prob
+
+
+def trace_distance(rho, sigma):
+    """(1/2) * trace norm of rho - sigma for Hermitian matrices."""
+    diff = np.asarray(rho) - np.asarray(sigma)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def werner_visibility(rho, target):
@@ -102,7 +107,10 @@ def gap_report(p, tol=VERDICT_TOL):
     jointly_nonclassical requires the statistic to exceed its bound by more
     than tol; postselected_lhv_simulable requires the worst-case visibility to
     stay strictly below the LHV threshold; gap_witness is their conjunction.
+    Raises ValueError unless tol is finite and >= 0.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     report = evaluate_mn(quantum_behavior(p))
     worst_v = -np.inf
     worst_chsh = -np.inf

@@ -35,6 +35,10 @@ once as a rank-8 tensor, the outer product of the two singlet projectors,
 (i row and j column indices, one per qubit), and computes the whole behavior
 as one einsum of that tensor with the two parties' projector stacks [x, a]
 and the four POVM elements.
+
+Conventions: qubits are tensor factors in row-major (big-endian) order, so
+qubit 0 is the leftmost factor of a Kronecker product; states are numpy
+vectors and operators numpy matrices, all complex128.
 """
 import functools
 import itertools
@@ -42,16 +46,20 @@ import itertools
 import numpy as np
 
 from .behavior import BehaviorTensor, ScenarioShape
-from .linalg import (
-    ID2,
-    PHI_MINUS,
-    PHI_PLUS,
-    PSI_MINUS,
-    PSI_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
-    proj,
-)
+
+ID2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+KET_0 = np.array([1, 0], dtype=complex)
+KET_1 = np.array([0, 1], dtype=complex)
+
+PHI_PLUS = (np.kron(KET_0, KET_0) + np.kron(KET_1, KET_1)) / np.sqrt(2)
+PHI_MINUS = (np.kron(KET_0, KET_0) - np.kron(KET_1, KET_1)) / np.sqrt(2)
+PSI_PLUS = (np.kron(KET_0, KET_1) + np.kron(KET_1, KET_0)) / np.sqrt(2)
+PSI_MINUS = (np.kron(KET_0, KET_1) - np.kron(KET_1, KET_0)) / np.sqrt(2)
 
 BELL_LABELING = (
     ("psi_minus", PSI_MINUS),
@@ -61,6 +69,12 @@ BELL_LABELING = (
 )
 
 POVM_TOL = 1e-10
+
+
+def proj(vec):
+    """Projector |vec><vec| onto a (normalized) state vector."""
+    v = np.asarray(vec, dtype=complex)
+    return np.outer(v, v.conj())
 
 
 def party_observable(x):

@@ -1,38 +1,20 @@
-"""Small linear-algebra helpers for multi-qubit density-matrix work.
+"""Reference routes for multi-qubit operators on full 2**n x 2**n matrices.
 
-Conventions used throughout the package:
- - qubits are tensor factors in row-major (big-endian) order, so qubit 0 is
-   the leftmost factor of a Kronecker product;
- - states are numpy vectors, operators numpy matrices, all complex128.
+The tests compare the library's einsum contractions against these helpers.
+They import only numpy, never jointcert, so the two sides of each check stay
+independent.  Qubits are tensor factors in row-major (big-endian) order, so
+qubit 0 is the leftmost factor of a Kronecker product.
 """
 import functools
 
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
-
-PHI_PLUS = (np.kron(KET_0, KET_0) + np.kron(KET_1, KET_1)) / np.sqrt(2)
-PHI_MINUS = (np.kron(KET_0, KET_0) - np.kron(KET_1, KET_1)) / np.sqrt(2)
-PSI_PLUS = (np.kron(KET_0, KET_1) + np.kron(KET_1, KET_0)) / np.sqrt(2)
-PSI_MINUS = (np.kron(KET_0, KET_1) - np.kron(KET_1, KET_0)) / np.sqrt(2)
 
 
 def kron_all(*ops):
     """Kronecker product of any number of factors, left to right."""
     return functools.reduce(np.kron, ops)
-
-
-def proj(vec):
-    """Projector |vec><vec| onto a (normalized) state vector."""
-    v = np.asarray(vec, dtype=complex)
-    return np.outer(v, v.conj())
 
 
 def permute_qubits(op, perm):
@@ -77,9 +59,3 @@ def partial_trace(rho, keep, n_qubits):
     axes = [current.index(q) for q in keep]
     t = t.transpose(axes + [a + m for a in axes])
     return t.reshape(2**m, 2**m)
-
-
-def trace_distance(rho, sigma):
-    """(1/2) * trace norm of rho - sigma for Hermitian matrices."""
-    diff = np.asarray(rho) - np.asarray(sigma)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())

@@ -18,9 +18,8 @@ from jointcert.classical import (
     strategy_to_behavior,
 )
 from jointcert.inequalities import evaluate_chain, evaluate_mn
-from jointcert.linalg import trace_distance, proj
-from jointcert.postselect import chsh_max, gap_report, induced_state
-from jointcert.quantum import BELL_LABELING, closed_form_behavior, noisy_bsm, quantum_behavior, validate_povm
+from jointcert.postselect import chsh_max, gap_report, induced_state, trace_distance
+from jointcert.quantum import BELL_LABELING, closed_form_behavior, noisy_bsm, proj, quantum_behavior, validate_povm
 
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
 VERDICT_TOL = 1e-9  # caller-side tolerance used for boundary-safe verdicts

@@ -15,11 +15,11 @@ from jointcert.behavior import (
     validate_behavior,
 )
 from jointcert.classical import (
+    MAX_DETERMINISTIC,
     MAX_OPTIMIZER_CELLS,
     ClassicalStrategy,
     _analytic_gradient,
     _ascend,
-    _batched_statistic,
     _decompose,
     _normalize_logits,
     deterministic_count,
@@ -41,6 +41,10 @@ def random_strategy(n, k, L, rng):
     dists = tuple(rng.dirichlet(np.ones(L)) for _ in range(n))
     charlie = rng.dirichlet(np.ones(2**k), size=L**n).reshape((L,) * n + (2,) * k)
     return ClassicalStrategy(ScenarioShape(n, k), L, tables, dists, charlie)
+
+
+def fast_statistic(out, hid, cha, n, k, L):
+    return _decompose(out, hid, cha, n, k, L)["stat"]
 
 
 def logits_of(strategy):
@@ -80,6 +84,14 @@ def test_strategy_shape_validation():
             (np.full(2, 0.5), np.full(2, 0.5)),
             np.zeros((2, 2, 2)),
         )
+    # a hidden alphabet that is not an integer is refused, never truncated
+    tables = (np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+    dists = (np.full(2, 0.5), np.full(2, 0.5))
+    for alphabet in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match="hidden alphabet size must be an integer"):
+            ClassicalStrategy(SHAPE22, alphabet, tables, dists, np.full((2, 2, 2, 2), 0.25))
+    strategy = ClassicalStrategy(SHAPE22, np.int64(2), tables, dists, np.full((2, 2, 2, 2), 0.25))
+    assert type(strategy.hidden_alphabet) is int and strategy.hidden_alphabet == 2
 
 
 def test_validate_strategy_reports_bad_rows():
@@ -177,8 +189,24 @@ def test_enumerate_small_scenario_exhaustively():
 
 
 def test_enumerate_respects_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_deterministic(SHAPE22, 2, cap=100))
+    # (n, k, L) = (2, 2, 4) has 16 * 16 * 4**16, about 1.1e12, strategies
+    assert deterministic_count(SHAPE22, 4) > MAX_DETERMINISTIC
+    with pytest.raises(ValueError, match=str(MAX_DETERMINISTIC)):
+        next(enumerate_deterministic(SHAPE22, 4))
+
+
+def test_enumerated_strategies_share_no_writable_state():
+    shape = ScenarioShape(1, 2)
+    reference = [strategy_to_behavior(s).probabilities for s in enumerate_deterministic(shape, 2)]
+    stream = enumerate_deterministic(shape, 2)
+    first = next(stream)
+    for shared in (first.output_tables[0], first.hidden_dists[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.5
+    first.charlie_table[...] = 0.25  # each strategy owns its response table
+    for want, strategy in zip(reference[1:], stream, strict=True):
+        assert validate_strategy(strategy) == []
+        np.testing.assert_array_equal(strategy_to_behavior(strategy).probabilities, want)
 
 
 def test_three_party_enumeration_stays_below_bound():
@@ -198,7 +226,7 @@ def test_fast_statistic_matches_public_route():
             strategy = random_strategy(n, k, L, rng)
             public = evaluate_chain(strategy_to_behavior(strategy)).statistic
             out, hid, cha = logits_of(strategy)
-            fast = _batched_statistic(out, hid, cha, n, k, L)[0]
+            fast = fast_statistic(out, hid, cha, n, k, L)[0]
             assert abs(public - fast) < 1e-12
 
 
@@ -212,8 +240,8 @@ def naive_gradient(out, hid, cha, n, k, L, step=1e-6):
             minus = [a.copy() for a in (out, hid, cha)]
             plus[which][idx] += step
             minus[which][idx] -= step
-            sp = _batched_statistic(*plus, n, k, L)[0]
-            sm = _batched_statistic(*minus, n, k, L)[0]
+            sp = fast_statistic(*plus, n, k, L)[0]
+            sm = fast_statistic(*minus, n, k, L)[0]
             grad[idx] = (sp - sm) / (2 * step)
         grads.append(grad)
     return grads
@@ -228,7 +256,7 @@ def test_analytic_gradient_matches_naive_differences():
         strategy = random_strategy(n, k, L, rng)
         out, hid, cha = logits_of(strategy)
         g_out, g_hid, g_cha, stat = _analytic_gradient(out, hid, cha, n, k, L)
-        assert stat[0] == _batched_statistic(out, hid, cha, n, k, L)[0]
+        assert stat[0] == fast_statistic(out, hid, cha, n, k, L)[0]
         for analytic, naive in zip((g_out, g_hid, g_cha), naive_gradient(out, hid, cha, n, k, L)):
             np.testing.assert_allclose(analytic, naive, rtol=0, atol=1e-8)
 
@@ -257,9 +285,10 @@ def test_gradient_is_finite_where_a_component_vanishes():
         g_out, g_hid, g_cha, stat = _analytic_gradient(*logits, n, k, L)
         for g in (g_out, g_hid, g_cha):
             assert np.isfinite(g).all()
-        final = _ascend(*logits, n, k, L, iterations=5)
+        *final, final_stat = _ascend(*logits, n, k, L, iterations=5)
         assert all(np.isfinite(z).all() for z in final)
-        assert _batched_statistic(*final, n, k, L)[0] >= stat[0]
+        assert final_stat[0] >= stat[0]
+        assert final_stat[0] == fast_statistic(*final, n, k, L)[0]
 
 
 def reference_ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
@@ -274,7 +303,7 @@ def reference_ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
         cand_out = _normalize_logits(out_logits + e1 * g_out)
         cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
         cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
-        cand_stat = _batched_statistic(cand_out, cand_hid, cand_cha, n, k, L)
+        cand_stat = fast_statistic(cand_out, cand_hid, cand_cha, n, k, L)
         accept = cand_stat > stat
         out_logits = np.where(accept[:, None, None, None], cand_out, out_logits)
         hid_logits = np.where(accept[:, None, None], cand_hid, hid_logits)
@@ -294,10 +323,12 @@ def test_one_pass_ascent_matches_two_pass_reference():
     nkl, starts = vanishing_component_starts()
     cases += [(nkl, logits) for logits, _ in starts]
     for (n, k, L), logits in cases:
-        got = _ascend(*logits, n, k, L, iterations=50)
+        *got, got_stat = _ascend(*logits, n, k, L, iterations=50)
         want = reference_ascend(*logits, n, k, L, iterations=50)
-        for g, w in zip(got, want):
+        for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g, w)
+        # the statistic _ascend hands back is that of the logits it returns
+        np.testing.assert_array_equal(got_stat, fast_statistic(*want, n, k, L))
 
 
 def test_optimizer_is_deterministic():
@@ -334,6 +365,12 @@ def test_optimizer_stays_below_bound_and_makes_progress():
 def test_optimizer_input_validation():
     with pytest.raises(ValueError):
         optimize_classical(SHAPE22, hidden_alphabet=0)
+    # a hidden alphabet that is not an integer is refused, never truncated
+    for alphabet in (2.9, 2.0, True):
+        with pytest.raises(ValueError, match="hidden alphabet size must be an integer"):
+            optimize_classical(SHAPE22, hidden_alphabet=alphabet)
+    report, strategy = optimize_classical(SHAPE22, hidden_alphabet=np.int64(2), restarts=1, iterations=1)
+    assert strategy.hidden_alphabet == 2
     with pytest.raises(ValueError):
         optimize_classical(SHAPE22, restarts=0)
     with pytest.raises(ValueError, match="iterations"):

@@ -1,18 +1,13 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
-from jointcert.linalg import (
-    ID2,
-    PAULIS,
-    PHI_PLUS,
-    PSI_MINUS,
-    embed_operator,
-    kron_all,
-    partial_trace,
-    permute_qubits,
-    proj,
-    trace_distance,
-)
+from qubit_reference import embed_operator, kron_all, partial_trace, permute_qubits
+
+from jointcert.postselect import trace_distance
+from jointcert.quantum import ID2, PAULIS, PHI_PLUS, PSI_MINUS, proj
 
 RNG = np.random.default_rng(401)
 
@@ -142,3 +137,16 @@ def test_bell_states_are_orthonormal():
 def test_paulis_square_to_identity():
     for sigma in PAULIS:
         np.testing.assert_allclose(sigma @ sigma, ID2, atol=1e-15)
+
+
+def test_reference_routes_import_nothing_from_jointcert():
+    # the reference side of each cross-check must not reach the einsum paths
+    path = pathlib.Path(__file__).resolve().parent / "qubit_reference.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert "numpy" in imported
+    assert not imported & {"jointcert", "."}, imported

@@ -1,18 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointcert.linalg import PAULIS, PSI_MINUS, embed_operator, partial_trace, proj, trace_distance
+from qubit_reference import embed_operator, partial_trace
+
 from jointcert.postselect import (
     WERNER_LHV_THRESHOLD,
     chsh_max,
     correlation_matrix,
     gap_report,
     induced_state,
+    trace_distance,
     werner_visibility,
 )
-from jointcert.quantum import BELL_LABELING, noisy_bsm
+from jointcert.quantum import BELL_LABELING, PAULIS, PSI_MINUS, noisy_bsm, proj
 
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
 
@@ -168,6 +172,13 @@ def test_gap_report_fields_consistent():
     assert g.jointly_nonclassical and g.postselected_lhv_simulable
     assert g.gap_witness == (g.jointly_nonclassical and g.postselected_lhv_simulable)
     assert 0.6 < WERNER_LHV_THRESHOLD < 1 / np.sqrt(2)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
+def test_gap_report_refuses_bad_tolerance(tol):
+    # a negative or non-finite tol would decide the verdict by itself
+    with pytest.raises(ValueError, match=re.escape(f"tol must be finite and >= 0, got {tol}")):
+        gap_report(0.6, tol=tol)
 
 
 def test_gap_needs_both_conditions():

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubit_reference import embed_operator, kron_all
+
 from jointcert.behavior import independence_check, marginal_party, validate_behavior
-from jointcert.linalg import ID2, KET_0, KET_1, PSI_MINUS, embed_operator, kron_all, proj
 from jointcert.quantum import (
     BELL_LABELING,
+    ID2,
+    KET_0,
+    KET_1,
+    PSI_MINUS,
     _bsm_elements,
     closed_form_behavior,
     noisy_bsm,
     party_observable,
     party_projector,
+    proj,
     quantum_behavior,
     validate_povm,
 )
