@@ -45,6 +45,12 @@ class ScenarioShape:
     k: int
 
     def __post_init__(self):
+        for field in ("n", "k"):
+            value = getattr(self, field)
+            # bool is a subclass of int, but True is not a party count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.n < 1:
             raise ValueError(f"need at least one party, got n={self.n}")
         if self.k < 2:
@@ -187,7 +193,8 @@ def save_behavior(behavior, path):
     """Write the behavior as JSON with a flat row-major probability list.
 
     Floats are written with 17 significant digits, which round-trips float64
-    exactly, so save -> load -> save is byte-identical.
+    exactly, so save -> load -> save is byte-identical.  A NaN or infinite
+    entry raises InvalidBehaviorError and leaves no file at path.
     """
     text = '{"n": %d, "k": %d, "probabilities": %s}\n' % (
         behavior.shape.n,
@@ -227,8 +234,23 @@ def load_behavior(path, strict=False):
 
 
 def _number_text(values):
-    """values as a flat row-major JSON list of 17-digit floats."""
-    return "[%s]" % ", ".join("%.17g" % v for v in np.asarray(values).reshape(-1))
+    """values as a flat row-major JSON list of floats in "%.17g", 17
+    significant digits, which round-trip float64 exactly.
+
+    The whole list is one % call: a template with one "%.17g" field per
+    entry, applied to the entries as a tuple of Python floats, so no entry is
+    formatted by its own bytecode and no per-entry string list is built.  It
+    gives the same bytes as formatting each entry alone.  JSON has no
+    literal for NaN or infinity, so a non-finite entry raises
+    InvalidBehaviorError before any file is opened.
+    """
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
+    if nonfinite:
+        raise InvalidBehaviorError(
+            f"cannot write {nonfinite} non-finite entries (NaN or infinity): JSON has no literal for them"
+        )
+    return "[%s]" % (", ".join(["%.17g"] * arr.size) % tuple(arr.tolist()))
 
 
 def _read_object(path, keys):

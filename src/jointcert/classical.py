@@ -150,9 +150,10 @@ def saturation_strategy(r):
 def deterministic_count(shape, hidden_alphabet):
     """Number of deterministic strategies: output functions x_j -> a_j per
     party, a point-mass hidden value per party, and a response function
-    lambda -> c for the measuring device."""
+    lambda -> c for the measuring device.  Raises ValueError on a hidden
+    alphabet that is not an integer >= 1."""
     n, k = shape.n, shape.k
-    L = hidden_alphabet
+    L = _alphabet_size(hidden_alphabet)
     return (2**k) ** n * L**n * (2**k) ** (L**n)
 
 
@@ -167,12 +168,12 @@ def _identity(m):
 def enumerate_deterministic(shape, hidden_alphabet):
     """Yield every deterministic strategy of the given shape.
 
-    Refuses upfront (ValueError) when the total count exceeds
-    MAX_DETERMINISTIC.  The yielded strategies share their output tables and
-    hidden distributions, which are read-only.
+    Refuses upfront (ValueError) a hidden alphabet that is not an integer
+    >= 1, and a total count above MAX_DETERMINISTIC.  The yielded strategies
+    share their output tables and hidden distributions, which are read-only.
     """
     n, k = shape.n, shape.k
-    L = hidden_alphabet
+    L = _alphabet_size(hidden_alphabet)
     total = deterministic_count(shape, L)
     if total > MAX_DETERMINISTIC:
         raise ValueError(f"{total} deterministic strategies exceeds {MAX_DETERMINISTIC}")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
     ScenarioShape,
+    _number_text,
     correlator_table,
     independence_check,
     load_behavior,
@@ -16,6 +18,7 @@ from jointcert.behavior import (
     save_behavior,
     validate_behavior,
 )
+from jointcert.classical import ClassicalStrategy, save_strategy
 
 SHAPE22 = ScenarioShape(2, 2)
 
@@ -35,6 +38,25 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         ScenarioShape(2, 1)
     assert ScenarioShape(3, 2).tensor_shape == (2, 2, 2, 2, 2, 2, 2, 2)
+
+
+def test_shape_refuses_non_integer_sizes():
+    # True is not one party and 2.5 is not a party count; both used to
+    # construct and fail later with a bare TypeError
+    for n, k, message in [
+        (2.5, 2, "n must be an integer, got 2.5"),
+        (True, 2, "n must be an integer, got True"),
+        (2.0, 2, "n must be an integer, got 2.0"),
+        (2, 3.0, "k must be an integer, got 3.0"),
+        (2, False, "k must be an integer, got False"),
+        (2, "2", "k must be an integer, got '2'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ScenarioShape(n, k)
+    shape = ScenarioShape(np.int64(2), np.int32(3))
+    assert type(shape.n) is int and type(shape.k) is int
+    assert shape == ScenarioShape(2, 3)
+    assert BehaviorTensor.uniform(shape).probabilities.shape == (3, 3, 2, 2, 2, 2, 2)
 
 
 def test_tensor_shape_mismatch_rejected():
@@ -249,3 +271,71 @@ def test_load_structural_errors(tmp_path):
     path.write_text(good.read_text()[: len(good.read_text()) // 2])
     with pytest.raises(InvalidBehaviorError):
         load_behavior(path)
+
+
+def reference_number_text(values):
+    """The per-entry writer: each float formatted by its own "%.17g"."""
+    return "[%s]" % ", ".join("%.17g" % v for v in np.asarray(values).ravel())
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 1.0, 3.0, -42.0, 0.1]
+floats64 = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=5), elements=floats64))
+def test_number_text_matches_per_entry_reference(arr):
+    assert _number_text(arr) == reference_number_text(arr)
+
+
+def test_writers_match_per_entry_reference(tmp_path):
+    # one behavior at the (5, 4) size, 524288 entries, and one strategy
+    rng = np.random.default_rng(11)
+    shape = ScenarioShape(5, 4)
+    arr = rng.random(shape.tensor_shape)
+    arr.reshape(-1)[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    path = tmp_path / "b54.json"
+    save_behavior(BehaviorTensor(shape, arr), path)
+    assert path.read_text() == '{"n": 5, "k": 4, "probabilities": %s}\n' % reference_number_text(arr)
+
+    tables = (rng.dirichlet(np.ones(2), size=3), np.array([[1.0, 0.0], [-0.0, 1.0], [0.5, 0.5]]))
+    dists = (np.array([1 / 3, 2 / 3]), np.array([5e-324, 1.0]))
+    charlie = rng.dirichlet(np.ones(8), size=4).reshape(2, 2, 2, 2, 2)
+    path = tmp_path / "s.json"
+    save_strategy(ClassicalStrategy(ScenarioShape(2, 3), 2, tables, dists, charlie), path)
+    want = '{"n": 2, "k": 3, "hidden_alphabet": 2, "output_tables": [%s], "hidden_dists": [%s], "charlie_table": %s}\n' % (
+        ", ".join(map(reference_number_text, tables)),
+        ", ".join(map(reference_number_text, dists)),
+        reference_number_text(charlie),
+    )
+    assert path.read_text() == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite_entries(tmp_path, value):
+    arr = BehaviorTensor.uniform(SHAPE22).probabilities.copy()
+    arr[0, 1, 1, 0, :, 1] = value
+    path = tmp_path / "b.json"
+    with pytest.raises(InvalidBehaviorError, match="cannot write 2 non-finite entries"):
+        save_behavior(BehaviorTensor(SHAPE22, arr), path)
+    assert not path.exists()
+
+    # once in the response table, once in a hidden distribution
+    tables = (np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+    dists = (np.full(2, 0.5), np.full(2, 0.5))
+    charlie = np.full((2, 2, 2, 2), 0.25)
+    bad_charlie = charlie.copy()
+    bad_charlie[1, 0, 0, 1] = value
+    bad_dists = (np.array([value, 0.5]), dists[1])
+    path = tmp_path / "s.json"
+    for strategy in [
+        ClassicalStrategy(SHAPE22, 2, tables, dists, bad_charlie),
+        ClassicalStrategy(SHAPE22, 2, tables, bad_dists, charlie),
+    ]:
+        with pytest.raises(InvalidBehaviorError, match="cannot write 1 non-finite entries"):
+            save_strategy(strategy, path)
+        assert not path.exists()

@@ -175,6 +175,19 @@ def test_deterministic_count_values():
     assert deterministic_count(ScenarioShape(2, 2), 1) == 64
 
 
+def test_enumeration_refuses_bad_alphabet():
+    # True used to count as L = 1 (64 strategies) and 2.0 failed inside np.eye;
+    # 0 used to count 0 strategies and enumerate none
+    for alphabet, message in [(True, "an integer"), (2.0, "an integer"), ("2", "an integer"), (0, ">= 1"), (-1, ">= 1")]:
+        with pytest.raises(ValueError, match="hidden alphabet size must be " + message):
+            deterministic_count(SHAPE22, alphabet)
+        with pytest.raises(ValueError, match="hidden alphabet size must be " + message):
+            next(enumerate_deterministic(SHAPE22, alphabet))
+    assert deterministic_count(SHAPE22, np.int64(2)) == 16384
+    strategy = next(enumerate_deterministic(ScenarioShape(1, 2), np.int64(1)))
+    assert type(strategy.hidden_alphabet) is int
+
+
 def test_enumerate_small_scenario_exhaustively():
     shape = ScenarioShape(1, 2)
     strategies = list(enumerate_deterministic(shape, 1))
