@@ -37,6 +37,15 @@ class InvalidBehaviorError(ValueError):
     """A behavior file or tensor violates a structural or probability invariant."""
 
 
+def _integer(value, name):
+    """value as an int.  Refuses booleans and non-integers (numpy integers
+    are accepted) with a ValueError naming the argument, never truncating."""
+    # bool is a subclass of int, but True is not a count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScenarioShape:
     """Number of preparation parties n >= 1 and settings per party k >= 2."""
@@ -46,11 +55,7 @@ class ScenarioShape:
 
     def __post_init__(self):
         for field in ("n", "k"):
-            value = getattr(self, field)
-            # bool is a subclass of int, but True is not a party count
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
-            object.__setattr__(self, field, int(value))
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.n < 1:
             raise ValueError(f"need at least one party, got n={self.n}")
         if self.k < 2:

@@ -27,6 +27,7 @@ from .behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     _int_field,
+    _integer,
     _number_text,
     _read_lists,
     _read_numbers,
@@ -46,11 +47,10 @@ MAX_DETERMINISTIC = 10**8
 def _alphabet_size(value):
     """The hidden alphabet size as an int.  Refuses booleans, non-integers
     and sizes below 1 with a ValueError instead of truncating them."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"hidden alphabet size must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"hidden alphabet size must be >= 1, got {value}")
-    return int(value)
+    L = _integer(value, "hidden alphabet size")
+    if L < 1:
+        raise ValueError(f"hidden alphabet size must be >= 1, got {L}")
+    return L
 
 
 @dataclass(frozen=True)
@@ -247,19 +247,32 @@ def load_strategy(path):
 # Every logit array the optimizer builds comes out of _normalize_logits, so
 # each row has a max of exactly 0.0; _softmax relies on that instead of
 # taking a row max of its own.
+#
+# The three logit arrays store the softmax axis first: output logits are
+# (2, R, n, k), hidden logits (L, R, n) and response logits (2**k, R, L**n),
+# for R restarts.  Each row max, softmax sum and softmax-VJP sum is then an
+# axis-0 reduction, a few contiguous elementwise passes over R-long slabs,
+# instead of one short inner loop of width 2 to 2**k per row, which cost
+# more than the arithmetic.  Quantities without a softmax axis (the hidden
+# weights, the response correlators and everything after them) stay
+# restart-first.  Every array must also stay C-contiguous: a product that
+# broadcasts a transposed view against a C-ordered array comes out in a
+# memory order numpy picks by array size, and reductions over a strided
+# result are slow again, so the two transposed intermediates are copied.
 
 
 def _softmax(z):
-    """Softmax over the last axis of rows whose max is at most 0, such as
+    """Softmax over axis 0 of rows whose max is at most 0, such as
     normalized logits or log-probabilities.  It takes no row max, so a row
     with large positive entries would overflow."""
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=0)
 
 
 def _softmax_vjp(p, g):
-    """Pull a gradient g with respect to softmax rows p back to their logits."""
-    return p * (g - (p * g).sum(axis=-1, keepdims=True))
+    """Pull a gradient g with respect to softmax rows p (over axis 0) back to
+    their logits."""
+    return p * (g - (p * g).sum(axis=0))
 
 
 @functools.cache
@@ -287,24 +300,28 @@ def _hidden_weights(hid_probs):
 
 
 def _decompose(out_logits, hid_logits, cha_logits, n, k, L):
-    """All intermediate quantities of the fast statistic, batched over axis 0."""
-    out_probs = _softmax(out_logits)  # (R, n, k, 2)
-    hid_probs = _softmax(hid_logits)  # (R, n, L)
-    cha_probs = _softmax(cha_logits)  # (R, L**n, 2**k)
-    means = out_probs[..., 0] - out_probs[..., 1]  # (R, n, k)
+    """All intermediate quantities of the fast statistic, batched over the
+    restart axis (axis 1 of the logits, axis 0 of everything else)."""
+    out_probs = _softmax(out_logits)  # (2, R, n, k)
+    hid_probs = _softmax(hid_logits)  # (L, R, n)
+    cha_probs = _softmax(cha_logits)  # (2**k, R, L**n)
+    C, R, M = cha_probs.shape
+    means = out_probs[0] - out_probs[1]  # (R, n, k)
     sigma = np.ones(k)
     sigma[k - 1] = -1.0
     nxt = (np.arange(k) + 1) % k
     h = 0.5 * (means + sigma * means[..., nxt])  # (R, n, k)
     hprod = h.prod(axis=1)  # (R, k)
-    c_corr = cha_probs @ _charlie_signs(k)  # (R, L**n, k)
-    w = _hidden_weights(hid_probs)  # (R, L**n)
+    c_corr = (cha_probs.reshape(C, R * M).T @ _charlie_signs(k)).reshape(R, M, k)
+    hid_rows = np.moveaxis(hid_probs, 0, -1).copy()  # (R, n, L)
+    w = _hidden_weights(hid_rows)  # (R, L**n)
     gamma = np.einsum("rm,rmi->ri", w, c_corr)  # (R, k)
     comps = gamma * hprod  # (R, k)
     stat = (np.abs(comps) ** (1.0 / n)).sum(axis=-1)  # (R,)
     return {
         "out_probs": out_probs,
         "hid_probs": hid_probs,
+        "hid_rows": hid_rows,
         "cha_probs": cha_probs,
         "means": means,
         "sigma": sigma,
@@ -324,8 +341,8 @@ def _analytic_gradient(out_logits, hid_logits, cha_logits, n, k, L):
     Returns (g_out, g_hid, g_cha, stat) with gradients shaped like the inputs.
     """
     d = _decompose(out_logits, hid_logits, cha_logits, n, k, L)
-    R = out_logits.shape[0]
-    h, comps, hid_probs = d["h"], d["comps"], d["hid_probs"]
+    R = out_logits.shape[1]
+    h, comps, hid_rows = d["h"], d["comps"], d["hid_rows"]
 
     # d stat / d I_i = sign(I_i) |I_i|^(1/n - 1) / n = |I_i|^(1/n) / (n I_i)
     g_comps = np.divide(
@@ -343,31 +360,34 @@ def _analytic_gradient(out_logits, hid_logits, cha_logits, n, k, L):
     g_h = (g_comps * d["gamma"])[:, None, :] * excl  # (R, n, k)
     # <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2
     g_means = 0.5 * (g_h + np.roll(d["sigma"] * g_h, 1, axis=-1))
-    g_out_probs = np.stack([g_means, -g_means], axis=-1)  # (R, n, k, 2)
+    g_out_probs = np.stack([g_means, -g_means])  # (2, R, n, k)
 
     # response rows: Gamma_i = sum_m w_m (S^T p_m)_i
-    g_cha_probs = d["w"][:, :, None] * (g_gamma @ _charlie_signs(k).T)[:, None, :]
+    g_corr = np.ascontiguousarray((g_gamma @ _charlie_signs(k).T).T)  # (2**k, R)
+    g_cha_probs = g_corr[:, :, None] * d["w"]  # (2**k, R, L**n)
 
     # hidden rows: w_m is the product of one entry per party, so party j's
     # slope sums d stat / d w over the other parties' weights
     g_w = (d["c_corr"] @ g_gamma[:, :, None])[..., 0]  # (R, L**n)
-    g_hid_probs = np.empty((R, n, L))
+    g_hid_probs = np.empty((L, R, n))
     for j in range(n):
-        before = _hidden_weights(hid_probs[:, :j])
-        after = _hidden_weights(hid_probs[:, j + 1 :])
+        before = _hidden_weights(hid_rows[:, :j])
+        after = _hidden_weights(hid_rows[:, j + 1 :])
         grid = g_w.reshape(R, before.shape[1], L, after.shape[1])
-        g_hid_probs[:, j] = np.einsum("rapb,ra,rb->rp", grid, before, after)
+        g_hid_probs[:, :, j] = np.einsum("rapb,ra,rb->rp", grid, before, after).T
 
     return (
         _softmax_vjp(d["out_probs"], g_out_probs),
-        _softmax_vjp(hid_probs, g_hid_probs),
+        _softmax_vjp(d["hid_probs"], g_hid_probs),
         _softmax_vjp(d["cha_probs"], g_cha_probs),
         d["stat"],
     )
 
 
 def _normalize_logits(z):
-    return np.clip(z - z.max(axis=-1, keepdims=True), -60.0, 0.0)
+    """Shift each row (over axis 0) to a max of exactly 0.0 and clip it
+    below at -60, where exp no longer registers next to the max's 1."""
+    return np.clip(z - z.max(axis=0), -60.0, 0.0)
 
 
 def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
@@ -375,27 +395,30 @@ def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
     statistic is kept and grows eta by 1.25, any other is dropped and halves
     it.  Returns the final (out, hid, cha) logits and each restart's
     statistic at them."""
-    eta = np.full(out_logits.shape[0], 0.5)
+    eta = np.full(out_logits.shape[1], 0.5)
     g_out, g_hid, g_cha, stat = _analytic_gradient(
         out_logits, hid_logits, cha_logits, n, k, L
     )
     for _ in range(iterations):
-        e1 = eta[:, None, None, None]
-        cand_out = _normalize_logits(out_logits + e1 * g_out)
-        cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
-        cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
+        # restarts sit on axis 1: (R, 1, 1) broadcasts over the output
+        # logits (2, R, n, k) and (R, 1) over the other two
+        e3 = eta[:, None, None]
+        e2 = eta[:, None]
+        cand_out = _normalize_logits(out_logits + e3 * g_out)
+        cand_hid = _normalize_logits(hid_logits + e2 * g_hid)
+        cand_cha = _normalize_logits(cha_logits + e2 * g_cha)
         cand_g_out, cand_g_hid, cand_g_cha, cand_stat = _analytic_gradient(
             cand_out, cand_hid, cand_cha, n, k, L
         )
         accept = cand_stat > stat
-        a4 = accept[:, None, None, None]
         a3 = accept[:, None, None]
-        out_logits = np.where(a4, cand_out, out_logits)
-        hid_logits = np.where(a3, cand_hid, hid_logits)
-        cha_logits = np.where(a3, cand_cha, cha_logits)
-        g_out = np.where(a4, cand_g_out, g_out)
-        g_hid = np.where(a3, cand_g_hid, g_hid)
-        g_cha = np.where(a3, cand_g_cha, g_cha)
+        a2 = accept[:, None]
+        out_logits = np.where(a3, cand_out, out_logits)
+        hid_logits = np.where(a2, cand_hid, hid_logits)
+        cha_logits = np.where(a2, cand_cha, cha_logits)
+        g_out = np.where(a3, cand_g_out, g_out)
+        g_hid = np.where(a2, cand_g_hid, g_hid)
+        g_cha = np.where(a2, cand_g_cha, g_cha)
         stat = np.where(accept, cand_stat, stat)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
     return out_logits, hid_logits, cha_logits, stat
@@ -424,12 +447,17 @@ def optimize_classical(
     numpy's default generator seeded with seed + r, so results are fully
     reproducible; ties resolve to the lowest restart index.  Returns
     (report, strategy) where the report is computed through the public
-    behavior-tensor route on the best strategy found.  Raises ValueError
-    before allocating on a hidden alphabet that is not an integer >= 1, a
-    negative seed, or when the logits would exceed MAX_OPTIMIZER_CELLS floats.
+    behavior-tensor route on the best strategy found.  Raises ValueError,
+    before allocating, on a hidden alphabet that is not an integer >= 1, on
+    restarts, iterations or seed that are not integers (booleans included),
+    on no restart, negative iterations or a negative seed, or when the
+    logits would exceed MAX_OPTIMIZER_CELLS floats.
     """
     n, k = shape.n, shape.k
     L = _alphabet_size(hidden_alphabet)
+    restarts = _integer(restarts, "restarts")
+    iterations = _integer(iterations, "iterations")
+    seed = _integer(seed, "seed")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if iterations < 0:
@@ -443,6 +471,8 @@ def optimize_classical(
         )
     M, C = L**n, 2**k
 
+    # restart r draws its own blocks from its own generator, so seed + r
+    # fixes its starting point; then the softmax axis moves to the front once
     out_logits = np.empty((restarts, n, k, 2))
     hid_logits = np.empty((restarts, n, L))
     cha_logits = np.empty((restarts, M, C))
@@ -451,21 +481,26 @@ def optimize_classical(
         out_logits[r] = rng.normal(size=(n, k, 2))
         hid_logits[r] = rng.normal(size=(n, L))
         cha_logits[r] = rng.normal(size=(M, C))
-    out_logits = _normalize_logits(out_logits)
-    hid_logits = _normalize_logits(hid_logits)
-    cha_logits = _normalize_logits(cha_logits)
+    out_logits = _normalize_logits(np.moveaxis(out_logits, -1, 0).copy())
+    hid_logits = _normalize_logits(np.moveaxis(hid_logits, -1, 0).copy())
+    cha_logits = _normalize_logits(np.moveaxis(cha_logits, -1, 0).copy())
 
     out_logits, hid_logits, cha_logits, stat = _ascend(
         out_logits, hid_logits, cha_logits, n, k, L, iterations
     )
 
     best = int(np.argmax(stat))
+    # the best restart's rows, copied back to the contiguous row-last layout
+    # of a strategy; the memory layout of the tables steers how the public
+    # route sums the behavior's correlators
+    out_probs = np.moveaxis(_softmax(out_logits[:, best]), 0, -1).copy()  # (n, k, 2)
+    hid_probs = _softmax(hid_logits[:, best]).T.copy()  # (n, L)
     strategy = ClassicalStrategy(
         shape=shape,
         hidden_alphabet=L,
-        output_tables=tuple(_softmax(out_logits[best, j]) for j in range(n)),
-        hidden_dists=tuple(_softmax(hid_logits[best, j]) for j in range(n)),
-        charlie_table=_softmax(cha_logits[best]).reshape((L,) * n + (2,) * k),
+        output_tables=tuple(out_probs),
+        hidden_dists=tuple(hid_probs),
+        charlie_table=_softmax(cha_logits[:, best]).T.copy().reshape((L,) * n + (2,) * k),
     )
     report = evaluate_chain(strategy_to_behavior(strategy))
     return report, strategy

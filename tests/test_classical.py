@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jointcert.behavior import (
     BehaviorTensor,
@@ -22,6 +24,7 @@ from jointcert.classical import (
     _ascend,
     _decompose,
     _normalize_logits,
+    _softmax,
     deterministic_count,
     enumerate_deterministic,
     load_strategy,
@@ -48,11 +51,13 @@ def fast_statistic(out, hid, cha, n, k, L):
 
 
 def logits_of(strategy):
+    """One restart's logits in the optimizer's softmax-axis-first layout:
+    (2, 1, n, k), (L, 1, n) and (2**k, 1, L**n)."""
     n, k = strategy.shape.n, strategy.shape.k
     L = strategy.hidden_alphabet
-    out = np.log(np.stack(strategy.output_tables))[None]
-    hid = np.log(np.stack(strategy.hidden_dists))[None]
-    cha = np.log(strategy.charlie_table.reshape(L**n, 2**k))[None]
+    out = np.moveaxis(np.log(np.stack(strategy.output_tables)), -1, 0)[:, None]
+    hid = np.log(np.stack(strategy.hidden_dists)).T[:, None]
+    cha = np.log(strategy.charlie_table.reshape(L**n, 2**k)).T[:, None]
     return out, hid, cha
 
 
@@ -282,7 +287,7 @@ def vanishing_component_starts():
     out, hid, cha = logits_of(random_strategy(n, k, L, rng))
     # party 0 uniform at settings 0 and 1: hbar_0(0) = 0, so only I_0 = 0
     zero_mean = out.copy()
-    zero_mean[0, 0, :2] = 0.0
+    zero_mean[:, 0, 0, :2] = 0.0
     # uniform responses: every <C^i> = 0, so every Gamma_i and I_i = 0
     zero_gamma = np.zeros_like(cha)
     return (n, k, L), [((zero_mean, hid, cha), [0]), ((out, hid, zero_gamma), [0, 1, 2])]
@@ -307,20 +312,19 @@ def test_gradient_is_finite_where_a_component_vanishes():
 def reference_ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
     """The two-pass ascent _ascend replaced: a fresh gradient at the current
     point and a separate statistic of the candidate in every iteration."""
-    eta = np.full(out_logits.shape[0], 0.5)
+    eta = np.full(out_logits.shape[1], 0.5)
     for _ in range(iterations):
         g_out, g_hid, g_cha, stat = _analytic_gradient(
             out_logits, hid_logits, cha_logits, n, k, L
         )
-        e1 = eta[:, None, None, None]
-        cand_out = _normalize_logits(out_logits + e1 * g_out)
-        cand_hid = _normalize_logits(hid_logits + eta[:, None, None] * g_hid)
-        cand_cha = _normalize_logits(cha_logits + e1[:, :, :, 0] * g_cha)
+        cand_out = _normalize_logits(out_logits + eta[:, None, None] * g_out)
+        cand_hid = _normalize_logits(hid_logits + eta[:, None] * g_hid)
+        cand_cha = _normalize_logits(cha_logits + eta[:, None] * g_cha)
         cand_stat = fast_statistic(cand_out, cand_hid, cand_cha, n, k, L)
         accept = cand_stat > stat
-        out_logits = np.where(accept[:, None, None, None], cand_out, out_logits)
-        hid_logits = np.where(accept[:, None, None], cand_hid, hid_logits)
-        cha_logits = np.where(accept[:, None, None], cand_cha, cha_logits)
+        out_logits = np.where(accept[:, None, None], cand_out, out_logits)
+        hid_logits = np.where(accept[:, None], cand_hid, hid_logits)
+        cha_logits = np.where(accept[:, None], cand_cha, cha_logits)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
     return out_logits, hid_logits, cha_logits
 
@@ -331,7 +335,7 @@ def test_one_pass_ascent_matches_two_pass_reference():
     rng = np.random.default_rng(53)
     cases = []
     for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (9, 2, 1)]:
-        shapes = [(5, n, k, 2), (5, n, L), (5, L**n, 2**k)]
+        shapes = [(2, 5, n, k), (L, 5, n), (2**k, 5, L**n)]
         cases.append(((n, k, L), [_normalize_logits(rng.normal(size=s)) for s in shapes]))
     nkl, starts = vanishing_component_starts()
     cases += [(nkl, logits) for logits, _ in starts]
@@ -342,6 +346,50 @@ def test_one_pass_ascent_matches_two_pass_reference():
             np.testing.assert_array_equal(g, w)
         # the statistic _ascend hands back is that of the logits it returns
         np.testing.assert_array_equal(got_stat, fast_statistic(*want, n, k, L))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    logits=st.sampled_from([1, 2, 3, 4, 8]).flatmap(
+        lambda width: hnp.arrays(
+            np.float64,
+            st.tuples(st.just(width), st.integers(1, 4), st.integers(1, 3)),
+            elements=st.floats(-1e6, 1e6),
+        )
+    )
+)
+def test_normalized_logits_meet_the_softmax_precondition(logits):
+    # _softmax takes no row max of its own: it relies on every row (over
+    # axis 0) coming out of _normalize_logits with a max of exactly 0.0
+    z = _normalize_logits(logits)
+    assert (z.max(axis=0) == 0.0).all()
+    assert (z >= -60.0).all()
+    p = _softmax(z)
+    assert np.isfinite(p).all()
+    # fsum keeps the check's own rounding out; the softmax's row sum and
+    # divisions are off by at most width * 2**-53, 8.9e-16 at width 8
+    for row in p.reshape(p.shape[0], -1).T:
+        assert abs(math.fsum(row) - 1.0) <= 1e-15
+
+
+# best statistics of optimize_classical(shape, L, restarts=20, seed=7,
+# iterations=200), pinned from the optimizer as it stood with restart-first
+# logits of shape (R, n, k, 2), (R, n, L) and (R, L**n, 2**k)
+PINNED_BEST = [
+    ((2, 2, 4), 0.9996645353778673),
+    ((2, 3, 2), 1.99991408992774),
+    ((3, 2, 2), 0.9995760784774461),
+]
+
+
+def test_optimizer_matches_pinned_statistics():
+    # rows of width 8 (k = 3) sum in another order with the softmax axis
+    # first, so the pins hold to 1e-12 rather than bit for bit
+    for (n, k, L), want in PINNED_BEST:
+        report, _ = optimize_classical(
+            ScenarioShape(n, k), hidden_alphabet=L, restarts=20, seed=7, iterations=200
+        )
+        assert abs(report.statistic - want) <= 1e-12, ((n, k, L), report.statistic)
 
 
 def test_optimizer_is_deterministic():
@@ -390,6 +438,24 @@ def test_optimizer_input_validation():
         optimize_classical(SHAPE22, iterations=-5)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         optimize_classical(SHAPE22, seed=-1)
+    # counts and the seed must be integers: a float, NaN or boolean is
+    # refused by name, never truncated, converted or run as 1
+    for name, value in [
+        ("restarts", 2.0),
+        ("restarts", float("nan")),
+        ("restarts", True),
+        ("iterations", 2.5),
+        ("iterations", True),
+        ("iterations", np.float64(3.0)),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            optimize_classical(SHAPE22, **{name: value})
+    want, _ = optimize_classical(SHAPE22, restarts=2, iterations=3, seed=4)
+    got, _ = optimize_classical(SHAPE22, restarts=np.int64(2), iterations=np.int32(3), seed=np.uint8(4))
+    assert got == want
     # refused before anything is allocated; 2**10**9 would not fit in memory
     for shape, alphabet, restarts in [
         (ScenarioShape(10**9, 2), 2, 1),
