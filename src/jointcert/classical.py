@@ -106,22 +106,35 @@ def validate_strategy(strategy):
     return problems
 
 
+@functools.cache
+def _table_shapes(n, k):
+    """Per party j, the shape that lays its (k, 2) output table on axes x_j
+    and a_j of a behavior tensor (k,)*n + (2,)*n + (2,)*k, size 1 elsewhere."""
+    shapes = []
+    for j in range(n):
+        dims = [1] * (2 * n + k)
+        dims[j], dims[n + j] = k, 2
+        shapes.append(tuple(dims))
+    return tuple(shapes)
+
+
 def strategy_to_behavior(strategy):
     """Exact behavior tensor P(a, c | x) produced by a classical strategy."""
     shape = strategy.shape
-    n = shape.n
-    # output part: outer product over parties, axes (x_1, a_1, x_2, a_2, ..)
-    out = np.ones(())
-    for table in strategy.output_tables:
-        out = np.multiply.outer(out, table)
-    perm = [2 * j for j in range(n)] + [2 * j + 1 for j in range(n)]
-    out = out.transpose(perm)  # (k,)*n + (2,)*n
+    n, k = shape.n, shape.k
+    # output part: the parties' tables broadcast onto their own axes
+    shapes = _table_shapes(n, k)
+    out = strategy.output_tables[0].reshape(shapes[0])
+    for table, dims in zip(strategy.output_tables[1:], shapes[1:]):
+        out = out * table.reshape(dims)
     # measuring-device part: average the response table over the joint
     # hidden-source distribution, the outer product of the per-party ones
-    weights = functools.reduce(np.multiply.outer, strategy.hidden_dists)
-    responses = strategy.charlie_table.reshape(weights.size, 2**shape.k)
-    cdist = (weights.reshape(-1) @ responses).reshape((2,) * shape.k)
-    return BehaviorTensor(shape, np.multiply.outer(out, cdist))
+    weights = strategy.hidden_dists[0]
+    for dist in strategy.hidden_dists[1:]:
+        weights = (weights[:, None] * dist).reshape(-1)
+    responses = strategy.charlie_table.reshape(weights.size, 2**k)
+    cdist = weights @ responses
+    return BehaviorTensor(shape, out * cdist.reshape((2,) * k))
 
 
 def saturation_strategy(r):
@@ -229,36 +242,50 @@ def load_strategy(path):
 
 # --- optimizer over the continuous strategy class -------------------------
 #
-# Strategies are parameterized by unconstrained logits (softmax per row), the
-# chain statistic is evaluated through its product decomposition
+# Strategies are parameterized by unconstrained logits (softmax per row, and
+# one logit gap per width-2 output row), the chain statistic is evaluated
+# through its product decomposition
 #
 #     I_i = Gamma_i * prod_j hbar_j(i),
 #     hbar_j(i) = (<A_i> + sigma_i <A_{i+1 mod k}>) / 2,   sigma_i = -1 at i = k-1,
 #     Gamma_i = sum_lambda w_lambda <C^i>_lambda,
 #
 # and ascent directions are its exact gradient: a vector-Jacobian product run
-# back through that decomposition and through each row's softmax.  The slope
-# of |I_i|^(1/n) is infinite at I_i = 0; the gradient takes it as 0 there.
-# Everything is batched over restarts.
+# back through that decomposition and through each row's softmax or tanh.
+# The slope of |I_i|^(1/n) is infinite at I_i = 0; the gradient takes it as 0
+# there.  Everything is batched over restarts.
 #
 # Each ascent step evaluates the model once: the gradient pass on the
 # candidate also yields its statistic, and a restart that rejects its
 # candidate keeps the gradient and statistic of the point it stays at.
-# Every logit array the optimizer builds comes out of _normalize_logits, so
-# each row has a max of exactly 0.0; _softmax relies on that instead of
-# taking a row max of its own.
+# Every hidden and response logit array the optimizer builds comes out of
+# _normalize_logits, so each row has a max of exactly 0.0; _softmax relies on
+# that instead of taking a row max of its own.
 #
-# The three logit arrays store the softmax axis first: output logits are
-# (2, R, n, k), hidden logits (L, R, n) and response logits (2**k, R, L**n),
-# for R restarts.  Each row max, softmax sum and softmax-VJP sum is then an
-# axis-0 reduction, a few contiguous elementwise passes over R-long slabs,
-# instead of one short inner loop of width 2 to 2**k per row, which cost
-# more than the arithmetic.  Quantities without a softmax axis (the hidden
-# weights, the response correlators and everything after them) stay
-# restart-first.  Every array must also stay C-contiguous: a product that
-# broadcasts a transposed view against a C-ordered array comes out in a
-# memory order numpy picks by array size, and reductions over a strided
-# result are slow again, so the two transposed intermediates are copied.
+# The hidden and response logits store the softmax axis first: (L, R, n)
+# and (2**k, R, L**n) for R restarts.  Each row max, softmax sum and
+# softmax-VJP sum is then an axis-0 reduction, a few contiguous elementwise
+# passes over R-long slabs, instead of one short inner loop of width L to
+# 2**k per row, which cost more than the arithmetic.  Quantities without a
+# softmax axis (the hidden weights, the response correlators and everything
+# after them) stay restart-first.  Every array must also stay C-contiguous: a
+# product that broadcasts a transposed view against a C-ordered array comes
+# out in a memory order numpy picks by array size, and reductions over a
+# strided result are slow again, so the two transposed intermediates are
+# copied.
+#
+# An output row has width 2, so it is held as one logit gap u = z_0 - z_1,
+# restart-first as (R, n, k): its mean P(0) - P(1) is tanh(u/2) and
+# d mean / du = (1 - mean**2) / 2, with no softmax at all.  A step of eta on
+# each of the row's two logits would move their gap by 2 eta, so the gap
+# steps by 2 * eta * d stat / du (the doubling is exact), and it is clipped
+# to [-60, 60], the range _normalize_logits leaves a width-2 row.
+#
+# Products over "every party but j" come from one prefix and one suffix pass
+# over the parties, for the output factors hbar_j and the hidden weights
+# alike.  A product of at most two factors is the same float in any order,
+# so up to n = 3 these give bit for bit what multiplying the other parties
+# one by one gives; from n = 4 the suffixes associate differently.
 
 
 def _softmax(z):
@@ -273,6 +300,13 @@ def _softmax_vjp(p, g):
     """Pull a gradient g with respect to softmax rows p (over axis 0) back to
     their logits."""
     return p * (g - (p * g).sum(axis=0))
+
+
+def _output_rows(out_gap):
+    """Output tables of shape gap.shape + (2,) from width-2 rows' logit gaps:
+    ((1 + m) / 2, (1 - m) / 2) with m = tanh(gap / 2) = P(0) - P(1)."""
+    means = np.tanh(0.5 * out_gap)
+    return np.stack([(1.0 + means) / 2, (1.0 - means) / 2], axis=-1)
 
 
 @functools.cache
@@ -290,94 +324,117 @@ def _charlie_signs(k):
     return signs
 
 
-def _hidden_weights(hid_probs):
-    """Joint hidden weight w[r, lambda_flat] from per-party dists (R, n, L);
-    n = 0 parties give the weight 1 of the empty product."""
-    w = np.ones((hid_probs.shape[0], 1))
-    for j in range(hid_probs.shape[1]):
-        w = (w[:, :, None] * hid_probs[:, j, None, :]).reshape(w.shape[0], -1)
-    return w
-
-
-def _decompose(out_logits, hid_logits, cha_logits, n, k, L):
-    """All intermediate quantities of the fast statistic, batched over the
-    restart axis (axis 1 of the logits, axis 0 of everything else)."""
-    out_probs = _softmax(out_logits)  # (2, R, n, k)
-    hid_probs = _softmax(hid_logits)  # (L, R, n)
-    cha_probs = _softmax(cha_logits)  # (2**k, R, L**n)
-    C, R, M = cha_probs.shape
-    means = out_probs[0] - out_probs[1]  # (R, n, k)
+@functools.cache
+def _setting_steps(k):
+    """Read-only (sigma, nxt, prv) over k settings: sigma_i = -1 at i = k-1
+    and 1 elsewhere, nxt[i] = i+1 mod k and prv[i] = i-1 mod k."""
     sigma = np.ones(k)
     sigma[k - 1] = -1.0
     nxt = (np.arange(k) + 1) % k
+    prv = (np.arange(k) - 1) % k
+    for table in (sigma, nxt, prv):
+        table.setflags(write=False)
+    return sigma, nxt, prv
+
+
+def _decompose(out_gap, hid_logits, cha_logits, n, k, L):
+    """All intermediate quantities of the fast statistic, batched over the
+    restart axis: axis 1 of the hidden and response logits and of their
+    softmax rows, axis 0 of the output gaps and of everything else."""
+    hid_probs = _softmax(hid_logits)  # (L, R, n)
+    cha_probs = _softmax(cha_logits)  # (2**k, R, L**n)
+    C, R, M = cha_probs.shape
+    sigma, nxt, _ = _setting_steps(k)
+    means = np.tanh(0.5 * out_gap)  # (R, n, k)
     h = 0.5 * (means + sigma * means[..., nxt])  # (R, n, k)
-    hprod = h.prod(axis=1)  # (R, k)
+    # h_before[:, j] multiplies the factors of parties < j; a party loop
+    # beats a cumprod over this short middle axis
+    h_before = np.empty_like(h)
+    h_before[:, 0] = 1.0
+    hprod = h[:, 0]  # (R, k)
+    for j in range(1, n):
+        h_before[:, j] = hprod
+        hprod = hprod * h[:, j]
     c_corr = (cha_probs.reshape(C, R * M).T @ _charlie_signs(k)).reshape(R, M, k)
-    hid_rows = np.moveaxis(hid_probs, 0, -1).copy()  # (R, n, L)
-    w = _hidden_weights(hid_rows)  # (R, L**n)
-    gamma = np.einsum("rm,rmi->ri", w, c_corr)  # (R, k)
+    hid_rows = hid_probs.transpose(1, 2, 0).copy()  # (R, n, L)
+    # w_prefix[j] is the joint weight of parties < j, (R, L**j), and
+    # w_prefix[n] is w; party 0's value is the most significant digit
+    w_prefix = [np.ones((R, 1))]
+    for j in range(n):
+        w_prefix.append((w_prefix[j][:, :, None] * hid_rows[:, j, None, :]).reshape(R, -1))
+    gamma = np.einsum("rm,rmi->ri", w_prefix[n], c_corr)  # (R, k)
     comps = gamma * hprod  # (R, k)
-    stat = (np.abs(comps) ** (1.0 / n)).sum(axis=-1)  # (R,)
+    roots = np.abs(comps) ** (1.0 / n)  # (R, k)
+    stat = roots.sum(axis=-1)  # (R,)
     return {
-        "out_probs": out_probs,
         "hid_probs": hid_probs,
         "hid_rows": hid_rows,
         "cha_probs": cha_probs,
         "means": means,
-        "sigma": sigma,
         "h": h,
+        "h_before": h_before,
         "hprod": hprod,
         "c_corr": c_corr,
-        "w": w,
+        "w_prefix": w_prefix,
         "gamma": gamma,
         "comps": comps,
+        "roots": roots,
         "stat": stat,
     }
 
 
-def _analytic_gradient(out_logits, hid_logits, cha_logits, n, k, L):
+def _analytic_gradient(out_gap, hid_logits, cha_logits, n, k, L):
     """Exact gradient of the chain statistic in logit space.
 
     Returns (g_out, g_hid, g_cha, stat) with gradients shaped like the inputs.
     """
-    d = _decompose(out_logits, hid_logits, cha_logits, n, k, L)
-    R = out_logits.shape[1]
-    h, comps, hid_rows = d["h"], d["comps"], d["hid_rows"]
+    d = _decompose(out_gap, hid_logits, cha_logits, n, k, L)
+    R = out_gap.shape[0]
+    h, comps, means, hid_rows = d["h"], d["comps"], d["means"], d["hid_rows"]
+    sigma, _, prv = _setting_steps(k)
 
     # d stat / d I_i = sign(I_i) |I_i|^(1/n - 1) / n = |I_i|^(1/n) / (n I_i)
     g_comps = np.divide(
-        np.abs(comps) ** (1.0 / n),
+        d["roots"],
         n * comps,
         out=np.zeros_like(comps),
         where=comps != 0,
     )  # (R, k)
     g_gamma = g_comps * d["hprod"]  # (R, k)
 
-    # output rows: hbar_j(i) enters I_i times the other parties' factors
-    excl = np.empty((R, n, k))
-    for j in range(n):
-        excl[:, j] = np.delete(h, j, axis=1).prod(axis=1)
+    # output rows: hbar_j(i) enters I_i times the other parties' factors,
+    # the prefix over parties < j times the suffix over parties > j, which
+    # multiplies into the prefixes in place
+    excl = d["h_before"]
+    h_after = h[:, n - 1]
+    for j in range(n - 2, -1, -1):
+        excl[:, j] *= h_after
+        if j:
+            h_after = h_after * h[:, j]
     g_h = (g_comps * d["gamma"])[:, None, :] * excl  # (R, n, k)
-    # <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2
-    g_means = 0.5 * (g_h + np.roll(d["sigma"] * g_h, 1, axis=-1))
-    g_out_probs = np.stack([g_means, -g_means])  # (2, R, n, k)
+    # <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2,
+    # and d <A_x> / du_x = (1 - <A_x>**2) / 2
+    g_out = 0.25 * (1.0 - means * means) * (g_h + (sigma * g_h)[..., prv])
 
     # response rows: Gamma_i = sum_m w_m (S^T p_m)_i
     g_corr = np.ascontiguousarray((g_gamma @ _charlie_signs(k).T).T)  # (2**k, R)
-    g_cha_probs = g_corr[:, :, None] * d["w"]  # (2**k, R, L**n)
+    g_cha_probs = g_corr[:, :, None] * d["w_prefix"][n]  # (2**k, R, L**n)
 
     # hidden rows: w_m is the product of one entry per party, so party j's
-    # slope sums d stat / d w over the other parties' weights
+    # slope sums d stat / d w over the other parties' weights: the prefix
+    # over parties < j and the suffix over parties > j, built backward
     g_w = (d["c_corr"] @ g_gamma[:, :, None])[..., 0]  # (R, L**n)
     g_hid_probs = np.empty((L, R, n))
-    for j in range(n):
-        before = _hidden_weights(hid_rows[:, :j])
-        after = _hidden_weights(hid_rows[:, j + 1 :])
+    after = np.ones((R, 1))
+    for j in reversed(range(n)):
+        before = d["w_prefix"][j]
         grid = g_w.reshape(R, before.shape[1], L, after.shape[1])
         g_hid_probs[:, :, j] = np.einsum("rapb,ra,rb->rp", grid, before, after).T
+        if j:
+            after = (hid_rows[:, j, :, None] * after[:, None, :]).reshape(R, -1)
 
     return (
-        _softmax_vjp(d["out_probs"], g_out_probs),
+        g_out,
         _softmax_vjp(d["hid_probs"], g_hid_probs),
         _softmax_vjp(d["cha_probs"], g_cha_probs),
         d["stat"],
@@ -390,21 +447,20 @@ def _normalize_logits(z):
     return np.clip(z - z.max(axis=0), -60.0, 0.0)
 
 
-def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
+def _ascend(out_gap, hid_logits, cha_logits, n, k, L, iterations):
     """Gradient ascent with a per-restart step size: a step that raises the
     statistic is kept and grows eta by 1.25, any other is dropped and halves
-    it.  Returns the final (out, hid, cha) logits and each restart's
-    statistic at them."""
-    eta = np.full(out_logits.shape[1], 0.5)
+    it.  Returns the final output gaps, hidden and response logits, and each
+    restart's statistic at them."""
+    eta = np.full(out_gap.shape[0], 0.5)
     g_out, g_hid, g_cha, stat = _analytic_gradient(
-        out_logits, hid_logits, cha_logits, n, k, L
+        out_gap, hid_logits, cha_logits, n, k, L
     )
     for _ in range(iterations):
-        # restarts sit on axis 1: (R, 1, 1) broadcasts over the output
-        # logits (2, R, n, k) and (R, 1) over the other two
-        e3 = eta[:, None, None]
+        # restarts sit on axis 0 of the output gaps (R, n, k) and on axis 1
+        # of the other two logits, which (R, 1) broadcasts over
         e2 = eta[:, None]
-        cand_out = _normalize_logits(out_logits + e3 * g_out)
+        cand_out = np.clip(out_gap + (2.0 * eta)[:, None, None] * g_out, -60.0, 60.0)
         cand_hid = _normalize_logits(hid_logits + e2 * g_hid)
         cand_cha = _normalize_logits(cha_logits + e2 * g_cha)
         cand_g_out, cand_g_hid, cand_g_cha, cand_stat = _analytic_gradient(
@@ -413,7 +469,7 @@ def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
         accept = cand_stat > stat
         a3 = accept[:, None, None]
         a2 = accept[:, None]
-        out_logits = np.where(a3, cand_out, out_logits)
+        out_gap = np.where(a3, cand_out, out_gap)
         hid_logits = np.where(a2, cand_hid, hid_logits)
         cha_logits = np.where(a2, cand_cha, cha_logits)
         g_out = np.where(a3, cand_g_out, g_out)
@@ -421,7 +477,7 @@ def _ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
         g_cha = np.where(a2, cand_g_cha, g_cha)
         stat = np.where(accept, cand_stat, stat)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
-    return out_logits, hid_logits, cha_logits, stat
+    return out_gap, hid_logits, cha_logits, stat
 
 
 def _too_many_logits(restarts, n, k, L):
@@ -472,7 +528,8 @@ def optimize_classical(
     M, C = L**n, 2**k
 
     # restart r draws its own blocks from its own generator, so seed + r
-    # fixes its starting point; then the softmax axis moves to the front once
+    # fixes its starting point; then each output row's two logits become
+    # their gap, and the softmax axis of the others moves to the front once
     out_logits = np.empty((restarts, n, k, 2))
     hid_logits = np.empty((restarts, n, L))
     cha_logits = np.empty((restarts, M, C))
@@ -481,24 +538,23 @@ def optimize_classical(
         out_logits[r] = rng.normal(size=(n, k, 2))
         hid_logits[r] = rng.normal(size=(n, L))
         cha_logits[r] = rng.normal(size=(M, C))
-    out_logits = _normalize_logits(np.moveaxis(out_logits, -1, 0).copy())
+    out_gap = np.clip(out_logits[..., 0] - out_logits[..., 1], -60.0, 60.0)
     hid_logits = _normalize_logits(np.moveaxis(hid_logits, -1, 0).copy())
     cha_logits = _normalize_logits(np.moveaxis(cha_logits, -1, 0).copy())
 
-    out_logits, hid_logits, cha_logits, stat = _ascend(
-        out_logits, hid_logits, cha_logits, n, k, L, iterations
+    out_gap, hid_logits, cha_logits, stat = _ascend(
+        out_gap, hid_logits, cha_logits, n, k, L, iterations
     )
 
     best = int(np.argmax(stat))
     # the best restart's rows, copied back to the contiguous row-last layout
     # of a strategy; the memory layout of the tables steers how the public
     # route sums the behavior's correlators
-    out_probs = np.moveaxis(_softmax(out_logits[:, best]), 0, -1).copy()  # (n, k, 2)
     hid_probs = _softmax(hid_logits[:, best]).T.copy()  # (n, L)
     strategy = ClassicalStrategy(
         shape=shape,
         hidden_alphabet=L,
-        output_tables=tuple(out_probs),
+        output_tables=tuple(_output_rows(out_gap[best])),
         hidden_dists=tuple(hid_probs),
         charlie_table=_softmax(cha_logits[:, best]).T.copy().reshape((L,) * n + (2,) * k),
     )

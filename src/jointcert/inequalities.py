@@ -23,10 +23,13 @@ entry [x_1, .., x_n, i] is <A^1_{x_1} .. A^n_{x_n} C^i>, and each applies its
 own sign pattern, so criterion 6 still compares two independent formulas.
 
 At n = k = 2 the chain form reduces exactly to (M, N): I_0 = M and I_1 = N.
-Verdicts are strict: a report is violated only when statistic > bound.
+Verdicts are strict: a report is violated only when statistic > bound.  A
+behavior with NaN or infinite entries gets no verdict: its statistic is not
+finite, and both evaluators raise ValueError.
 """
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +49,15 @@ class InequalityReport:
 def _report(statistic, bound, components):
     statistic = float(statistic)
     bound = float(bound)
+    components = tuple(float(c) for c in components)
+    # NaN compares false against the bound and infinity exceeds it, so
+    # either would pass for a verdict
+    if not math.isfinite(statistic):
+        raise ValueError(f"statistic is {statistic}, not finite: components {components}")
     return InequalityReport(
         statistic=statistic,
         bound=bound,
-        components=tuple(float(c) for c in components),
+        components=components,
         violated=statistic > bound,
         margin=statistic - bound,
     )
@@ -71,7 +79,8 @@ def chain_components(behavior):
 
 
 def evaluate_chain(behavior):
-    """Evaluate sum_i |I_i|^(1/n) against its classical bound k-1."""
+    """Evaluate sum_i |I_i|^(1/n) against its classical bound k-1.  Raises
+    ValueError when the statistic is not finite."""
     n, k = behavior.shape.n, behavior.shape.k
     components = chain_components(behavior)
     statistic = sum(abs(c) ** (1.0 / n) for c in components)
@@ -79,7 +88,8 @@ def evaluate_chain(behavior):
 
 
 def evaluate_mn(behavior):
-    """Evaluate sqrt|M| + sqrt|N| against its classical bound 1 (n = k = 2 only)."""
+    """Evaluate sqrt|M| + sqrt|N| against its classical bound 1 (n = k = 2
+    only).  Raises ValueError when the statistic is not finite."""
     n, k = behavior.shape.n, behavior.shape.k
     if (n, k) != (2, 2):
         raise ValueError(f"this form needs n = k = 2, got n={n}, k={k}")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,11 +19,13 @@ from jointcert.behavior import (
 from jointcert.classical import (
     MAX_DETERMINISTIC,
     MAX_OPTIMIZER_CELLS,
+    ROW_TOL,
     ClassicalStrategy,
     _analytic_gradient,
     _ascend,
     _decompose,
     _normalize_logits,
+    _output_rows,
     _softmax,
     deterministic_count,
     enumerate_deterministic,
@@ -51,11 +53,13 @@ def fast_statistic(out, hid, cha, n, k, L):
 
 
 def logits_of(strategy):
-    """One restart's logits in the optimizer's softmax-axis-first layout:
-    (2, 1, n, k), (L, 1, n) and (2**k, 1, L**n)."""
+    """One restart's logits in the optimizer's layout: output gaps
+    log p_0 - log p_1 as (1, n, k), then softmax axis first, (L, 1, n) and
+    (2**k, 1, L**n)."""
     n, k = strategy.shape.n, strategy.shape.k
     L = strategy.hidden_alphabet
-    out = np.moveaxis(np.log(np.stack(strategy.output_tables)), -1, 0)[:, None]
+    log_tables = np.log(np.stack(strategy.output_tables))
+    out = (log_tables[..., 0] - log_tables[..., 1])[None]
     hid = np.log(np.stack(strategy.hidden_dists)).T[:, None]
     cha = np.log(strategy.charlie_table.reshape(L**n, 2**k)).T[:, None]
     return out, hid, cha
@@ -268,9 +272,10 @@ def naive_gradient(out, hid, cha, n, k, L, step=1e-6):
 def test_analytic_gradient_matches_naive_differences():
     # central differences with a 1e-6 step carry about 1e-10 of rounding
     # error on these O(0.1) slopes, hence the 1e-8 tolerance; n = 9 runs the
-    # hidden-weight contractions past eight parties
+    # hidden-weight contractions past eight parties, n = 1 has an empty prefix
+    # and suffix, and n = 4 is the first suffix of three factors
     rng = np.random.default_rng(41)
-    for n, k, L in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (9, 2, 1)]:
+    for n, k, L in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (9, 2, 1), (1, 2, 3), (4, 2, 2)]:
         strategy = random_strategy(n, k, L, rng)
         out, hid, cha = logits_of(strategy)
         g_out, g_hid, g_cha, stat = _analytic_gradient(out, hid, cha, n, k, L)
@@ -285,9 +290,9 @@ def vanishing_component_starts():
     rng = np.random.default_rng(47)
     n, k, L = 2, 3, 2
     out, hid, cha = logits_of(random_strategy(n, k, L, rng))
-    # party 0 uniform at settings 0 and 1: hbar_0(0) = 0, so only I_0 = 0
+    # party 0 uniform (gap 0) at settings 0 and 1: hbar_0(0) = 0, so only I_0 = 0
     zero_mean = out.copy()
-    zero_mean[:, 0, 0, :2] = 0.0
+    zero_mean[0, 0, :2] = 0.0
     # uniform responses: every <C^i> = 0, so every Gamma_i and I_i = 0
     zero_gamma = np.zeros_like(cha)
     return (n, k, L), [((zero_mean, hid, cha), [0]), ((out, hid, zero_gamma), [0, 1, 2])]
@@ -312,12 +317,13 @@ def test_gradient_is_finite_where_a_component_vanishes():
 def reference_ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
     """The two-pass ascent _ascend replaced: a fresh gradient at the current
     point and a separate statistic of the candidate in every iteration."""
-    eta = np.full(out_logits.shape[1], 0.5)
+    eta = np.full(out_logits.shape[0], 0.5)
     for _ in range(iterations):
         g_out, g_hid, g_cha, stat = _analytic_gradient(
             out_logits, hid_logits, cha_logits, n, k, L
         )
-        cand_out = _normalize_logits(out_logits + eta[:, None, None] * g_out)
+        # the output gaps step by twice eta and stay within [-60, 60]
+        cand_out = np.clip(out_logits + 2.0 * eta[:, None, None] * g_out, -60.0, 60.0)
         cand_hid = _normalize_logits(hid_logits + eta[:, None] * g_hid)
         cand_cha = _normalize_logits(cha_logits + eta[:, None] * g_cha)
         cand_stat = fast_statistic(cand_out, cand_hid, cand_cha, n, k, L)
@@ -334,11 +340,16 @@ def test_one_pass_ascent_matches_two_pass_reference():
     # bit of the ascent, so equality is exact, not within a tolerance
     rng = np.random.default_rng(53)
     cases = []
-    for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (9, 2, 1)]:
-        shapes = [(2, 5, n, k), (L, 5, n), (2**k, 5, L**n)]
-        cases.append(((n, k, L), [_normalize_logits(rng.normal(size=s)) for s in shapes]))
+    for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (9, 2, 1), (4, 2, 2)]:
+        out = rng.normal(size=(5, n, k))
+        hid, cha = (_normalize_logits(rng.normal(size=s)) for s in [(L, 5, n), (2**k, 5, L**n)])
+        cases.append(((n, k, L), [out, hid, cha]))
     nkl, starts = vanishing_component_starts()
     cases += [(nkl, logits) for logits, _ in starts]
+    # next to a vanishing component the slope of |I_0|^(1/2) is steep, so
+    # the first step overshoots and the gap clip at +-60 takes effect
+    (zero_mean, hid, cha), _ = starts[0]
+    cases.append((nkl, [zero_mean + 1e-12, hid, cha]))
     for (n, k, L), logits in cases:
         *got, got_stat = _ascend(*logits, n, k, L, iterations=50)
         want = reference_ascend(*logits, n, k, L, iterations=50)
@@ -346,6 +357,7 @@ def test_one_pass_ascent_matches_two_pass_reference():
             np.testing.assert_array_equal(g, w)
         # the statistic _ascend hands back is that of the logits it returns
         np.testing.assert_array_equal(got_stat, fast_statistic(*want, n, k, L))
+    assert (np.abs(got[0]) == 60.0).any()  # the last case ends on the clip
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,6 +384,28 @@ def test_normalized_logits_meet_the_softmax_precondition(logits):
         assert abs(math.fsum(row) - 1.0) <= 1e-15
 
 
+@settings(max_examples=200, deadline=None)
+@given(gap=st.floats(-1e6, 1e6))
+@example(gap=60.0)
+@example(gap=-60.0)
+@example(gap=0.0)
+def test_tanh_output_rows_match_the_two_logit_softmax(gap):
+    # an output row is held as its logit gap u, clipped as _ascend clips it;
+    # its mean tanh(u/2) must be the two-logit softmax's p_0 - p_1 of the
+    # row (u, 0), which each differ from the exact value by about 2**-53
+    u = np.clip(gap, -60.0, 60.0)
+    p = _softmax(_normalize_logits(np.array([u, 0.0])))
+    assert abs(np.tanh(0.5 * u) - (p[0] - p[1])) <= 4.5e-16
+    rows = _output_rows(u)
+    assert (rows >= 0.0).all()
+    assert abs(rows.sum() - 1.0) <= ROW_TOL
+    # the strategy the optimizer would extract from these gaps is valid,
+    # also where the clip pushes one entry to exactly 0
+    tables = tuple(_output_rows(np.full((2, 2), u)))
+    strategy = ClassicalStrategy(SHAPE22, 1, tables, (np.ones(1), np.ones(1)), np.full((1, 1, 2, 2), 0.25))
+    assert validate_strategy(strategy) == []
+
+
 # best statistics of optimize_classical(shape, L, restarts=20, seed=7,
 # iterations=200), pinned from the optimizer as it stood with restart-first
 # logits of shape (R, n, k, 2), (R, n, L) and (R, L**n, 2**k)
@@ -384,12 +418,41 @@ PINNED_BEST = [
 
 def test_optimizer_matches_pinned_statistics():
     # rows of width 8 (k = 3) sum in another order with the softmax axis
-    # first, so the pins hold to 1e-12 rather than bit for bit
+    # first, and the output rows' tanh rounds unlike their two-logit
+    # softmax, so the pins hold to 1e-12 rather than bit for bit
     for (n, k, L), want in PINNED_BEST:
         report, _ = optimize_classical(
             ScenarioShape(n, k), hidden_alphabet=L, restarts=20, seed=7, iterations=200
         )
         assert abs(report.statistic - want) <= 1e-12, ((n, k, L), report.statistic)
+
+
+def test_optimizer_starts_from_each_restarts_own_draws():
+    # with no iterations the best strategy is a start: restart r's rows are
+    # the softmax of the blocks drawn, in this order, by numpy's generator
+    # seeded with seed + r, and an output row (z_0, z_1) gives P(0) first
+    n, k, L, seed, restarts = 2, 3, 2, 11, 4
+    report, strategy = optimize_classical(
+        ScenarioShape(n, k), hidden_alphabet=L, restarts=restarts, seed=seed, iterations=0
+    )
+
+    def rows(z):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        out = rows(rng.normal(size=(n, k, 2)))
+        hid = rows(rng.normal(size=(n, L)))
+        cha = rows(rng.normal(size=(L**n, 2**k))).reshape((L,) * n + (2,) * k)
+        starts.append(ClassicalStrategy(ScenarioShape(n, k), L, tuple(out), tuple(hid), cha))
+    stats = [evaluate_chain(strategy_to_behavior(s)).statistic for s in starts]
+    want = starts[int(np.argmax(stats))]
+    np.testing.assert_allclose(np.stack(strategy.output_tables), np.stack(want.output_tables), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.stack(strategy.hidden_dists), np.stack(want.hidden_dists), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(strategy.charlie_table, want.charlie_table, rtol=0, atol=1e-15)
+    assert abs(report.statistic - max(stats)) <= 1e-12
 
 
 def test_optimizer_is_deterministic():

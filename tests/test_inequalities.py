@@ -102,6 +102,28 @@ def test_mixing_quantum_behaviors_moves_statistic_affinely():
         assert report.statistic == pytest.approx(np.sqrt(2 * eff), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape, index, value, evaluators, components",
+    [
+        ((2, 2), (0,) * 6, np.nan, (evaluate_mn, evaluate_chain), r"\(nan, nan\)"),
+        ((2, 2), (0,) * 6, np.inf, (evaluate_mn, evaluate_chain), r"\(inf, inf\)"),
+        # x_1 = 2 enters only the wrapped block I_2
+        ((2, 3), (2,) + (0,) * 6, np.nan, (evaluate_chain,), r"\(0\.0, 0\.0, nan\)"),
+    ],
+    ids=["nan", "inf", "nan-in-wrapped-block"],
+)
+def test_non_finite_behavior_gets_no_verdict(shape, index, value, evaluators, components):
+    # a NaN statistic used to read as not violated and an infinite one as violated
+    shape = ScenarioShape(*shape)
+    arr = BehaviorTensor.uniform(shape).probabilities.copy()
+    arr[index] = value
+    behavior = BehaviorTensor(shape, arr)
+    for evaluate in evaluators:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=r"not finite: components " + components):
+                evaluate(behavior)
+
+
 def test_report_json_round_trip():
     report = evaluate_mn(closed_form_behavior(0.8))
     text = report_to_json(report)
