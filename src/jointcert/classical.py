@@ -248,44 +248,44 @@ def load_strategy(path):
 #
 #     I_i = Gamma_i * prod_j hbar_j(i),
 #     hbar_j(i) = (<A_i> + sigma_i <A_{i+1 mod k}>) / 2,   sigma_i = -1 at i = k-1,
-#     Gamma_i = sum_lambda w_lambda <C^i>_lambda,
+#     Gamma_i = sum_c S[c, i] pbar(c),   pbar(c) = sum_lambda w_lambda P(c | lambda),
 #
 # and ascent directions are its exact gradient: a vector-Jacobian product run
 # back through that decomposition and through each row's softmax or tanh.
 # The slope of |I_i|^(1/n) is infinite at I_i = 0; the gradient takes it as 0
-# there.  Everything is batched over restarts.
+# there.
+#
+# All R restarts live in one float64 state of shape (D, R), restart axis
+# last, with D = nk + nL + 2**k * L**n.  _state_views cuts it into the output
+# gaps (n, k, R), the hidden logits (L, n, R) and the response logits
+# (2**k, L**n, R); a gradient has the same layout.  Every row max, softmax
+# sum and product over parties then runs over an outer axis, as contiguous
+# passes over R-long slabs, and a per-restart scalar such as eta or an accept
+# flag broadcasts along the contiguous last axis.
+#
+# An output row has width 2, so it is held as one logit gap u = z_0 - z_1:
+# its mean P(0) - P(1) is tanh(u/2) and d mean / du = (1 - mean**2) / 2, with
+# no softmax at all.  A step of eta on each of the row's two logits would
+# move their gap by 2 eta, so the gap segment of a gradient holds
+# 2 * d stat / du (the doubling is exact), and one step theta + eta * G
+# moves the whole state.  The step's gaps are then clipped to [-60, 60], the
+# range _normalize_logits leaves a width-2 row, and its hidden and response
+# rows are normalized, both in place.  Each hidden and response logit row
+# the optimizer builds comes out of _normalize_logits with a max of exactly
+# 0.0; _softmax relies on that instead of taking a row max of its own.
 #
 # Each ascent step evaluates the model once: the gradient pass on the
-# candidate also yields its statistic, and a restart that rejects its
-# candidate keeps the gradient and statistic of the point it stays at.
-# Every hidden and response logit array the optimizer builds comes out of
-# _normalize_logits, so each row has a max of exactly 0.0; _softmax relies on
-# that instead of taking a row max of its own.
-#
-# The hidden and response logits store the softmax axis first: (L, R, n)
-# and (2**k, R, L**n) for R restarts.  Each row max, softmax sum and
-# softmax-VJP sum is then an axis-0 reduction, a few contiguous elementwise
-# passes over R-long slabs, instead of one short inner loop of width L to
-# 2**k per row, which cost more than the arithmetic.  Quantities without a
-# softmax axis (the hidden weights, the response correlators and everything
-# after them) stay restart-first.  Every array must also stay C-contiguous: a
-# product that broadcasts a transposed view against a C-ordered array comes
-# out in a memory order numpy picks by array size, and reductions over a
-# strided result are slow again, so the two transposed intermediates are
-# copied.
-#
-# An output row has width 2, so it is held as one logit gap u = z_0 - z_1,
-# restart-first as (R, n, k): its mean P(0) - P(1) is tanh(u/2) and
-# d mean / du = (1 - mean**2) / 2, with no softmax at all.  A step of eta on
-# each of the row's two logits would move their gap by 2 eta, so the gap
-# steps by 2 * eta * d stat / du (the doubling is exact), and it is clipped
-# to [-60, 60], the range _normalize_logits leaves a width-2 row.
+# candidate also yields its statistic.  A restart keeps or drops its whole
+# candidate, so acceptance is two selects over the state and the gradient.
 #
 # Products over "every party but j" come from one prefix and one suffix pass
 # over the parties, for the output factors hbar_j and the hidden weights
-# alike.  A product of at most two factors is the same float in any order,
-# so up to n = 3 these give bit for bit what multiplying the other parties
-# one by one gives; from n = 4 the suffixes associate differently.
+# alike.  The sums are associated for speed, not to match another order:
+# Gamma sums the responses against the joint hidden weight before the signs,
+# the response slope factors its softmax VJP through that weight, and each
+# party's hidden slope sums over the suffix, then the prefix.  Against a
+# term-by-term contraction the gradient moves by about 1e-15 and the best
+# statistic of a 200-step run by about 1e-14.
 
 
 def _softmax(z):
@@ -294,12 +294,6 @@ def _softmax(z):
     with large positive entries would overflow."""
     e = np.exp(z)
     return e / e.sum(axis=0)
-
-
-def _softmax_vjp(p, g):
-    """Pull a gradient g with respect to softmax rows p (over axis 0) back to
-    their logits."""
-    return p * (g - (p * g).sum(axis=0))
 
 
 def _output_rows(out_gap):
@@ -327,8 +321,9 @@ def _charlie_signs(k):
 @functools.cache
 def _setting_steps(k):
     """Read-only (sigma, nxt, prv) over k settings: sigma_i = -1 at i = k-1
-    and 1 elsewhere, nxt[i] = i+1 mod k and prv[i] = i-1 mod k."""
-    sigma = np.ones(k)
+    and 1 elsewhere, as a (k, 1) column that broadcasts over restarts,
+    nxt[i] = i+1 mod k and prv[i] = i-1 mod k."""
+    sigma = np.ones((k, 1))
     sigma[k - 1] = -1.0
     nxt = (np.arange(k) + 1) % k
     prv = (np.arange(k) - 1) % k
@@ -337,44 +332,52 @@ def _setting_steps(k):
     return sigma, nxt, prv
 
 
-def _decompose(out_gap, hid_logits, cha_logits, n, k, L):
-    """All intermediate quantities of the fast statistic, batched over the
-    restart axis: axis 1 of the hidden and response logits and of their
-    softmax rows, axis 0 of the output gaps and of everything else."""
-    hid_probs = _softmax(hid_logits)  # (L, R, n)
-    cha_probs = _softmax(cha_logits)  # (2**k, R, L**n)
-    C, R, M = cha_probs.shape
+def _state_views(theta, n, k, L):
+    """The output gaps (n, k, R), hidden logits (L, n, R) and response logits
+    (2**k, L**n, R) of a (D, R) optimizer state or gradient, as views."""
+    R = theta.shape[1]
+    nk, nkL = n * k, n * (k + L)
+    return (
+        theta[:nk].reshape(n, k, R),
+        theta[nk:nkL].reshape(L, n, R),
+        theta[nkL:].reshape(2**k, L**n, R),
+    )
+
+
+def _decompose(theta, n, k, L):
+    """All intermediate quantities of the fast statistic at each column of a
+    (D, R) state; each comes out with the restart axis last."""
+    gaps, hid, cha = _state_views(theta, n, k, L)
+    R = theta.shape[1]
+    hid_probs = _softmax(hid)  # (L, n, R)
+    cha_probs = _softmax(cha)  # (2**k, L**n, R)
     sigma, nxt, _ = _setting_steps(k)
-    means = np.tanh(0.5 * out_gap)  # (R, n, k)
-    h = 0.5 * (means + sigma * means[..., nxt])  # (R, n, k)
-    # h_before[:, j] multiplies the factors of parties < j; a party loop
-    # beats a cumprod over this short middle axis
+    means = np.tanh(0.5 * gaps)  # (n, k, R)
+    h = 0.5 * (means + sigma * means[:, nxt])  # (n, k, R)
+    # h_before[j] multiplies the factors of parties < j
     h_before = np.empty_like(h)
-    h_before[:, 0] = 1.0
-    hprod = h[:, 0]  # (R, k)
+    h_before[0] = 1.0
+    hprod = h[0]  # (k, R)
     for j in range(1, n):
-        h_before[:, j] = hprod
-        hprod = hprod * h[:, j]
-    c_corr = (cha_probs.reshape(C, R * M).T @ _charlie_signs(k)).reshape(R, M, k)
-    hid_rows = hid_probs.transpose(1, 2, 0).copy()  # (R, n, L)
-    # w_prefix[j] is the joint weight of parties < j, (R, L**j), and
+        h_before[j] = hprod
+        hprod = hprod * h[j]
+    # w_prefix[j] is the joint weight of parties < j, (L**j, R), and
     # w_prefix[n] is w; party 0's value is the most significant digit
-    w_prefix = [np.ones((R, 1))]
-    for j in range(n):
-        w_prefix.append((w_prefix[j][:, :, None] * hid_rows[:, j, None, :]).reshape(R, -1))
-    gamma = np.einsum("rm,rmi->ri", w_prefix[n], c_corr)  # (R, k)
-    comps = gamma * hprod  # (R, k)
-    roots = np.abs(comps) ** (1.0 / n)  # (R, k)
-    stat = roots.sum(axis=-1)  # (R,)
+    w_prefix = [np.ones((1, R)), hid_probs[:, 0]]
+    for j in range(1, n):
+        w_prefix.append((w_prefix[j][:, None] * hid_probs[:, j]).reshape(-1, R))
+    pbar = (cha_probs * w_prefix[n]).sum(axis=1)  # (2**k, R)
+    gamma = _charlie_signs(k).T @ pbar  # (k, R)
+    comps = gamma * hprod  # (k, R)
+    roots = np.abs(comps) ** (1.0 / n)  # (k, R)
+    stat = roots.sum(axis=0)  # (R,)
     return {
         "hid_probs": hid_probs,
-        "hid_rows": hid_rows,
         "cha_probs": cha_probs,
         "means": means,
         "h": h,
         "h_before": h_before,
         "hprod": hprod,
-        "c_corr": c_corr,
         "w_prefix": w_prefix,
         "gamma": gamma,
         "comps": comps,
@@ -383,14 +386,16 @@ def _decompose(out_gap, hid_logits, cha_logits, n, k, L):
     }
 
 
-def _analytic_gradient(out_gap, hid_logits, cha_logits, n, k, L):
-    """Exact gradient of the chain statistic in logit space.
-
-    Returns (g_out, g_hid, g_cha, stat) with gradients shaped like the inputs.
+def _analytic_gradient(theta, grad, n, k, L):
+    """Exact gradient of the chain statistic at each column of a (D, R)
+    state, written into grad, a (D, R) array of the same layout; its gap
+    segment holds twice the slope in each gap.  Returns the statistic, (R,).
     """
-    d = _decompose(out_gap, hid_logits, cha_logits, n, k, L)
-    R = out_gap.shape[0]
-    h, comps, means, hid_rows = d["h"], d["comps"], d["means"], d["hid_rows"]
+    d = _decompose(theta, n, k, L)
+    g_gaps, g_hid, g_cha = _state_views(grad, n, k, L)
+    h, comps, means, hid_probs = d["h"], d["comps"], d["means"], d["hid_probs"]
+    w_prefix = d["w_prefix"]
+    R = theta.shape[1]
     sigma, _, prv = _setting_steps(k)
 
     # d stat / d I_i = sign(I_i) |I_i|^(1/n - 1) / n = |I_i|^(1/n) / (n I_i)
@@ -399,85 +404,84 @@ def _analytic_gradient(out_gap, hid_logits, cha_logits, n, k, L):
         n * comps,
         out=np.zeros_like(comps),
         where=comps != 0,
-    )  # (R, k)
-    g_gamma = g_comps * d["hprod"]  # (R, k)
+    )  # (k, R)
 
     # output rows: hbar_j(i) enters I_i times the other parties' factors,
     # the prefix over parties < j times the suffix over parties > j, which
     # multiplies into the prefixes in place
     excl = d["h_before"]
-    h_after = h[:, n - 1]
+    h_after = h[n - 1]
     for j in range(n - 2, -1, -1):
-        excl[:, j] *= h_after
+        excl[j] *= h_after
         if j:
-            h_after = h_after * h[:, j]
-    g_h = (g_comps * d["gamma"])[:, None, :] * excl  # (R, n, k)
+            h_after = h_after * h[j]
+    g_h = (g_comps * d["gamma"]) * excl  # (n, k, R)
     # <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2,
-    # and d <A_x> / du_x = (1 - <A_x>**2) / 2
-    g_out = 0.25 * (1.0 - means * means) * (g_h + (sigma * g_h)[..., prv])
+    # and 2 d <A_x> / du_x = 1 - <A_x>**2
+    np.multiply(0.5 * (1.0 - means * means), g_h + (sigma * g_h)[:, prv], out=g_gaps)
 
-    # response rows: Gamma_i = sum_m w_m (S^T p_m)_i
-    g_corr = np.ascontiguousarray((g_gamma @ _charlie_signs(k).T).T)  # (2**k, R)
-    g_cha_probs = g_corr[:, :, None] * d["w_prefix"][n]  # (2**k, R, L**n)
+    # response rows: d stat / d P(c | m) = w_m g_corr(c), whose softmax VJP
+    # is P(c | m) w_m (g_corr(c) - g_w(m)) with g_w(m) = sum_c P(c | m) g_corr(c)
+    g_corr = _charlie_signs(k) @ (g_comps * d["hprod"])  # (2**k, R)
+    cha_probs = d["cha_probs"]
+    g_w = (cha_probs * g_corr[:, None]).sum(axis=0)  # (L**n, R)
+    np.subtract(g_corr[:, None], g_w, out=g_cha)
+    g_cha *= cha_probs
+    g_cha *= w_prefix[n]
 
     # hidden rows: w_m is the product of one entry per party, so party j's
-    # slope sums d stat / d w over the other parties' weights: the prefix
-    # over parties < j and the suffix over parties > j, built backward
-    g_w = (d["c_corr"] @ g_gamma[:, :, None])[..., 0]  # (R, L**n)
-    g_hid_probs = np.empty((L, R, n))
-    after = np.ones((R, 1))
+    # slope sums g_w over the other parties' weights: the suffix over
+    # parties > j, then the prefix over parties < j; party n-1 has no
+    # suffix and party 0 no prefix, so those sides are skipped
+    after = None
     for j in reversed(range(n)):
-        before = d["w_prefix"][j]
-        grid = g_w.reshape(R, before.shape[1], L, after.shape[1])
-        g_hid_probs[:, :, j] = np.einsum("rapb,ra,rb->rp", grid, before, after).T
+        grid = g_w.reshape(L**j, L, -1, R)
+        grid = grid[:, :, 0] if after is None else (grid * after).sum(axis=2)
+        g_hid[:, j] = grid[0] if j == 0 else (grid * w_prefix[j][:, None]).sum(axis=0)
         if j:
-            after = (hid_rows[:, j, :, None] * after[:, None, :]).reshape(R, -1)
-
-    return (
-        g_out,
-        _softmax_vjp(d["hid_probs"], g_hid_probs),
-        _softmax_vjp(d["cha_probs"], g_cha_probs),
-        d["stat"],
-    )
+            probs = hid_probs[:, j]
+            after = probs if after is None else (probs[:, None] * after).reshape(-1, R)
+    g_hid -= (hid_probs * g_hid).sum(axis=0)
+    g_hid *= hid_probs
+    return d["stat"]
 
 
 def _normalize_logits(z):
-    """Shift each row (over axis 0) to a max of exactly 0.0 and clip it
-    below at -60, where exp no longer registers next to the max's 1."""
-    return np.clip(z - z.max(axis=0), -60.0, 0.0)
+    """Shift each row (over axis 0) of z in place to a max of exactly 0.0 and
+    clip it below at -60, where exp no longer registers next to the max's 1.
+    Returns z."""
+    z -= z.max(axis=0)
+    return np.clip(z, -60.0, 0.0, out=z)
 
 
-def _ascend(out_gap, hid_logits, cha_logits, n, k, L, iterations):
-    """Gradient ascent with a per-restart step size: a step that raises the
-    statistic is kept and grows eta by 1.25, any other is dropped and halves
-    it.  Returns the final output gaps, hidden and response logits, and each
-    restart's statistic at them."""
-    eta = np.full(out_gap.shape[0], 0.5)
-    g_out, g_hid, g_cha, stat = _analytic_gradient(
-        out_gap, hid_logits, cha_logits, n, k, L
-    )
+def _clip_and_normalize(theta, n, k, L):
+    """Clip the output gaps of a (D, R) state to [-60, 60] and normalize its
+    hidden and response rows, in place."""
+    gaps, hid, cha = _state_views(theta, n, k, L)
+    np.clip(gaps, -60.0, 60.0, out=gaps)
+    _normalize_logits(hid)
+    _normalize_logits(cha)
+
+
+def _ascend(theta, n, k, L, iterations):
+    """Gradient ascent from a (D, R) state with a per-restart step size: a
+    step that raises the statistic is kept and grows eta by 1.25, any other
+    is dropped and halves it.  Returns the final state and each restart's
+    statistic at it; theta itself is not written."""
+    grad = np.empty_like(theta)
+    cand_grad = np.empty_like(theta)
+    stat = _analytic_gradient(theta, grad, n, k, L)
+    eta = np.full(theta.shape[1], 0.5)
     for _ in range(iterations):
-        # restarts sit on axis 0 of the output gaps (R, n, k) and on axis 1
-        # of the other two logits, which (R, 1) broadcasts over
-        e2 = eta[:, None]
-        cand_out = np.clip(out_gap + (2.0 * eta)[:, None, None] * g_out, -60.0, 60.0)
-        cand_hid = _normalize_logits(hid_logits + e2 * g_hid)
-        cand_cha = _normalize_logits(cha_logits + e2 * g_cha)
-        cand_g_out, cand_g_hid, cand_g_cha, cand_stat = _analytic_gradient(
-            cand_out, cand_hid, cand_cha, n, k, L
-        )
+        cand = theta + eta * grad
+        _clip_and_normalize(cand, n, k, L)
+        cand_stat = _analytic_gradient(cand, cand_grad, n, k, L)
         accept = cand_stat > stat
-        a3 = accept[:, None, None]
-        a2 = accept[:, None]
-        out_gap = np.where(a3, cand_out, out_gap)
-        hid_logits = np.where(a2, cand_hid, hid_logits)
-        cha_logits = np.where(a2, cand_cha, cha_logits)
-        g_out = np.where(a3, cand_g_out, g_out)
-        g_hid = np.where(a2, cand_g_hid, g_hid)
-        g_cha = np.where(a2, cand_g_cha, g_cha)
+        theta = np.where(accept, cand, theta)
+        grad = np.where(accept, cand_grad, grad)
         stat = np.where(accept, cand_stat, stat)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
-    return out_gap, hid_logits, cha_logits, stat
+    return theta, stat
 
 
 def _too_many_logits(restarts, n, k, L):
@@ -529,7 +533,7 @@ def optimize_classical(
 
     # restart r draws its own blocks from its own generator, so seed + r
     # fixes its starting point; then each output row's two logits become
-    # their gap, and the softmax axis of the others moves to the front once
+    # their gap, and every block moves into its restart's column of the state
     out_logits = np.empty((restarts, n, k, 2))
     hid_logits = np.empty((restarts, n, L))
     cha_logits = np.empty((restarts, M, C))
@@ -538,25 +542,26 @@ def optimize_classical(
         out_logits[r] = rng.normal(size=(n, k, 2))
         hid_logits[r] = rng.normal(size=(n, L))
         cha_logits[r] = rng.normal(size=(M, C))
-    out_gap = np.clip(out_logits[..., 0] - out_logits[..., 1], -60.0, 60.0)
-    hid_logits = _normalize_logits(np.moveaxis(hid_logits, -1, 0).copy())
-    cha_logits = _normalize_logits(np.moveaxis(cha_logits, -1, 0).copy())
+    theta = np.empty((n * k + n * L + C * M, restarts))
+    gaps, hid, cha = _state_views(theta, n, k, L)
+    gaps[...] = (out_logits[..., 0] - out_logits[..., 1]).transpose(1, 2, 0)
+    hid[...] = hid_logits.transpose(2, 1, 0)
+    cha[...] = cha_logits.transpose(2, 1, 0)
+    _clip_and_normalize(theta, n, k, L)
 
-    out_gap, hid_logits, cha_logits, stat = _ascend(
-        out_gap, hid_logits, cha_logits, n, k, L, iterations
-    )
+    theta, stat = _ascend(theta, n, k, L, iterations)
 
     best = int(np.argmax(stat))
     # the best restart's rows, copied back to the contiguous row-last layout
     # of a strategy; the memory layout of the tables steers how the public
     # route sums the behavior's correlators
-    hid_probs = _softmax(hid_logits[:, best]).T.copy()  # (n, L)
+    gaps, hid, cha = _state_views(theta, n, k, L)
     strategy = ClassicalStrategy(
         shape=shape,
         hidden_alphabet=L,
-        output_tables=tuple(_output_rows(out_gap[best])),
-        hidden_dists=tuple(hid_probs),
-        charlie_table=_softmax(cha_logits[:, best]).T.copy().reshape((L,) * n + (2,) * k),
+        output_tables=tuple(_output_rows(gaps[:, :, best])),
+        hidden_dists=tuple(_softmax(hid[:, :, best]).T.copy()),
+        charlie_table=_softmax(cha[:, :, best]).T.copy().reshape((L,) * n + (2,) * k),
     )
     report = evaluate_chain(strategy_to_behavior(strategy))
     return report, strategy

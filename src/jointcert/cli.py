@@ -24,6 +24,8 @@ density-matrix simulation.
 """
 import argparse
 import csv
+import errno
+import os
 import sys
 
 import numpy as np
@@ -118,7 +120,24 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+def _unwritable(path):
+    """The reason no file can be written at path, checked without creating
+    or opening it: the path is a directory, or its parent directory does not
+    exist.  None otherwise; any other OSError surfaces when it is written."""
+    if os.path.isdir(path):
+        return f"{path}: {os.strerror(errno.EISDIR)}"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"{path}: {os.strerror(errno.ENOENT)} (no directory {parent})"
+    return None
+
+
 def cmd_optimize(args):
+    # refuse an output path that cannot be written before the ascent runs,
+    # so neither a long run nor a half-written pair of files is wasted
+    for path in (args.report_out, args.strategy_out):
+        if path and (problem := _unwritable(path)):
+            return _fail(problem)
     try:
         shape = ScenarioShape(args.n, args.k)
         report, strategy = optimize_classical(

@@ -27,6 +27,7 @@ from jointcert.classical import (
     _normalize_logits,
     _output_rows,
     _softmax,
+    _state_views,
     deterministic_count,
     enumerate_deterministic,
     load_strategy,
@@ -48,21 +49,38 @@ def random_strategy(n, k, L, rng):
     return ClassicalStrategy(ScenarioShape(n, k), L, tables, dists, charlie)
 
 
-def fast_statistic(out, hid, cha, n, k, L):
-    return _decompose(out, hid, cha, n, k, L)["stat"]
+def fast_statistic(theta, n, k, L):
+    return _decompose(theta, n, k, L)["stat"]
+
+
+def gradient(theta, n, k, L):
+    """The optimizer's gradient at a (D, R) state, and the statistic."""
+    grad = np.empty_like(theta)
+    stat = _analytic_gradient(theta, grad, n, k, L)
+    return grad, stat
 
 
 def logits_of(strategy):
-    """One restart's logits in the optimizer's layout: output gaps
-    log p_0 - log p_1 as (1, n, k), then softmax axis first, (L, 1, n) and
-    (2**k, 1, L**n)."""
+    """One restart's (D, 1) state in the optimizer's layout: output gaps
+    log p_0 - log p_1 as (n, k), then the softmax axis first, hidden logits
+    (L, n) and response logits (2**k, L**n), each flattened into rows."""
     n, k = strategy.shape.n, strategy.shape.k
     L = strategy.hidden_alphabet
     log_tables = np.log(np.stack(strategy.output_tables))
-    out = (log_tables[..., 0] - log_tables[..., 1])[None]
-    hid = np.log(np.stack(strategy.hidden_dists)).T[:, None]
-    cha = np.log(strategy.charlie_table.reshape(L**n, 2**k)).T[:, None]
-    return out, hid, cha
+    out = log_tables[..., 0] - log_tables[..., 1]
+    hid = np.log(np.stack(strategy.hidden_dists)).T
+    cha = np.log(strategy.charlie_table.reshape(L**n, 2**k)).T
+    return np.concatenate([out.ravel(), hid.ravel(), cha.ravel()])[:, None]
+
+
+def random_starts(n, k, L, restarts, rng):
+    """A (D, R) state of random gaps and normalized random hidden and
+    response logits."""
+    theta = rng.normal(size=(n * k + n * L + 2**k * L**n, restarts))
+    _, hid, cha = _state_views(theta, n, k, L)
+    _normalize_logits(hid)
+    _normalize_logits(cha)
+    return theta
 
 
 def test_strategy_shape_validation():
@@ -247,41 +265,60 @@ def test_fast_statistic_matches_public_route():
         for _ in range(10):
             strategy = random_strategy(n, k, L, rng)
             public = evaluate_chain(strategy_to_behavior(strategy)).statistic
-            out, hid, cha = logits_of(strategy)
-            fast = fast_statistic(out, hid, cha, n, k, L)[0]
+            fast = fast_statistic(logits_of(strategy), n, k, L)[0]
             assert abs(public - fast) < 1e-12
 
 
-def naive_gradient(out, hid, cha, n, k, L, step=1e-6):
-    """Central differences of the full statistic, one logit at a time."""
-    grads = []
-    for which, arr in enumerate((out, hid, cha)):
-        grad = np.empty_like(arr)
-        for idx in np.ndindex(arr.shape):
-            plus = [a.copy() for a in (out, hid, cha)]
-            minus = [a.copy() for a in (out, hid, cha)]
-            plus[which][idx] += step
-            minus[which][idx] -= step
-            sp = fast_statistic(*plus, n, k, L)[0]
-            sm = fast_statistic(*minus, n, k, L)[0]
-            grad[idx] = (sp - sm) / (2 * step)
-        grads.append(grad)
-    return grads
+def naive_gradient(theta, n, k, L, step=1e-6):
+    """Central differences of the full statistic at a (D, 1) state, one
+    entry at a time."""
+    grad = np.empty_like(theta)
+    for idx in np.ndindex(theta.shape):
+        plus, minus = theta.copy(), theta.copy()
+        plus[idx] += step
+        minus[idx] -= step
+        grad[idx] = (fast_statistic(plus, n, k, L)[0] - fast_statistic(minus, n, k, L)[0]) / (2 * step)
+    return grad
 
 
 def test_analytic_gradient_matches_naive_differences():
     # central differences with a 1e-6 step carry about 1e-10 of rounding
     # error on these O(0.1) slopes, hence the 1e-8 tolerance; n = 9 runs the
     # hidden-weight contractions past eight parties, n = 1 has an empty prefix
-    # and suffix, and n = 4 is the first suffix of three factors
+    # and suffix, and n = 4 and 5 have suffixes of three and four factors
     rng = np.random.default_rng(41)
-    for n, k, L in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (9, 2, 1), (1, 2, 3), (4, 2, 2)]:
-        strategy = random_strategy(n, k, L, rng)
-        out, hid, cha = logits_of(strategy)
-        g_out, g_hid, g_cha, stat = _analytic_gradient(out, hid, cha, n, k, L)
-        assert stat[0] == fast_statistic(out, hid, cha, n, k, L)[0]
-        for analytic, naive in zip((g_out, g_hid, g_cha), naive_gradient(out, hid, cha, n, k, L)):
-            np.testing.assert_allclose(analytic, naive, rtol=0, atol=1e-8)
+    for n, k, L in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (9, 2, 1), (1, 2, 3), (4, 2, 2), (5, 2, 2)]:
+        theta = logits_of(random_strategy(n, k, L, rng))
+        analytic, stat = gradient(theta, n, k, L)
+        assert stat[0] == fast_statistic(theta, n, k, L)[0]
+        naive = naive_gradient(theta, n, k, L)
+        # the gap segment holds 2 d stat / du, the move of a gap when both of
+        # its row's logits step by eta; doubling is exact, so the naive
+        # slopes are doubled exactly rather than the tolerance widened
+        naive[: n * k] *= 2.0
+        np.testing.assert_allclose(analytic, naive, rtol=0, atol=1e-8)
+
+
+def test_gradient_of_a_batch_is_per_restart():
+    # with the restart axis last, a broadcast along the wrong axis would mix
+    # restarts without failing; each column of a batch must be what that
+    # column gives alone, up to sums that numpy blocks by array shape.  The
+    # starts keep every |I_i| >= 1e-4: the slope |I_i|^(1/n) / (n I_i)
+    # magnifies those reblocked sums as I_i nears 0 (a column drawn with
+    # I_1 = -2.2e-7 at (2, 2, 4) moved by 1.6e-12)
+    rng = np.random.default_rng(59)
+    for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (1, 2, 3), (4, 2, 2)]:
+        columns = []
+        while len(columns) < 7:
+            column = random_starts(n, k, L, 1, rng)
+            if np.abs(_decompose(column, n, k, L)["comps"]).min() >= 1e-4:
+                columns.append(column)
+        theta = np.hstack(columns)
+        grad, stat = gradient(theta, n, k, L)
+        for r in range(7):
+            alone, alone_stat = gradient(theta[:, r : r + 1].copy(), n, k, L)
+            np.testing.assert_allclose(grad[:, r], alone[:, 0], rtol=0, atol=1e-13)
+            assert abs(stat[r] - alone_stat[0]) <= 1e-13
 
 
 def vanishing_component_starts():
@@ -289,50 +326,49 @@ def vanishing_component_starts():
     indices of the vanishing components."""
     rng = np.random.default_rng(47)
     n, k, L = 2, 3, 2
-    out, hid, cha = logits_of(random_strategy(n, k, L, rng))
+    theta = logits_of(random_strategy(n, k, L, rng))
     # party 0 uniform (gap 0) at settings 0 and 1: hbar_0(0) = 0, so only I_0 = 0
-    zero_mean = out.copy()
-    zero_mean[0, 0, :2] = 0.0
+    zero_mean = theta.copy()
+    _state_views(zero_mean, n, k, L)[0][0, :2] = 0.0
     # uniform responses: every <C^i> = 0, so every Gamma_i and I_i = 0
-    zero_gamma = np.zeros_like(cha)
-    return (n, k, L), [((zero_mean, hid, cha), [0]), ((out, hid, zero_gamma), [0, 1, 2])]
+    zero_gamma = theta.copy()
+    _state_views(zero_gamma, n, k, L)[2][...] = 0.0
+    return (n, k, L), [(zero_mean, [0]), (zero_gamma, [0, 1, 2])]
 
 
 def test_gradient_is_finite_where_a_component_vanishes():
     # |I_i|^(1/n) has an infinite slope at I_i = 0; the gradient must take
     # it as 0 there instead of producing inf or NaN
     (n, k, L), starts = vanishing_component_starts()
-    for logits, zeros in starts:
-        comps = _decompose(*logits, n, k, L)["comps"][0]
+    for theta, zeros in starts:
+        comps = _decompose(theta, n, k, L)["comps"][:, 0]
         assert list(np.flatnonzero(comps == 0.0)) == zeros
-        g_out, g_hid, g_cha, stat = _analytic_gradient(*logits, n, k, L)
-        for g in (g_out, g_hid, g_cha):
-            assert np.isfinite(g).all()
-        *final, final_stat = _ascend(*logits, n, k, L, iterations=5)
-        assert all(np.isfinite(z).all() for z in final)
+        grad, stat = gradient(theta, n, k, L)
+        assert np.isfinite(grad).all()
+        final, final_stat = _ascend(theta, n, k, L, iterations=5)
+        assert np.isfinite(final).all()
         assert final_stat[0] >= stat[0]
-        assert final_stat[0] == fast_statistic(*final, n, k, L)[0]
+        assert final_stat[0] == fast_statistic(final, n, k, L)[0]
 
 
-def reference_ascend(out_logits, hid_logits, cha_logits, n, k, L, iterations):
+def reference_ascend(theta, n, k, L, iterations):
     """The two-pass ascent _ascend replaced: a fresh gradient at the current
     point and a separate statistic of the candidate in every iteration."""
-    eta = np.full(out_logits.shape[0], 0.5)
+    eta = np.full(theta.shape[1], 0.5)
     for _ in range(iterations):
-        g_out, g_hid, g_cha, stat = _analytic_gradient(
-            out_logits, hid_logits, cha_logits, n, k, L
-        )
-        # the output gaps step by twice eta and stay within [-60, 60]
-        cand_out = np.clip(out_logits + 2.0 * eta[:, None, None] * g_out, -60.0, 60.0)
-        cand_hid = _normalize_logits(hid_logits + eta[:, None] * g_hid)
-        cand_cha = _normalize_logits(cha_logits + eta[:, None] * g_cha)
-        cand_stat = fast_statistic(cand_out, cand_hid, cand_cha, n, k, L)
+        grad, stat = gradient(theta, n, k, L)
+        # the gaps step by eta times twice their slope and stay within
+        # [-60, 60]; the hidden and response rows are normalized
+        cand = theta + eta * grad
+        gaps, hid, cha = _state_views(cand, n, k, L)
+        gaps[...] = np.clip(gaps, -60.0, 60.0)
+        _normalize_logits(hid)
+        _normalize_logits(cha)
+        cand_stat = fast_statistic(cand, n, k, L)
         accept = cand_stat > stat
-        out_logits = np.where(accept[:, None, None], cand_out, out_logits)
-        hid_logits = np.where(accept[:, None], cand_hid, hid_logits)
-        cha_logits = np.where(accept[:, None], cand_cha, cha_logits)
+        theta = np.where(accept, cand, theta)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-12, 1e6)
-    return out_logits, hid_logits, cha_logits
+    return theta
 
 
 def test_one_pass_ascent_matches_two_pass_reference():
@@ -341,23 +377,22 @@ def test_one_pass_ascent_matches_two_pass_reference():
     rng = np.random.default_rng(53)
     cases = []
     for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (9, 2, 1), (4, 2, 2)]:
-        out = rng.normal(size=(5, n, k))
-        hid, cha = (_normalize_logits(rng.normal(size=s)) for s in [(L, 5, n), (2**k, 5, L**n)])
-        cases.append(((n, k, L), [out, hid, cha]))
+        cases.append(((n, k, L), random_starts(n, k, L, 5, rng)))
     nkl, starts = vanishing_component_starts()
-    cases += [(nkl, logits) for logits, _ in starts]
+    cases += [(nkl, theta) for theta, _ in starts]
     # next to a vanishing component the slope of |I_0|^(1/2) is steep, so
     # the first step overshoots and the gap clip at +-60 takes effect
-    (zero_mean, hid, cha), _ = starts[0]
-    cases.append((nkl, [zero_mean + 1e-12, hid, cha]))
-    for (n, k, L), logits in cases:
-        *got, got_stat = _ascend(*logits, n, k, L, iterations=50)
-        want = reference_ascend(*logits, n, k, L, iterations=50)
-        for g, w in zip(got, want, strict=True):
-            np.testing.assert_array_equal(g, w)
-        # the statistic _ascend hands back is that of the logits it returns
-        np.testing.assert_array_equal(got_stat, fast_statistic(*want, n, k, L))
-    assert (np.abs(got[0]) == 60.0).any()  # the last case ends on the clip
+    zero_mean, _ = starts[0]
+    near = zero_mean.copy()
+    _state_views(near, *nkl)[0][...] += 1e-12
+    cases.append((nkl, near))
+    for (n, k, L), theta in cases:
+        got, got_stat = _ascend(theta, n, k, L, iterations=50)
+        want = reference_ascend(theta, n, k, L, iterations=50)
+        np.testing.assert_array_equal(got, want)
+        # the statistic _ascend hands back is that of the state it returns
+        np.testing.assert_array_equal(got_stat, fast_statistic(want, n, k, L))
+    assert (np.abs(_state_views(got, *nkl)[0]) == 60.0).any()  # the last case ends on the clip
 
 
 @settings(max_examples=200, deadline=None)
@@ -373,7 +408,7 @@ def test_one_pass_ascent_matches_two_pass_reference():
 def test_normalized_logits_meet_the_softmax_precondition(logits):
     # _softmax takes no row max of its own: it relies on every row (over
     # axis 0) coming out of _normalize_logits with a max of exactly 0.0
-    z = _normalize_logits(logits)
+    z = _normalize_logits(logits.copy())
     assert (z.max(axis=0) == 0.0).all()
     assert (z >= -60.0).all()
     p = _softmax(z)
@@ -408,7 +443,9 @@ def test_tanh_output_rows_match_the_two_logit_softmax(gap):
 
 # best statistics of optimize_classical(shape, L, restarts=20, seed=7,
 # iterations=200), pinned from the optimizer as it stood with restart-first
-# logits of shape (R, n, k, 2), (R, n, L) and (R, L**n, 2**k)
+# logits of shape (R, n, k, 2), (R, n, L) and (R, L**n, 2**k); the packed
+# (D, R) state sums Gamma as S^T (sum_m w_m P(c | m)) and each hidden slope
+# over the suffix, then the prefix, and meets them within 7e-15
 PINNED_BEST = [
     ((2, 2, 4), 0.9996645353778673),
     ((2, 3, 2), 1.99991408992774),
@@ -418,8 +455,9 @@ PINNED_BEST = [
 
 def test_optimizer_matches_pinned_statistics():
     # rows of width 8 (k = 3) sum in another order with the softmax axis
-    # first, and the output rows' tanh rounds unlike their two-logit
-    # softmax, so the pins hold to 1e-12 rather than bit for bit
+    # first, the output rows' tanh rounds unlike their two-logit softmax,
+    # and the packed state associates Gamma and the slopes anew, so the pins
+    # hold to 1e-12 rather than bit for bit
     for (n, k, L), want in PINNED_BEST:
         report, _ = optimize_classical(
             ScenarioShape(n, k), hidden_alphabet=L, restarts=20, seed=7, iterations=200

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jointcert.behavior import BehaviorTensor, ScenarioShape, save_behavior
+from jointcert import cli
 from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_COLUMNS, main
 
 
@@ -245,14 +246,31 @@ def test_optimize_rejects_bad_sizes(capsys, flags, message):
 
 
 @pytest.mark.parametrize("flag", ["--report-out", "--strategy-out"])
-def test_optimize_unwritable_output(tmp_path, capsys, flag):
-    target = tmp_path / "missing" / "out.json"
-    code, out, err = run(
-        capsys, "optimize", "--restarts", "1", "--iterations", "1", flag, str(target)
-    )
+def test_optimize_unwritable_output(tmp_path, capsys, monkeypatch, flag):
+    # an unwritable path is refused before the ascent runs, and the other,
+    # writable output is neither created nor truncated
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("optimize_classical ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "optimize_classical", no_ascent)
+    other = {"--report-out": "--strategy-out", "--strategy-out": "--report-out"}[flag]
+    good = tmp_path / "good.json"
+    for target, message in [
+        (tmp_path / "missing" / "out.json", "No such file"),
+        (tmp_path, "Is a directory"),
+    ]:
+        for extra in ([], [other, str(good)]):
+            code, out, err = run(
+                capsys, "optimize", "--restarts", "1", "--iterations", "1", flag, str(target), *extra
+            )
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err.startswith("error:") and message in err
+            assert not good.exists()
+    good.write_text("kept\n")
+    code, _, _ = run(capsys, "optimize", flag, str(tmp_path / "missing" / "out.json"), other, str(good))
     assert code == EXIT_INVALID
-    assert out == ""
-    assert err.startswith("error:") and "No such file" in err
+    assert good.read_text() == "kept\n"
 
 
 def parse_report_line(out, label):

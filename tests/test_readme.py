@@ -1,0 +1,81 @@
+"""The README's command-line examples, run as written.
+
+Each `jointcert` line of the `sh` block under "Command line" runs as
+`python -m jointcert` in a fresh directory, in order, so later lines see the
+files earlier ones wrote.  A stated `# exit N` must be the exit code, and a
+stated `statistic X` must be the reported statistic within 1e-9.  A line
+that states no exit code must still not exit 2.
+"""
+import json
+import math
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
+
+import pytest
+
+import jointcert
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+EXIT = re.compile(r"#.*\bexit (\d+)")
+STATISTIC = re.compile(r"#.*\bstatistic (sqrt\(([0-9.]+)\)|[0-9.]+)")
+
+
+def command_lines():
+    """The `jointcert` lines of the README's command block, with backslash
+    continuations joined, each with its trailing comment."""
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    block = section[section.index("```sh\n") + len("```sh\n") :]
+    block = block[: block.index("```")]
+    lines = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("jointcert "):
+            lines.append(line)
+    return lines
+
+
+def stated(line):
+    """The exit code and statistic a line's comment states, or None."""
+    exit_match = EXIT.search(line)
+    stat_match = STATISTIC.search(line)
+    statistic = None
+    if stat_match:
+        root = stat_match.group(2)
+        statistic = math.sqrt(float(root)) if root else float(stat_match.group(1))
+    return (int(exit_match.group(1)) if exit_match else None), statistic
+
+
+def test_readme_commands_behave_as_stated(tmp_path):
+    # the package this suite imports comes first, so the subprocesses run it
+    # even where PYTHONPATH holds a relative entry
+    source = str(pathlib.Path(jointcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [source] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    lines = command_lines()
+    # an extraction that finds nothing would pass vacuously
+    assert len(lines) == 9
+    assert sum(stated(line)[1] is not None for line in lines) == 2
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        result = subprocess.run(
+            [sys.executable, "-m", "jointcert", *argv[1:]],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        code, statistic = stated(line)
+        if code is None:
+            assert result.returncode != 2, (line, result.stderr)
+        else:
+            assert result.returncode == code, (line, result.returncode, result.stderr)
+        if statistic is not None:
+            report = json.loads(result.stdout)
+            assert report["statistic"] == pytest.approx(statistic, abs=1e-9), line
