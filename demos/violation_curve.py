@@ -16,7 +16,7 @@ print(f"{'p':>5} {'M':>10} {'N':>10} {'statistic':>12} {'sqrt(2p)':>10}  verdict
 for p in np.linspace(0.0, 1.0, 21):
     report = evaluate_mn(quantum_behavior(p))
     m, n = report.components
-    verdict = "VIOLATED" if report.statistic > report.bound + 1e-9 else "classical ok"
+    verdict = "VIOLATED" if report.floor > report.bound + 1e-9 else "classical ok"
     print(
         f"{p:5.2f} {m:10.6f} {n:10.6f} {report.statistic:12.9f} "
         f"{np.sqrt(2 * p):10.6f}  {verdict}"

@@ -42,6 +42,8 @@ ROW_TOL = 1e-12
 MAX_OPTIMIZER_CELLS = 2**24
 # enumerate_deterministic refuses shapes with more strategies than this
 MAX_DETERMINISTIC = 10**8
+# and builds its response tables this many floats at a time
+RESPONSE_BLOCK_CELLS = 2**16
 
 
 def _alphabet_size(value):
@@ -64,17 +66,18 @@ class ClassicalStrategy:
     def __post_init__(self):
         n, k = self.shape.n, self.shape.k
         L = _alphabet_size(self.hidden_alphabet)
-        object.__setattr__(self, "hidden_alphabet", L)
-        tables = tuple(np.asarray(t, dtype=float) for t in self.output_tables)
-        dists = tuple(np.asarray(d, dtype=float) for d in self.hidden_dists)
+        tables = tuple([np.asarray(t, dtype=float) for t in self.output_tables])
+        dists = tuple([np.asarray(d, dtype=float) for d in self.hidden_dists])
         charlie = np.asarray(self.charlie_table, dtype=float)
-        if len(tables) != n or any(t.shape != (k, 2) for t in tables):
+        # one list comparison checks the count and every shape
+        if [t.shape for t in tables] != [(k, 2)] * n:
             raise ValueError(f"need {n} output tables of shape ({k}, 2)")
-        if len(dists) != n or any(d.shape != (L,) for d in dists):
+        if [d.shape for d in dists] != [(L,)] * n:
             raise ValueError(f"need {n} hidden distributions of shape ({L},)")
         expect = (L,) * n + (2,) * k
         if charlie.shape != expect:
             raise ValueError(f"charlie table has shape {charlie.shape}, expected {expect}")
+        object.__setattr__(self, "hidden_alphabet", L)
         object.__setattr__(self, "output_tables", tables)
         object.__setattr__(self, "hidden_dists", dists)
         object.__setattr__(self, "charlie_table", charlie)
@@ -170,20 +173,15 @@ def deterministic_count(shape, hidden_alphabet):
     return (2**k) ** n * L**n * (2**k) ** (L**n)
 
 
-@functools.cache
-def _identity(m):
-    """Read-only m x m identity; row v is the point mass on value v."""
-    eye = np.eye(m)
-    eye.setflags(write=False)
-    return eye
-
-
 def enumerate_deterministic(shape, hidden_alphabet):
     """Yield every deterministic strategy of the given shape.
 
     Refuses upfront (ValueError) a hidden alphabet that is not an integer
     >= 1, and a total count above MAX_DETERMINISTIC.  The yielded strategies
     share their output tables and hidden distributions, which are read-only.
+    Response tables are built a block at a time, at most RESPONSE_BLOCK_CELLS
+    floats per block; each strategy's response table is its own row of a
+    block, writable and disjoint from every other strategy's.
     """
     n, k = shape.n, shape.k
     L = _alphabet_size(hidden_alphabet)
@@ -193,20 +191,25 @@ def enumerate_deterministic(shape, hidden_alphabet):
 
     # table f has row x at the point mass on a = f(x), for each f: x -> a
     functions = np.array(list(itertools.product(range(2), repeat=k)))
-    table_pool = _identity(2)[functions]
+    table_pool = np.eye(2)[functions]
     table_pool.setflags(write=False)
-    responses = _identity(2**k)
+    dist_pool = np.eye(L)  # row v is the point mass on hidden value v
+    dist_pool.setflags(write=False)
+    M, C = L**n, 2**k
+    count = C**M  # response functions lambda -> c
+    rows = max(1, RESPONSE_BLOCK_CELLS // (M * C))
+    # response function r sends lambda m to its base-C digit m, most
+    # significant first: the order of itertools.product(range(C), repeat=M)
+    shifts = k * np.arange(M - 1, -1, -1)
     charlie_shape = (L,) * n + (2,) * k
     for tables in itertools.product(table_pool, repeat=n):
-        for dists in itertools.product(_identity(L), repeat=n):
-            for response in itertools.product(range(2**k), repeat=L**n):
-                yield ClassicalStrategy(
-                    shape=shape,
-                    hidden_alphabet=L,
-                    output_tables=tables,
-                    hidden_dists=dists,
-                    charlie_table=responses[list(response)].reshape(charlie_shape),
-                )
+        for dists in itertools.product(dist_pool, repeat=n):
+            for start in range(0, count, rows):
+                codes = (np.arange(start, min(start + rows, count))[:, None] >> shifts) & (C - 1)
+                block = np.zeros((len(codes),) + charlie_shape)
+                block.reshape(-1)[np.arange(codes.size) * C + codes.reshape(-1)] = 1.0
+                for charlie in block:
+                    yield ClassicalStrategy(shape, L, tables, dists, charlie)
 
 
 def save_strategy(strategy, path):

@@ -14,12 +14,13 @@ Subcommands:
  - gen: write a behavior file for one of the built-in families
    (quantum, closed-form, saturation).
 
-The violation verdict from the library is strict; certify applies --tol
-(default 1e-9) on top of the bound before choosing its exit code, so
-rounding-level excesses are not reported as violations.  A negative or
-non-finite --tol would decide verdicts by itself, so certify and sweep
-refuse it with exit 2.  The correlator columns of sweep come from the exact
-closed form of the quantum model, the post-selection columns from
+Verdicts compare the report's floor, the statistic with each component's
+rounding taken off (see inequalities), with the bound.  The library's is
+strict; certify applies --tol (default 1e-9) on top of the bound before
+choosing its exit code, so it exits 10 only when floor > bound + tol.  A
+negative or non-finite --tol would decide verdicts by itself, so certify and
+sweep refuse it with exit 2.  The correlator columns of sweep come from the
+exact closed form of the quantum model, the post-selection columns from
 density-matrix simulation.
 """
 import argparse
@@ -84,7 +85,7 @@ def cmd_certify(args):
     except ValueError as exc:
         return _fail(str(exc))
     print(report_to_json(report))
-    return EXIT_VIOLATED if report.statistic > report.bound + args.tol else EXIT_OK
+    return EXIT_VIOLATED if report.floor > report.bound + args.tol else EXIT_OK
 
 
 def cmd_sweep(args):

@@ -23,11 +23,33 @@ entry [x_1, .., x_n, i] is <A^1_{x_1} .. A^n_{x_n} C^i>, and each applies its
 own sign pattern, so criterion 6 still compares two independent formulas.
 
 At n = k = 2 the chain form reduces exactly to (M, N): I_0 = M and I_1 = N.
-Verdicts are strict: a report is violated only when statistic > bound.  A
-behavior with NaN or infinite entries gets no verdict: its statistic is not
-finite, and both evaluators raise ValueError.
+
+Verdicts rest on a floor, not on the statistic itself.  Each computed
+component carries rounding, and near I_i = 0 the root |I_i|^(1/n) magnifies
+it: an error of 1e-16 in a vanishing component becomes 4.6e-6 at n = 3, far
+above any verdict tolerance.  So every report also carries
+
+    floor = sum_i max(|I_i| - delta, 0)^(1/n),   delta = 2^(n+k-52),
+
+and a report is violated only when floor > bound.  Why delta suffices: with
+u = 2^-53, each component is a signed sum of the 2^(n+k) entries of 2^n
+setting slices, divided by 2^n and evaluated in three stages of 2^n, 2^k and
+2^n terms (the two correlator_table products, then the component's own sum).
+The standard bound on floating-point summation puts its error below
+(2^(n+1) + 2^k - 1) u S to first order in u, where S is the largest sum of
+|entries| over a setting slice.  A behavior that passes validate_behavior
+(slices sum to 1 within 1e-10, entries at least -1e-12) has
+S <= 1 + 1e-10 + 2^(n+k+1) 1e-12, which is below 1.01 for every n + k <= 32,
+that is for every behavior that fits in memory.  Assuming S <= 1.01 and
+k >= 2, delta = 2^(n+k+1) u exceeds that error by more than twice the
+(n(k+1) + 1) u S that the subtraction, the roots and the final sum can add.
+So the floor never exceeds the exact statistic of the tensor as given, and
+a violated report is a violation in exact arithmetic.  The statistic,
+components and margin are reported as computed.
+
+A behavior with NaN or infinite entries gets no verdict: its statistic is
+not finite, and both evaluators raise ValueError.
 """
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -44,12 +66,19 @@ class InequalityReport:
     components: tuple
     violated: bool
     margin: float
+    floor: float  # verdict side of the statistic, see the module docstring
 
 
-def _report(statistic, bound, components):
+def _rounding_slack(n, k):
+    """delta = 2^(n+k-52): a bound, with room to spare, on the rounding of a
+    computed component (see the module docstring)."""
+    return 2.0 ** (n + k - 52)
+
+
+def _report(statistic, floor, bound, components):
     statistic = float(statistic)
     bound = float(bound)
-    components = tuple(float(c) for c in components)
+    components = tuple(map(float, components))
     # NaN compares false against the bound and infinity exceeds it, so
     # either would pass for a verdict
     if not math.isfinite(statistic):
@@ -58,8 +87,9 @@ def _report(statistic, bound, components):
         statistic=statistic,
         bound=bound,
         components=components,
-        violated=statistic > bound,
+        violated=floor > bound,
         margin=statistic - bound,
+        floor=float(floor),
     )
 
 
@@ -83,8 +113,11 @@ def evaluate_chain(behavior):
     ValueError when the statistic is not finite."""
     n, k = behavior.shape.n, behavior.shape.k
     components = chain_components(behavior)
-    statistic = sum(abs(c) ** (1.0 / n) for c in components)
-    return _report(statistic, k - 1, components)
+    root = 1.0 / n
+    statistic = sum(abs(c) ** root for c in components)
+    delta = _rounding_slack(n, k)
+    floor = sum(max(abs(c) - delta, 0.0) ** root for c in components)
+    return _report(statistic, floor, k - 1, components)
 
 
 def evaluate_mn(behavior):
@@ -93,16 +126,17 @@ def evaluate_mn(behavior):
     n, k = behavior.shape.n, behavior.shape.k
     if (n, k) != (2, 2):
         raise ValueError(f"this form needs n = k = 2, got n={n}, k={k}")
-    table = correlator_table(behavior).tolist()
-    m = 0.0
-    n_comp = 0.0
-    for x, y in itertools.product(range(2), repeat=2):
-        m += table[x][y][0]
-        n_comp += (-1.0) ** (x + y) * table[x][y][1]
-    m /= 4.0
-    n_comp /= 4.0
-    statistic = abs(m) ** 0.5 + abs(n_comp) ** 0.5
-    return _report(statistic, 1.0, (m, n_comp))
+    # rows (C^0, C^1) at (x, y) = 00, 01, 10, 11; the sums run left to right
+    # from 0.0 in that order
+    rows = correlator_table(behavior).reshape(4, 2).tolist()
+    (c00, d00), (c01, d01), (c10, d10), (c11, d11) = rows
+    m = (0.0 + c00 + c01 + c10 + c11) / 4.0
+    n_comp = (0.0 + d00 - d01 - d10 + d11) / 4.0
+    abs_m, abs_n = abs(m), abs(n_comp)
+    statistic = abs_m**0.5 + abs_n**0.5
+    delta = _rounding_slack(2, 2)
+    floor = max(abs_m - delta, 0.0) ** 0.5 + max(abs_n - delta, 0.0) ** 0.5
+    return _report(statistic, floor, 1.0, (m, n_comp))
 
 
 def report_to_json(report):
@@ -112,6 +146,7 @@ def report_to_json(report):
         "components": list(report.components),
         "violated": report.violated,
         "margin": report.margin,
+        "floor": report.floor,
     }
     return json.dumps(doc, sort_keys=True)
 

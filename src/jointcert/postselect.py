@@ -104,9 +104,10 @@ class GapReport:
 def gap_report(p, tol=VERDICT_TOL):
     """Evaluate the joint statistic and every post-selected state at sharpness p.
 
-    jointly_nonclassical requires the statistic to exceed its bound by more
-    than tol; postselected_lhv_simulable requires the worst-case visibility to
-    stay strictly below the LHV threshold; gap_witness is their conjunction.
+    jointly_nonclassical requires the floor of the statistic (its verdict
+    side, see inequalities) to exceed its bound by more than tol;
+    postselected_lhv_simulable requires the worst-case visibility to stay
+    strictly below the LHV threshold; gap_witness is their conjunction.
     Raises ValueError unless tol is finite and >= 0.
     """
     if not 0.0 <= tol < np.inf:
@@ -121,7 +122,7 @@ def gap_report(p, tol=VERDICT_TOL):
         worst_v = max(worst_v, v)
         worst_chsh = max(worst_chsh, chsh_max(rho))
         worst_residual = max(worst_residual, residual)
-    nonclassical = report.statistic > report.bound + tol
+    nonclassical = report.floor > report.bound + tol
     simulable = worst_v < WERNER_LHV_THRESHOLD
     return GapReport(
         sharpness=float(p),

@@ -5,6 +5,7 @@ import pytest
 
 from jointcert.behavior import BehaviorTensor, ScenarioShape, save_behavior
 from jointcert import cli
+from jointcert.classical import load_strategy, strategy_to_behavior
 from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_COLUMNS, main
 
 
@@ -220,6 +221,24 @@ def test_optimize_outputs_byte_identical(tmp_path, capsys):
     report = json.loads(out1)
     assert report["statistic"] <= report["bound"] + 1e-6
     assert json.loads(s1.read_text())["n"] == 2
+
+
+def test_optimized_strategy_on_a_rounding_residue_certifies_as_classical(tmp_path, capsys):
+    # the printed statistic exceeds the bound by 1.6e-6 of rounding in a
+    # vanishing component; certify used to exit 10 on this classical behavior
+    strategy_path, behavior_path = tmp_path / "s.json", tmp_path / "b.json"
+    code, out, _ = run(
+        capsys, "optimize", "--n", "3", "--k", "2", "--alphabet", "2", "--restarts", "100",
+        "--seed", "1501", "--strategy-out", str(strategy_path),
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["statistic"] > report["bound"] >= report["floor"]
+    assert report["violated"] is False
+    save_behavior(strategy_to_behavior(load_strategy(strategy_path)), behavior_path)
+    code, out, _ = run(capsys, "certify", str(behavior_path))
+    assert code == EXIT_OK
+    assert json.loads(out)["violated"] is False
 
 
 def test_optimize_rejects_bad_flags(capsys):

@@ -1,17 +1,27 @@
 import itertools
 import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointcert.behavior import BehaviorTensor, ScenarioShape
+from jointcert.behavior import BehaviorTensor, ScenarioShape, correlator_table
+from jointcert.classical import (
+    ClassicalStrategy,
+    enumerate_deterministic,
+    strategy_to_behavior,
+    validate_strategy,
+)
 from jointcert.inequalities import (
     chain_components,
     evaluate_chain,
     evaluate_mn,
     report_to_json,
 )
-from jointcert.quantum import closed_form_behavior
+from jointcert.quantum import closed_form_behavior, quantum_behavior
 
 SHAPE22 = ScenarioShape(2, 2)
 
@@ -134,10 +144,142 @@ def test_report_json_round_trip():
         "components": list(report.components),
         "violated": report.violated,
         "margin": report.margin,
+        "floor": report.floor,
     }
     # deterministic serialization
     assert text == report_to_json(report)
     assert text.index('"bound"') < text.index('"components"') < text.index('"margin"')
+
+
+# --- verdicts on the floor ---------------------------------------------------
+
+
+def reference_evaluate_mn(behavior):
+    """evaluate_mn's arithmetic written as the loop it replaced: the
+    statistic and the components (M, N)."""
+    table = correlator_table(behavior).tolist()
+    m = 0.0
+    n_comp = 0.0
+    for x, y in itertools.product(range(2), repeat=2):
+        m += table[x][y][0]
+        n_comp += (-1.0) ** (x + y) * table[x][y][1]
+    m /= 4.0
+    n_comp /= 4.0
+    return abs(m) ** 0.5 + abs(n_comp) ** 0.5, (m, n_comp)
+
+
+def test_evaluate_mn_matches_the_reference_loop_bit_for_bit():
+    # every deterministic strategy has exact correlators, so any summation
+    # order gives the same bits there; the random behaviors catch a reorder
+    rng = np.random.default_rng(37)
+    behaviors = itertools.chain(
+        (strategy_to_behavior(s) for s in enumerate_deterministic(SHAPE22, 2)),
+        (random_behavior(SHAPE22, rng) for _ in range(1000)),
+    )
+    count = 0
+    for behavior in behaviors:
+        report = evaluate_mn(behavior)
+        statistic, components = reference_evaluate_mn(behavior)
+        # hex strings tell -0.0 from 0.0
+        got = [v.hex() for v in (report.statistic, *report.components, report.margin)]
+        assert got == [v.hex() for v in (statistic, *components, statistic - 1.0)]
+        assert report.bound == 1.0
+        assert report.violated == (statistic > 1.0)
+        count += 1
+    assert count == 16384 + 1000
+
+
+def near_bound_strategy(n, k, L, noise, rng):
+    """A classical strategy next to the chain bound with I_0 close to 0.
+
+    Party j's output means are s_j at setting 0 and -s_j at every other
+    setting, each shrunk by up to noise: settings 0 and 1 are anti-aligned,
+    so hbar_j(0) is at most noise and every other |hbar_j(i)| is near 1.
+    One response of the measuring device carries all but noise of each row,
+    so every |Gamma_i| is near 1 and the statistic near k - 1.
+    """
+    tables = []
+    for sign in rng.choice([-1.0, 1.0], size=n):
+        target = np.full(k, -sign)
+        target[0] = sign
+        mean = target * (1.0 - noise * rng.random(k))
+        tables.append(np.stack([(1.0 + mean) / 2, (1.0 - mean) / 2], axis=1))
+    dists = tuple(rng.dirichlet(np.ones(L)) for _ in range(n))
+    charlie = noise * rng.dirichlet(np.ones(2**k), size=L**n)
+    charlie[:, rng.integers(2**k)] += 1.0 - noise
+    shape = ScenarioShape(n, k)
+    return ClassicalStrategy(shape, L, tuple(tables), dists, charlie.reshape((L,) * n + (2,) * k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nk=st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (3, 3)]),
+    L=st.sampled_from([2, 3]),
+    noise_exponent=st.floats(-9.0, -4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_bound_classical_strategies_are_never_violated(nk, L, noise_exponent, seed):
+    # the exact statistic is at most the bound, but rounding of about 1e-16
+    # in the vanishing I_0, raised to the power 1/n, lifts the computed
+    # statistic above it in 40 to 80 % of these draws at n >= 3
+    strategy = near_bound_strategy(*nk, L, 10.0**noise_exponent, np.random.default_rng(seed))
+    assert validate_strategy(strategy) == []
+    behavior = strategy_to_behavior(strategy)
+    reports = [evaluate_chain(behavior)] + ([evaluate_mn(behavior)] if nk == (2, 2) else [])
+    for report in reports:
+        assert not report.violated
+        assert report.floor <= report.statistic
+
+
+def exact_components(behavior):
+    """The chain components of a behavior's float entries in exact rational
+    arithmetic, term by term from the definition."""
+    n, k = behavior.shape.n, behavior.shape.k
+    probs = behavior.probabilities
+    components = []
+    for i in range(k):
+        total = Fraction(0)
+        for picks in itertools.product(range(2), repeat=n):
+            x = tuple((i + p) % k for p in picks)
+            wrap = (-1) ** sum(picks) if i == k - 1 else 1
+            for a in itertools.product(range(2), repeat=n):
+                for c in itertools.product(range(2), repeat=k):
+                    sign = wrap * (-1) ** (sum(a) + c[i])
+                    total += sign * Fraction(probs.item(x + a + c))
+        components.append(total / 2**n)
+    return components
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nk=st.sampled_from([(2, 2), (3, 2), (2, 3)]),
+    near_bound=st.booleans(),
+    noise_exponent=st.floats(-9.0, -4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_floor_never_exceeds_the_exact_statistic(nk, near_bound, noise_exponent, seed):
+    rng = np.random.default_rng(seed)
+    shape = ScenarioShape(*nk)
+    if near_bound:
+        behavior = strategy_to_behavior(near_bound_strategy(*nk, 2, 10.0**noise_exponent, rng))
+    else:
+        behavior = random_behavior(shape, rng)
+    report = evaluate_chain(behavior)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = Decimal(1) / shape.n
+        exact = sum(
+            (Decimal(abs(c.numerator)) / c.denominator) ** root for c in exact_components(behavior) if c
+        )
+        assert Decimal(report.floor) <= exact
+
+
+def test_quantum_violations_above_one_half_survive_the_floor():
+    for p in [0.5 + 1e-9, 0.5 + 1e-6, 0.51, 0.6, 0.75, 0.9, 1.0]:
+        for behavior in (quantum_behavior(p), closed_form_behavior(p)):
+            for report in (evaluate_mn(behavior), evaluate_chain(behavior)):
+                assert report.violated and report.floor > 1.0
+                assert report.statistic - report.floor < 1e-13
 
 
 # --- proof-step property suites -------------------------------------------
