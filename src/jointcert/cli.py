@@ -139,6 +139,10 @@ def cmd_optimize(args):
     for path in (args.report_out, args.strategy_out):
         if path and (problem := _unwritable(path)):
             return _fail(problem)
+    # the strategy would be written over the report
+    report_out, strategy_out = args.report_out, args.strategy_out
+    if report_out and strategy_out and os.path.realpath(report_out) == os.path.realpath(strategy_out):
+        return _fail(f"--report-out and --strategy-out name the same file: {strategy_out}")
     try:
         shape = ScenarioShape(args.n, args.k)
         report, strategy = optimize_classical(

@@ -23,9 +23,9 @@ from jointcert.classical import (
     RESPONSE_BLOCK_CELLS,
     ROW_TOL,
     ClassicalStrategy,
-    _analytic_gradient,
     _ascend,
-    _decompose,
+    _charlie_signs,
+    _gradient_pass,
     _normalize_logits,
     _output_rows,
     _softmax,
@@ -51,15 +51,135 @@ def random_strategy(n, k, L, rng):
     return ClassicalStrategy(ScenarioShape(n, k), L, tables, dists, charlie)
 
 
-def fast_statistic(theta, n, k, L):
-    return _decompose(theta, n, k, L)["stat"]
-
-
 def gradient(theta, n, k, L):
     """The optimizer's gradient at a (D, R) state, and the statistic."""
-    grad = np.empty_like(theta)
-    stat = _analytic_gradient(theta, grad, n, k, L)
+    grad = np.empty(theta.shape)
+    stat = _gradient_pass(theta.copy(), grad, n, k, L)()
     return grad, stat
+
+
+def fast_statistic(theta, n, k, L):
+    return gradient(theta, n, k, L)[1]
+
+
+# The reference gradient: the model pass with fresh arrays, one expression
+# per quantity.  The workspace pass must keep every product and sum of this
+# association, so the two agree bit for bit.
+
+
+def reference_setting_steps(k):
+    """Read-only (sigma, nxt, prv) over k settings: sigma_i = -1 at i = k-1
+    and 1 elsewhere, as a (k, 1) column that broadcasts over restarts,
+    nxt[i] = i+1 mod k and prv[i] = i-1 mod k."""
+    sigma = np.ones((k, 1))
+    sigma[k - 1] = -1.0
+    nxt = (np.arange(k) + 1) % k
+    prv = (np.arange(k) - 1) % k
+    for table in (sigma, nxt, prv):
+        table.setflags(write=False)
+    return sigma, nxt, prv
+
+
+def reference_decompose(theta, n, k, L):
+    """All intermediate quantities of the fast statistic at each column of a
+    (D, R) state; each comes out with the restart axis last."""
+    gaps, hid, cha = _state_views(theta, n, k, L)
+    R = theta.shape[1]
+    hid_probs = _softmax(hid)  # (L, n, R)
+    cha_probs = _softmax(cha)  # (2**k, L**n, R)
+    sigma, nxt, _ = reference_setting_steps(k)
+    means = np.tanh(0.5 * gaps)  # (n, k, R)
+    h = 0.5 * (means + sigma * means[:, nxt])  # (n, k, R)
+    # h_before[j] multiplies the factors of parties < j
+    h_before = np.empty_like(h)
+    h_before[0] = 1.0
+    hprod = h[0]  # (k, R)
+    for j in range(1, n):
+        h_before[j] = hprod
+        hprod = hprod * h[j]
+    # w_prefix[j] is the joint weight of parties < j, (L**j, R), and
+    # w_prefix[n] is w; party 0's value is the most significant digit
+    w_prefix = [np.ones((1, R)), hid_probs[:, 0]]
+    for j in range(1, n):
+        w_prefix.append((w_prefix[j][:, None] * hid_probs[:, j]).reshape(-1, R))
+    pbar = (cha_probs * w_prefix[n]).sum(axis=1)  # (2**k, R)
+    gamma = _charlie_signs(k).T @ pbar  # (k, R)
+    comps = gamma * hprod  # (k, R)
+    roots = np.abs(comps) ** (1.0 / n)  # (k, R)
+    stat = roots.sum(axis=0)  # (R,)
+    return {
+        "hid_probs": hid_probs,
+        "cha_probs": cha_probs,
+        "means": means,
+        "h": h,
+        "h_before": h_before,
+        "hprod": hprod,
+        "w_prefix": w_prefix,
+        "gamma": gamma,
+        "comps": comps,
+        "roots": roots,
+        "stat": stat,
+    }
+
+
+def reference_gradient(theta, grad, n, k, L):
+    """Exact gradient of the chain statistic at each column of a (D, R)
+    state, written into grad, a (D, R) array of the same layout; its gap
+    segment holds twice the slope in each gap.  Returns the statistic, (R,).
+    """
+    d = reference_decompose(theta, n, k, L)
+    g_gaps, g_hid, g_cha = _state_views(grad, n, k, L)
+    h, comps, means, hid_probs = d["h"], d["comps"], d["means"], d["hid_probs"]
+    w_prefix = d["w_prefix"]
+    R = theta.shape[1]
+    sigma, _, prv = reference_setting_steps(k)
+
+    # d stat / d I_i = sign(I_i) |I_i|^(1/n - 1) / n = |I_i|^(1/n) / (n I_i)
+    g_comps = np.divide(
+        d["roots"],
+        n * comps,
+        out=np.zeros_like(comps),
+        where=comps != 0,
+    )  # (k, R)
+
+    # output rows: hbar_j(i) enters I_i times the other parties' factors,
+    # the prefix over parties < j times the suffix over parties > j, which
+    # multiplies into the prefixes in place
+    excl = d["h_before"]
+    h_after = h[n - 1]
+    for j in range(n - 2, -1, -1):
+        excl[j] *= h_after
+        if j:
+            h_after = h_after * h[j]
+    g_h = (g_comps * d["gamma"]) * excl  # (n, k, R)
+    # <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2,
+    # and 2 d <A_x> / du_x = 1 - <A_x>**2
+    np.multiply(0.5 * (1.0 - means * means), g_h + (sigma * g_h)[:, prv], out=g_gaps)
+
+    # response rows: d stat / d P(c | m) = w_m g_corr(c), whose softmax VJP
+    # is P(c | m) w_m (g_corr(c) - g_w(m)) with g_w(m) = sum_c P(c | m) g_corr(c)
+    g_corr = _charlie_signs(k) @ (g_comps * d["hprod"])  # (2**k, R)
+    cha_probs = d["cha_probs"]
+    g_w = (cha_probs * g_corr[:, None]).sum(axis=0)  # (L**n, R)
+    np.subtract(g_corr[:, None], g_w, out=g_cha)
+    g_cha *= cha_probs
+    g_cha *= w_prefix[n]
+
+    # hidden rows: w_m is the product of one entry per party, so party j's
+    # slope sums g_w over the other parties' weights: the suffix over
+    # parties > j, then the prefix over parties < j; party n-1 has no
+    # suffix and party 0 no prefix, so those sides are skipped
+    after = None
+    for j in reversed(range(n)):
+        grid = g_w.reshape(L**j, L, -1, R)
+        grid = grid[:, :, 0] if after is None else (grid * after).sum(axis=2)
+        g_hid[:, j] = grid[0] if j == 0 else (grid * w_prefix[j][:, None]).sum(axis=0)
+        if j:
+            probs = hid_probs[:, j]
+            after = probs if after is None else (probs[:, None] * after).reshape(-1, R)
+    g_hid -= (hid_probs * g_hid).sum(axis=0)
+    g_hid *= hid_probs
+    return d["stat"]
 
 
 def logits_of(strategy):
@@ -362,7 +482,7 @@ def test_gradient_of_a_batch_is_per_restart():
         columns = []
         while len(columns) < 7:
             column = random_starts(n, k, L, 1, rng)
-            if np.abs(_decompose(column, n, k, L)["comps"]).min() >= 1e-4:
+            if np.abs(reference_decompose(column, n, k, L)["comps"]).min() >= 1e-4:
                 columns.append(column)
         theta = np.hstack(columns)
         grad, stat = gradient(theta, n, k, L)
@@ -392,7 +512,7 @@ def test_gradient_is_finite_where_a_component_vanishes():
     # it as 0 there instead of producing inf or NaN
     (n, k, L), starts = vanishing_component_starts()
     for theta, zeros in starts:
-        comps = _decompose(theta, n, k, L)["comps"][:, 0]
+        comps = reference_decompose(theta, n, k, L)["comps"][:, 0]
         assert list(np.flatnonzero(comps == 0.0)) == zeros
         grad, stat = gradient(theta, n, k, L)
         assert np.isfinite(grad).all()
@@ -444,6 +564,30 @@ def test_one_pass_ascent_matches_two_pass_reference():
         # the statistic _ascend hands back is that of the state it returns
         np.testing.assert_array_equal(got_stat, fast_statistic(want, n, k, L))
     assert (np.abs(_state_views(got, *nkl)[0]) == 60.0).any()  # the last case ends on the clip
+
+
+def test_gradient_pass_matches_the_reference_bit_for_bit():
+    # the workspace pass associates every product and sum as the reference
+    # does, so the statistic and each segment of the gradient are equal
+    # exactly.  Each shape's pass runs on two starts in the same buffers, so
+    # nothing left from the first call can leak into the second; the
+    # vanishing starts follow a start where every component is nonzero
+    rng = np.random.default_rng(61)
+    nkl_zero, zero_starts = vanishing_component_starts()
+    for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 2), (1, 2, 3), (2, 2, 2), (5, 2, 2), (9, 2, 1), (2, 4, 3)]:
+        for R in (1, 7, 100):
+            starts = [random_starts(n, k, L, R, rng) for _ in range(2)]
+            if ((n, k, L), R) == (nkl_zero, 1):
+                starts += [theta for theta, _ in zero_starts]
+            theta, grad = np.empty(starts[0].shape), np.empty(starts[0].shape)
+            evaluate = _gradient_pass(theta, grad, n, k, L)
+            for start in starts:
+                theta[...] = start
+                want = np.empty(start.shape)
+                want_stat = reference_gradient(start, want, n, k, L)
+                np.testing.assert_array_equal(evaluate(), want_stat)
+                for got_part, want_part in zip(_state_views(grad, n, k, L), _state_views(want, n, k, L)):
+                    np.testing.assert_array_equal(got_part, want_part)
 
 
 @settings(max_examples=200, deadline=None)
@@ -502,6 +646,25 @@ PINNED_BEST = [
     ((2, 3, 2), 1.99991408992774),
     ((3, 2, 2), 0.9995760784774461),
 ]
+
+
+# tracemalloc peak, in bytes, of optimize_classical((2, 2), L=4,
+# restarts=100, iterations=50) when every ascent step allocated fresh arrays
+# (numpy 2.4); the workspace ascent measured 540,956
+FRESH_ARRAYS_PEAK = 589_500
+
+
+def test_ascent_workspace_memory_is_bounded():
+    # the workspace holds every buffer of the ascent at once, so it must not
+    # hold more than the fresh arrays it replaced ever did
+    optimize_classical(SHAPE22, hidden_alphabet=4, restarts=2, iterations=2)  # caches filled
+    tracemalloc.start()
+    try:
+        optimize_classical(SHAPE22, hidden_alphabet=4, restarts=100, iterations=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= FRESH_ARRAYS_PEAK, peak
 
 
 def test_optimizer_matches_pinned_statistics():
@@ -630,6 +793,11 @@ def test_optimizer_input_validation():
     ]:
         with pytest.raises(ValueError, match=str(MAX_OPTIMIZER_CELLS)):
             optimize_classical(shape, hidden_alphabet=alphabet, restarts=restarts)
+    # few logits, but the report's behavior tensor holds k**n * 2**(n + k)
+    # floats: 2**42 at n = 20, and more than numpy has axes at n = 40
+    for n in (20, 40):
+        with pytest.raises(ValueError, match=f"behavior tensor .* {MAX_OPTIMIZER_CELLS}"):
+            optimize_classical(ScenarioShape(n, 2), hidden_alphabet=1, restarts=1)
 
 
 def test_strategy_save_load_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jointcert.behavior import BehaviorTensor, ScenarioShape, save_behavior
-from jointcert import cli
+from jointcert import classical, cli
 from jointcert.classical import load_strategy, strategy_to_behavior
 from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_COLUMNS, main
 
@@ -290,6 +290,39 @@ def test_optimize_unwritable_output(tmp_path, capsys, monkeypatch, flag):
     code, _, _ = run(capsys, "optimize", flag, str(tmp_path / "missing" / "out.json"), other, str(good))
     assert code == EXIT_INVALID
     assert good.read_text() == "kept\n"
+
+
+def test_optimize_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    # the strategy would overwrite the report; refused before the ascent,
+    # also when the two spellings only resolve to the same file
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("optimize_classical ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "optimize_classical", no_ascent)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "out.json"
+    for other in (target, tmp_path / "sub" / ".." / "out.json"):
+        code, out, err = run(capsys, "optimize", "--report-out", str(target), "--strategy-out", str(other))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error:") and "same file" in err
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("n", ["20", "40"])
+def test_optimize_refuses_an_oversized_report_before_the_ascent(capsys, monkeypatch, n):
+    # few logits, but the report's behavior tensor would hold 2**42 floats at
+    # n = 20 and have 82 axes at n = 40; refused before any ascent step
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("the ascent ran before the report size was checked")
+
+    monkeypatch.setattr(classical, "_ascend", no_ascent)
+    code, out, err = run(
+        capsys, "optimize", "--n", n, "--k", "2", "--alphabet", "1", "--restarts", "1", "--iterations", "1"
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "behavior tensor" in err and "Traceback" not in err
 
 
 def parse_report_line(out, label):
