@@ -217,16 +217,16 @@ def enumerate_deterministic(shape, hidden_alphabet):
 
 def save_strategy(strategy, path):
     """Write a strategy as JSON with flat row-major float lists (17 digits)."""
-    parts = [
-        '"n": %d' % strategy.shape.n,
-        '"k": %d' % strategy.shape.k,
-        '"hidden_alphabet": %d' % strategy.hidden_alphabet,
-        '"output_tables": [%s]' % ", ".join(_number_text(t) for t in strategy.output_tables),
-        '"hidden_dists": [%s]' % ", ".join(_number_text(d) for d in strategy.hidden_dists),
-        '"charlie_table": %s' % _number_text(strategy.charlie_table),
-    ]
+    tables = ", ".join(_number_text(t) for t in strategy.output_tables)
+    dists = ", ".join(_number_text(d) for d in strategy.hidden_dists)
+    charlie = _number_text(strategy.charlie_table)
+    header = '{"n": %d, "k": %d, "hidden_alphabet": %d, "output_tables": [' % (
+        strategy.shape.n,
+        strategy.shape.k,
+        strategy.hidden_alphabet,
+    )
     with open(path, "w") as fh:
-        fh.write("{" + ", ".join(parts) + "}\n")
+        fh.writelines((header, tables, '], "hidden_dists": [', dists, '], "charlie_table": ', charlie, "}\n"))
 
 
 def load_strategy(path):

@@ -26,6 +26,7 @@ density-matrix simulation.
 import argparse
 import csv
 import errno
+import functools
 import os
 import sys
 
@@ -197,7 +198,11 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args fills a fresh
+    namespace on every call, and each subcommand's function looks up the
+    library functions it calls at call time."""
     parser = argparse.ArgumentParser(
         prog="jointcert",
         description="Certify non-classicality of a joint measurement from behavior files.",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jointcert.behavior import (
+    DEDUPLICATE_SHARE,
     BehaviorTensor,
     InvalidBehaviorError,
     ScenarioShape,
@@ -339,3 +341,133 @@ def test_writers_refuse_non_finite_entries(tmp_path, value):
         with pytest.raises(InvalidBehaviorError, match="cannot write 1 non-finite entries"):
             save_strategy(strategy, path)
         assert not path.exists()
+
+
+def single_call_number_text(values):
+    """The writer before deduplication, verbatim: one % call over all entries."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
+    if nonfinite:
+        raise InvalidBehaviorError(
+            f"cannot write {nonfinite} non-finite entries (NaN or infinity): JSON has no literal for them"
+        )
+    return "[%s]" % (", ".join(["%.17g"] * arr.size) % tuple(arr.tolist()))
+
+
+def single_call_save_behavior(behavior, path):
+    """save_behavior before deduplication, verbatim but for the writer's name."""
+    text = '{"n": %d, "k": %d, "probabilities": %s}\n' % (
+        behavior.shape.n,
+        behavior.shape.k,
+        single_call_number_text(behavior.probabilities),
+    )
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+# -0.0 and 0.0 compare equal but print apart; the subnormals and the
+# 24-character values are the longest texts %.17g gives
+POOL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -1.2345678901234567e-308, 1.2345678901234567e-308,
+               -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, -2 / 3, 1.0, 0.0625]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.lists(st.one_of(st.sampled_from(POOL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+                  min_size=1, max_size=10),
+    data=st.data(),
+)
+def test_number_text_from_a_small_pool_matches_the_single_call_writer(pool, data):
+    # up to 512 entries from at most 10 values: large arrays take the
+    # deduplicating branch, small ones with many distinct values the template
+    arr = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
+                               elements=st.sampled_from(pool)))
+    assert _number_text(arr) == single_call_number_text(arr)
+
+
+def spy_on_searchsorted(monkeypatch):
+    """Count np.searchsorted calls: only the deduplicating branch makes one."""
+    calls = []
+    original = np.searchsorted
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return calls
+
+
+@pytest.mark.parametrize("extra, deduplicates", [(0, True), (1, False)])
+def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
+    # 64 entries with exactly 64 * DEDUPLICATE_SHARE distinct values, then one more
+    size = 64
+    distinct = int(size * DEDUPLICATE_SHARE) + extra
+    values = np.array(POOL_FLOATS[:distinct])
+    assert len(np.unique(values.view(np.uint64))) == distinct
+    arr = np.resize(values, size)
+    calls = spy_on_searchsorted(monkeypatch)
+    assert _number_text(arr) == single_call_number_text(arr)
+    assert bool(calls) == deduplicates
+
+
+@pytest.mark.parametrize(
+    "arr, text",
+    [
+        (np.array([]), "[]"),
+        (np.array([-0.0]), "[-0]"),
+        (np.array([-1.2345678901234567e-308]), "[-1.2345678901234567e-308]"),
+        (np.full(1000, 0.1), "[%s]" % ", ".join(["0.10000000000000001"] * 1000)),
+        (np.full((2, 2, 2), 5e-324), "[%s]" % ", ".join(["4.9406564584124654e-324"] * 8)),
+    ],
+    ids=["empty", "single", "single-long", "all-equal", "all-equal-subnormal"],
+)
+def test_number_text_small_and_uniform_arrays(arr, text):
+    assert _number_text(arr) == single_call_number_text(arr) == text
+
+
+def three_valued_behavior(v=0.3):
+    """A (5, 4) behavior whose one nonzero correlator block, settings in
+    {0, 1}**5 against Charlie bit 0, gives entries (1 +- v) / 512 there and
+    1 / 512 elsewhere: 524288 entries, 3 distinct values."""
+    n, k = 5, 4
+    parity = np.indices((2,) * n).sum(axis=0) % 2
+    c0 = np.indices((2,) * k)[0]
+    sign = (-1.0) ** (parity.reshape((2,) * n + (1,) * k) + c0)  # (2,)*(n + k)
+    corr = np.zeros((k,) * n)
+    corr[(slice(0, 2),) * n] = v
+    arr = (1.0 + corr.reshape((k,) * n + (1,) * (n + k)) * sign) / 2 ** (n + k)
+    return BehaviorTensor(ScenarioShape(n, k), arr)
+
+
+def test_three_valued_54_behavior_writes_the_single_call_bytes(tmp_path):
+    behavior = three_valued_behavior()
+    assert len(np.unique(behavior.probabilities)) == 3
+    assert validate_behavior(behavior) == []
+    path, want = tmp_path / "b.json", tmp_path / "want.json"
+    save_behavior(behavior, path)
+    single_call_save_behavior(behavior, want)
+    assert path.read_bytes() == want.read_bytes()
+    again = tmp_path / "again.json"
+    save_behavior(load_behavior(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def traced_peak(write, *args):
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_path):
+    # every entry distinct, so the template branch runs; its sort and mask are
+    # dropped before the formatting, and no whole-file copy follows it
+    rng = np.random.default_rng(3)
+    behavior = BehaviorTensor(ScenarioShape(5, 4), rng.random(ScenarioShape(5, 4).tensor_shape))
+    want = traced_peak(single_call_save_behavior, behavior, tmp_path / "want.json")
+    got = traced_peak(save_behavior, behavior, tmp_path / "got.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert got <= 1.1 * want, (got, want)

@@ -367,3 +367,59 @@ def test_gen_validates_parameters(tmp_path, capsys):
     assert code == EXIT_INVALID and "[0, 1]" in err
     code, _, err = run(capsys, "gen", "quantum", "--p", "0.5", "--out", str(tmp_path / "no/dir/x.json"))
     assert code == EXIT_INVALID
+
+
+def fresh_main(argv):
+    """main with a parser built for this one call."""
+    args = cli.build_parser.__wrapped__().parse_args(argv)
+    return args.func(args)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process; a run of calls across the
+    # subcommands gives the exit codes, output and files of fresh parsers,
+    # and no flag of one call (--mode, --tol) carries into the next
+    assert cli.build_parser() is cli.build_parser()
+    save_behavior(BehaviorTensor.uniform(ScenarioShape(3, 2)), tmp_path / "b3.json")
+    calls = [
+        (["gen", "quantum", "--p", "0.8", "--out", "{d}/q.json"], EXIT_OK),
+        (["certify", "{d}/q.json", "--tol", "0.5"], EXIT_OK),
+        (["certify", "{d}/q.json"], EXIT_VIOLATED),
+        (["certify", "{b3}", "--mode", "mn"], EXIT_INVALID),
+        (["certify", "{b3}"], EXIT_OK),
+        (["certify", "{d}/q.json", "--mode", "chain", "--tol", "0.5"], EXIT_OK),
+        (["certify", "{d}/q.json"], EXIT_VIOLATED),
+        (["gen", "saturation", "--r", "0.3", "--out", "{d}/s.json"], EXIT_OK),
+        (["sweep", "--steps", "3", "--out", "{d}/sweep.csv"], EXIT_OK),
+        (["validate-povm", "--p", "1.2"], EXIT_INVALID),
+        (["optimize", "--restarts", "2", "--iterations", "10", "--seed", "4",
+          "--strategy-out", "{d}/strategy.json"], EXIT_OK),
+        (["certify", "{d}/s.json"], EXIT_OK),
+    ]
+    results = {}
+    for label, call in (("cached", main), ("fresh", fresh_main)):
+        d = tmp_path / label
+        d.mkdir()
+        runs = []
+        for argv, code in calls:
+            got = call([a.format(d=d, b3=tmp_path / "b3.json") for a in argv])
+            out, err = capsys.readouterr()
+            assert got == code, (label, argv, err)
+            runs.append((got, out, err))
+        results[label] = runs, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+    assert results["cached"] == results["fresh"]
+    assert len(results["cached"][1]) == 4
+
+
+def test_patched_library_functions_reach_the_cached_parser(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "b3.json"
+    save_behavior(BehaviorTensor.uniform(ScenarioShape(3, 2)), path)
+    assert run(capsys, "certify", str(path))[0] == EXIT_OK  # the parser is built
+
+    def patched(behavior):
+        raise ValueError("patched evaluate_chain ran")
+
+    monkeypatch.setattr(cli, "evaluate_chain", patched)
+    code, _, err = run(capsys, "certify", str(path))
+    assert code == EXIT_INVALID
+    assert "patched evaluate_chain ran" in err
