@@ -35,16 +35,17 @@ import numpy as np
 from .behavior import InvalidBehaviorError, ScenarioShape, load_behavior, save_behavior
 from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
 from .inequalities import evaluate_chain, evaluate_mn, report_to_json
-from .postselect import gap_report
+from .postselect import _gap_reports
 from .quantum import _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
 EXIT_INVALID = 2
 
-# sweep refuses longer grids before it builds one: a million rows of CSV,
-# at about a millisecond of simulation each
+# sweep refuses longer grids before it builds one, and simulates the grid
+# SWEEP_BLOCK sharpness values at a time, so its memory does not grow with it
 MAX_SWEEP_STEPS = 10**6
+SWEEP_BLOCK = 256
 
 SWEEP_COLUMNS = (
     "p",
@@ -103,22 +104,13 @@ def cmd_sweep(args):
     with fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        for p in np.linspace(args.pmin, args.pmax, args.steps):
-            exact = evaluate_mn(closed_form_behavior(p))
-            gap = gap_report(p, tol=args.tol)
-            writer.writerow(
-                [
-                    _fmt(p),
-                    _fmt(exact.components[0]),
-                    _fmt(exact.components[1]),
-                    _fmt(exact.statistic),
-                    _fmt(gap.chsh_max),
-                    _fmt(gap.werner_visibility),
-                    _fmt(gap.jointly_nonclassical),
-                    _fmt(gap.postselected_lhv_simulable),
-                    _fmt(gap.gap_witness),
-                ]
-            )
+        grid = np.linspace(args.pmin, args.pmax, args.steps)
+        for block in np.split(grid, range(SWEEP_BLOCK, args.steps, SWEEP_BLOCK)):
+            for p, gap in zip(block, _gap_reports(block, args.tol)):
+                exact = evaluate_mn(closed_form_behavior(p))
+                row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
+                flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
+                writer.writerow([_fmt(value) for value in row + flags])
     return EXIT_OK
 
 

@@ -16,41 +16,56 @@ The certification gap: for 1/2 < p < 0.66 the joint statistic sqrt(2p)
 already exceeds its classical bound while every post-selected state is
 LHV-simulable, so the violation is attributable to the measurement itself.
 
-Each induced state is one contraction of the quantum model's rank-8 state
-tensor, axes (i0, i1, j0, j1, i2, i3, j2, j3) for row (i) and column (j)
-index of each qubit, with the POVM element on the ancillas (qubits 1 and 3);
-the system qubits 0 and 2 stay open.  The correlation matrix is one
-contraction against a fixed stack of the nine Pauli pairs.
+Every function takes stacks: leading axes of p, rho or target carry through,
+and one state still gives a (4, 4) matrix or a float.  The induced states of
+all four outcomes at every p are one einsum of the rank-8 state tensor with
+the (P, 4, 4, 4) POVM stack; fidelities are one stacked matmul, CHSH values
+and residuals one batched svd and eigvalsh.  gap_report(p) is a stack of one;
+cli's sweep runs SWEEP_BLOCK values of p per stack.  chsh_max squares by s * s,
+so it can sit 1 ulp from the former per-state s ** 2 (libm pow), as at p = 0.375.
 """
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .behavior import BehaviorTensor, ScenarioShape, _integer
 from .inequalities import evaluate_mn
-from .quantum import BELL_LABELING, PAULIS, _state_tensor, noisy_bsm, proj, quantum_behavior
+from .quantum import BELL_LABELING, PAULIS, _bsm_elements, _sharpness, _simulated, _state_tensor, proj
 
 WERNER_LHV_THRESHOLD = 0.66
 VERDICT_TOL = 1e-9
 
 
+def _scalar(x):
+    """A 0-d result as a Python float; a stacked one as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _induced_states(p):
+    """(rho, prob) of every outcome: p.shape + (4, 4, 4) states, p.shape + (4,) probabilities."""
+    p = _sharpness(p)
+    povm = _bsm_elements(p).reshape((-1, 4) + (2,) * 4)
+    # Tr_{1,3}[rho (I (x) E_c)]: E_c's rows meet the ancillas' state columns, its
+    # columns their rows; one nonzero term per entry, so the BLAS route is exact
+    unnorm = np.einsum("ABCDEFGH,PcDHBF->PcAECG", _state_tensor(), povm, optimize=True).reshape(p.shape + (4,) * 3)
+    prob = np.trace(unnorm, axis1=-2, axis2=-1).real
+    return unnorm / prob[..., None, None], prob
+
+
 def induced_state(p, outcome):
     """Conditional state of the two system qubits given outcome c, with its
     probability.  Returns (rho, probability); rho is a 4x4 density matrix."""
-    if not 0 <= outcome < 4:
+    if not 0 <= _integer(outcome, "outcome") < 4:
         raise ValueError(f"outcome must be one of 0..3, got {outcome}")
-    element = noisy_bsm(p)[outcome].reshape(2, 2, 2, 2)
-    # Tr_{1,3}[rho (I (x) E_c)]: E_c's rows meet the ancillas' state columns,
-    # its columns the ancillas' state rows
-    unnorm = np.einsum("ABCDEFGH,DHBF->AECG", _state_tensor(), element).reshape(4, 4)
-    prob = float(np.trace(unnorm).real)
-    return unnorm / prob, prob
+    rho, prob = _induced_states(p)
+    return rho[..., outcome, :, :], _scalar(prob[..., outcome])
 
 
 def trace_distance(rho, sigma):
     """(1/2) * trace norm of rho - sigma for Hermitian matrices."""
     diff = np.asarray(rho) - np.asarray(sigma)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return _scalar(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1))
 
 
 def werner_visibility(rho, target):
@@ -60,11 +75,11 @@ def werner_visibility(rho, target):
     Uses v = (4 F - 1) / 3 with F the fidelity <target|rho|target>; the
     residual is 0 exactly when rho is of Werner form.
     """
-    target = np.asarray(target, dtype=complex).reshape(4)
-    fidelity = float(np.real(target.conj() @ rho @ target))
-    v = (4.0 * fidelity - 1.0) / 3.0
+    target = np.asarray(target, dtype=complex)
+    fidelity = (target.conj()[..., None, :] @ rho @ target[..., None])[..., 0, 0].real
+    v = ((4.0 * fidelity - 1.0) / 3.0)[..., None, None]
     model = v * proj(target) + (1.0 - v) * np.eye(4, dtype=complex) / 4.0
-    return v, trace_distance(rho, model)
+    return _scalar(v[..., 0, 0]), trace_distance(rho, model)
 
 
 @functools.cache
@@ -77,7 +92,7 @@ def _pauli_pairs():
 
 def correlation_matrix(rho):
     """T[i, j] = Tr[rho sigma_i x sigma_j] for i, j over (X, Y, Z)."""
-    return np.einsum("rc,ijcr->ij", rho, _pauli_pairs()).real
+    return np.einsum("...rc,ijcr->...ij", rho, _pauli_pairs()).real
 
 
 def chsh_max(rho):
@@ -85,7 +100,7 @@ def chsh_max(rho):
     2 sqrt(s1^2 + s2^2) over the two largest singular values of the
     correlation matrix."""
     s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
-    return 2.0 * float(np.sqrt(s[0] ** 2 + s[1] ** 2))
+    return _scalar(2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1]))
 
 
 @dataclass(frozen=True)
@@ -108,30 +123,23 @@ def gap_report(p, tol=VERDICT_TOL):
     side, see inequalities) to exceed its bound by more than tol;
     postselected_lhv_simulable requires the worst-case visibility to stay
     strictly below the LHV threshold; gap_witness is their conjunction.
-    Raises ValueError unless tol is finite and >= 0.
+    Raises ValueError unless tol is finite and >= 0, or for more than one p.
     """
+    (report,) = _gap_reports(p, tol)
+    return report
+
+
+def _gap_reports(p, tol):
+    """gap_report for each of a 1-D stack of sharpness values (or one p), in
+    order: one stacked simulation and one stacked pass over the four outcomes."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    report = evaluate_mn(quantum_behavior(p))
-    worst_v = -np.inf
-    worst_chsh = -np.inf
-    worst_residual = 0.0
-    for outcome, (_, target) in enumerate(BELL_LABELING):
-        rho, _ = induced_state(p, outcome)
-        v, residual = werner_visibility(rho, target)
-        worst_v = max(worst_v, v)
-        worst_chsh = max(worst_chsh, chsh_max(rho))
-        worst_residual = max(worst_residual, residual)
-    nonclassical = report.floor > report.bound + tol
-    simulable = worst_v < WERNER_LHV_THRESHOLD
-    return GapReport(
-        sharpness=float(p),
-        statistic=report.statistic,
-        components=report.components,
-        chsh_max=worst_chsh,
-        werner_visibility=worst_v,
-        werner_residual=worst_residual,
-        jointly_nonclassical=nonclassical,
-        postselected_lhv_simulable=simulable,
-        gap_witness=nonclassical and simulable,
-    )
+    p = np.atleast_1d(_sharpness(p))
+    rho, _ = _induced_states(p)
+    visibility, residual = werner_visibility(rho, [vec for _, vec in BELL_LABELING])
+    worst = (chsh_max(rho).max(-1), visibility.max(-1), residual.max(-1))
+    for p_i, arr, chsh, v, res in zip(p.tolist(), _simulated(p), *(w.tolist() for w in worst)):
+        report = evaluate_mn(BehaviorTensor(ScenarioShape(2, 2), arr))
+        nonclassical, simulable = report.floor > report.bound + tol, v < WERNER_LHV_THRESHOLD
+        yield GapReport(p_i, report.statistic, report.components, chsh, v, res, nonclassical, simulable,
+                        nonclassical and simulable)

@@ -41,7 +41,6 @@ qubit 0 is the leftmost factor of a Kronecker product; states are numpy
 vectors and operators numpy matrices, all complex128.
 """
 import functools
-import itertools
 
 import numpy as np
 
@@ -72,9 +71,9 @@ POVM_TOL = 1e-10
 
 
 def proj(vec):
-    """Projector |vec><vec| onto a (normalized) state vector."""
+    """Projector |vec><vec| onto a (normalized) state vector, or a stack of them."""
     v = np.asarray(vec, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def party_observable(x):
@@ -96,10 +95,20 @@ def _bell_projectors():
     return stack
 
 
+def _sharpness(p):
+    """p (or a stack of p) as floats; raises unless all lie in [0, 1]."""
+    arr = np.asarray(p) * 1.0  # strings and None raise TypeError here
+    if not np.all((0.0 <= arr) & (arr <= 1.0)):
+        raise ValueError(f"sharpness p must lie in [0, 1], got {p}")
+    return arr
+
+
 def _bsm_elements(p):
-    """Noisy Bell-state measurement elements for any real p (no range check)."""
+    """Noisy Bell-state measurement elements for any real p (no range check),
+    or a stack of p: shape p.shape + (4, 4, 4), outcome after p's axes."""
+    p = np.asarray(p, dtype=float)[..., None, None, None]
     noise = (1 - p) * np.eye(4, dtype=complex) / 4
-    return tuple(p * bell + noise for bell in _bell_projectors())
+    return p * _bell_projectors() + noise
 
 
 def noisy_bsm(p):
@@ -108,9 +117,7 @@ def noisy_bsm(p):
     Outcome order follows the two-bit label (c_0, c_1) read as a binary
     number: psi-, psi+, phi-, phi+.  Raises unless 0 <= p <= 1.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"sharpness p must lie in [0, 1], got {p}")
-    return _bsm_elements(p)
+    return tuple(_bsm_elements(_sharpness(p)))
 
 
 def validate_povm(elements, tol=POVM_TOL):
@@ -170,42 +177,35 @@ def _projector_stack(party):
     return stack
 
 
-# P(a, b, c | x, y) = Tr[rho P^0_{a|x} P^1_{b|y} E_c].  State axes: rows
-# A B E F and columns C D G H of qubits 0 1 2 3.  The trace pairs each
-# operator's row index with a state column and its column index with a state
-# row: P^0 on qubit 0 [C, A], P^1 on qubit 2 [G, E], E_c on the ancillas
-# 1 and 3 [D H, B F].
-_BEHAVIOR_SUBSCRIPTS = "ABCDEFGH,xaCA,ybGE,cDHBF->xyabc"
+# P(a, b, c | x, y) = Tr[rho P^0_{a|x} P^1_{b|y} E_c] for each sharpness value
+# P.  State axes: rows A B E F and columns C D G H of qubits 0 1 2 3.  The
+# trace pairs each operator's row index with a state column and its column
+# index with a state row: P^0 on qubit 0 [C, A], P^1 on qubit 2 [G, E], E_c on
+# the ancillas 1 and 3 [D H, B F].
+_BEHAVIOR_SUBSCRIPTS = "ABCDEFGH,xaCA,ybGE,PcDHBF->Pxyabc"
+# einsum_path's order for one state; the one it finds with the P axis rounds differently
+_BEHAVIOR_PATH = ["einsum_path", (0, 3), (0, 2), (0, 1)]
 
 
-@functools.cache
-def _behavior_path():
-    """einsum contraction order for _BEHAVIOR_SUBSCRIPTS, searched once."""
-    operands = (_state_tensor(), _projector_stack(0), _projector_stack(1), np.empty((4,) + (2,) * 4))
-    return np.einsum_path(_BEHAVIOR_SUBSCRIPTS, *operands, optimize="optimal")[0]
+def _simulated(p):
+    """Behavior arrays by simulation for p or a stack of sharpness values,
+    shape p.shape + (2,) * 6; raises unless every p lies in [0, 1]."""
+    p = _sharpness(p)
+    povm = _bsm_elements(p).reshape((-1, 4) + (2,) * 4)
+    stacks = (_state_tensor(), _projector_stack(0), _projector_stack(1), povm)
+    arr = np.einsum(_BEHAVIOR_SUBSCRIPTS, *stacks, optimize=_BEHAVIOR_PATH)
+    return arr.real.reshape(p.shape + (2,) * 6)
 
 
 def quantum_behavior(p):
     """Behavior tensor of the singlet-pair model, by full density-matrix
     simulation of the 4-qubit state."""
-    povm = np.array(noisy_bsm(p)).reshape((4,) + (2,) * 4)
-    arr = np.einsum(
-        _BEHAVIOR_SUBSCRIPTS,
-        _state_tensor(),
-        _projector_stack(0),
-        _projector_stack(1),
-        povm,
-        optimize=_behavior_path(),
-    )
-    return BehaviorTensor(ScenarioShape(2, 2), arr.real.reshape((2,) * 6))
+    return BehaviorTensor(ScenarioShape(2, 2), _simulated(p))
 
 
 def closed_form_behavior(p):
     """The same behavior directly from its exact closed form."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"sharpness p must lie in [0, 1], got {p}")
-    arr = np.empty((2, 2, 2, 2, 2, 2))
-    for x, y, a, b, c0, c1 in itertools.product(range(2), repeat=6):
-        bracket = ((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0
-        arr[x, y, a, b, c0, c1] = (1.0 + p * (-1.0) ** (a + b) * bracket) / 16.0
-    return BehaviorTensor(ScenarioShape(2, 2), arr)
+    p = float(_sharpness(p))
+    x, y, a, b, c0, c1 = np.indices((2,) * 6, sparse=True)
+    bracket = ((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0
+    return BehaviorTensor(ScenarioShape(2, 2), (1.0 + p * (-1.0) ** (a + b) * bracket) / 16.0)

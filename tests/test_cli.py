@@ -1,4 +1,7 @@
+import csv
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +9,10 @@ import pytest
 from jointcert.behavior import BehaviorTensor, ScenarioShape, save_behavior
 from jointcert import classical, cli
 from jointcert.classical import load_strategy, strategy_to_behavior
-from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_COLUMNS, main
+from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_BLOCK, SWEEP_COLUMNS, _fmt, main
+from jointcert.inequalities import evaluate_mn
+from jointcert.postselect import gap_report
+from jointcert.quantum import closed_form_behavior
 
 
 def run(capsys, *argv):
@@ -135,6 +141,23 @@ def test_certify_missing_file(capsys):
     assert err
 
 
+def test_shared_coin_mixture_of_classical_devices_reads_violated(tmp_path, capsys):
+    # the bound assumes independent hidden sources: devices that share one
+    # fair coin choosing (M, N) = (1, 0) or (0, 1) break it while classical
+    pure = [strategy_to_behavior(classical.saturation_strategy(r)).probabilities for r in (1.0, 0.0)]
+    for arr, components in zip(pure, [(1.0, 0.0), (0.0, 1.0)]):
+        assert evaluate_mn(BehaviorTensor(ScenarioShape(2, 2), arr)).components == components
+    mixture = BehaviorTensor(ScenarioShape(2, 2), 0.5 * pure[0] + 0.5 * pure[1])
+    report = evaluate_mn(mixture)
+    assert report.statistic == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert report.violated and report.floor == pytest.approx(1.41421356237309, abs=1e-14)
+    path = tmp_path / "coin.json"
+    save_behavior(mixture, path)
+    code, out, _ = run(capsys, "certify", str(path))
+    assert code == EXIT_VIOLATED
+    assert json.loads(out)["statistic"] == pytest.approx(np.sqrt(2), abs=1e-12)
+
+
 def test_certify_mode_mismatch(tmp_path, capsys):
     path = tmp_path / "b3.json"
     save_behavior(BehaviorTensor.uniform(ScenarioShape(3, 2)), path)
@@ -178,6 +201,55 @@ def test_sweep_deterministic(tmp_path, capsys):
     run(capsys, "sweep", "--steps", "5", "--out", str(a))
     run(capsys, "sweep", "--steps", "5", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the sweep CSV before the post-selection pass was stacked: the
+# README's grid and a 101-point grid like the benchmark's
+SWEEP_DIGESTS = {
+    ("--steps", "11"): "b458836c3950fa3d61eb249a70cd1dfc3a696ca43e8235f5809315006c691fa7",
+    ("--pmin", "0.0043", "--pmax", "0.9943", "--steps", "101"): (
+        "3afc1977e70538db9e73ae3baa6acd50bd27d1699c60d99b0bacc62f171f230e"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", list(SWEEP_DIGESTS))
+def test_sweep_bytes_are_pinned(tmp_path, capsys, flags):
+    path = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", *flags, "--out", str(path))[0] == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_DIGESTS[flags]
+
+
+def test_sweep_across_a_block_boundary_writes_the_rows_of_one_p_at_a_time(tmp_path, capsys):
+    steps = SWEEP_BLOCK + 1
+    path = tmp_path / "sweep.csv"
+    flags = ("--pmin", "0.2", "--pmax", "0.9", "--steps", str(steps), "--tol", "1e-12")
+    assert run(capsys, "sweep", *flags, "--out", str(path))[0] == EXIT_OK
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        for p in np.linspace(0.2, 0.9, steps):
+            exact = evaluate_mn(closed_form_behavior(p))
+            gap = gap_report(p, tol=1e-12)
+            row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
+            verdicts = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
+            writer.writerow([_fmt(value) for value in row + verdicts])
+    assert path.read_bytes() == want.read_bytes()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            run(capsys, "sweep", "--steps", str(steps), "--out", str(tmp_path / f"{steps}.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(capsys, "sweep", "--steps", "3", "--out", str(tmp_path / "warm.csv"))  # caches filled
+    one_block, four_blocks = peak(SWEEP_BLOCK), peak(4 * SWEEP_BLOCK)
+    assert four_blocks <= 1.2 * one_block, (one_block, four_blocks)
 
 
 def test_sweep_validates_range(tmp_path, capsys):

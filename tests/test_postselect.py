@@ -1,14 +1,18 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_reference import embed_operator, partial_trace
 
 from jointcert.postselect import (
+    VERDICT_TOL,
     WERNER_LHV_THRESHOLD,
+    _gap_reports,
+    _pauli_pairs,
     chsh_max,
     correlation_matrix,
     gap_report,
@@ -16,7 +20,7 @@ from jointcert.postselect import (
     trace_distance,
     werner_visibility,
 )
-from jointcert.quantum import BELL_LABELING, PAULIS, PSI_MINUS, noisy_bsm, proj
+from jointcert.quantum import BELL_LABELING, PAULIS, PSI_MINUS, _state_tensor, noisy_bsm, proj
 
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
 
@@ -53,24 +57,24 @@ def chsh_brute_force(t, restarts=24, iters=80, rng=None):
 
     For fixed directions b0, b1 the optimal a's align with T(b0 +/- b1) and
     vice versa, so alternation converges to a stationary point; restarts make
-    it reliably global on 3x3 problems.
+    it reliably global on 3x3 problems.  All restarts run at once, one row
+    each; one (restarts, 2, 3) draw takes the same numbers from rng as a
+    (2, 3) draw per restart.
     """
     rng = rng or np.random.default_rng(0)
-    best = 0.0
-    for _ in range(restarts):
-        b0, b1 = rng.normal(size=(2, 3))
-        b0 /= np.linalg.norm(b0)
-        b1 /= np.linalg.norm(b1)
-        for _ in range(iters):
-            u, v = t @ (b0 + b1), t @ (b0 - b1)
-            value = np.linalg.norm(u) + np.linalg.norm(v)
-            a0 = u / max(np.linalg.norm(u), 1e-15)
-            a1 = v / max(np.linalg.norm(v), 1e-15)
-            s, d = t.T @ a0, t.T @ a1
-            b0 = (s + d) / max(np.linalg.norm(s + d), 1e-15)
-            b1 = (s - d) / max(np.linalg.norm(s - d), 1e-15)
-        best = max(best, value)
-    return best
+
+    def unit(rows):
+        return rows / np.maximum(np.linalg.norm(rows, axis=1), 1e-15)[:, None]
+
+    start = rng.normal(size=(restarts, 2, 3))
+    b0, b1 = unit(start[:, 0]), unit(start[:, 1])
+    for _ in range(iters):
+        u, v = (b0 + b1) @ t.T, (b0 - b1) @ t.T
+        value = np.linalg.norm(u, axis=1) + np.linalg.norm(v, axis=1)
+        a0, a1 = unit(u), unit(v)
+        s, d = a0 @ t, a1 @ t
+        b0, b1 = unit(s + d), unit(s - d)
+    return max(0.0, value.max())
 
 
 def test_induced_states_are_werner_with_matching_label():
@@ -181,6 +185,13 @@ def test_gap_report_refuses_bad_tolerance(tol):
         gap_report(0.6, tol=tol)
 
 
+def test_gap_report_refuses_more_than_one_sharpness_value():
+    # one report per call; a stack goes through the stacked pass
+    with pytest.raises(ValueError):
+        gap_report([0.3, 0.6])
+    assert exact_fields(gap_report([0.6])) == exact_fields(gap_report(0.6))
+
+
 def test_gap_needs_both_conditions():
     # below threshold: simulable but not violating
     g = gap_report(0.4)
@@ -194,3 +205,84 @@ def test_correlation_matrix_paulis_are_ordered():
     # the (X, Y, Z) ordering of PAULIS is what correlation_matrix assumes
     assert np.allclose(PAULIS[0], np.array([[0, 1], [1, 0]]))
     assert np.allclose(PAULIS[2], np.diag([1, -1]))
+
+
+@pytest.mark.parametrize("outcome", [1.5, 3.0, True, -1, 4])
+def test_induced_state_refuses_an_outcome_that_is_not_one_of_0_to_3(outcome):
+    # 1.5 and 3.0 used to fail on tuple indexing, and True was read as 1
+    with pytest.raises(ValueError, match="outcome"):
+        induced_state(0.5, outcome)
+
+
+def test_induced_state_accepts_a_numpy_integer_outcome():
+    rho, prob = induced_state(0.5, np.int64(2))
+    want_rho, want_prob = induced_state(0.5, 2)
+    assert np.array_equal(rho, want_rho)
+    assert prob == want_prob and type(prob) is float
+
+
+def one_state_postselection(p, outcome):
+    """The per-outcome formulas the stacked functions replaced, verbatim:
+    (rho, prob, visibility, residual, correlation matrix, CHSH value)."""
+    element = noisy_bsm(p)[outcome].reshape(2, 2, 2, 2)
+    unnorm = np.einsum("ABCDEFGH,DHBF->AECG", _state_tensor(), element).reshape(4, 4)
+    prob = float(np.trace(unnorm).real)
+    rho = unnorm / prob
+    target = BELL_LABELING[outcome][1]
+    fidelity = float(np.real(target.conj() @ rho @ target))
+    v = (4.0 * fidelity - 1.0) / 3.0
+    model = v * np.outer(target, target.conj()) + (1.0 - v) * np.eye(4, dtype=complex) / 4.0
+    residual = 0.5 * float(np.abs(np.linalg.eigvalsh(rho - model)).sum())
+    t = np.einsum("rc,ijcr->ij", rho, _pauli_pairs()).real
+    s = np.linalg.svd(t, compute_uv=False)
+    return rho, prob, v, residual, t, 2.0 * float(np.sqrt(s[0] ** 2 + s[1] ** 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.375)
+def test_stacked_postselection_is_the_per_outcome_formulas_bit_for_bit(p):
+    for outcome, (_, target) in enumerate(BELL_LABELING):
+        rho, prob, v, residual, t, chsh = one_state_postselection(p, outcome)
+        got_rho, got_prob = induced_state(p, outcome)
+        assert np.array_equal(got_rho, rho) and got_prob == prob
+        assert werner_visibility(got_rho, target) == (v, residual)
+        assert np.array_equal(correlation_matrix(got_rho), t)
+        # s * s in place of the numpy scalar s ** 2 (libm pow): at most 1 ulp
+        assert abs(chsh_max(got_rho) - chsh) <= np.spacing(chsh)
+
+
+def test_stacked_functions_keep_every_leading_axis():
+    rng = np.random.default_rng(5)
+    rhos = np.array([[random_density(rng) for _ in range(3)] for _ in range(2)])
+    assert correlation_matrix(rhos).shape == (2, 3, 3, 3)
+    chsh, traces = chsh_max(rhos), trace_distance(rhos, rhos[:, ::-1])
+    visibility, residual = werner_visibility(rhos, BELL_LABELING[1][1])
+    for i, j in np.ndindex(2, 3):
+        assert chsh[i, j] == chsh_max(rhos[i, j])
+        assert traces[i, j] == trace_distance(rhos[i, j], rhos[i, 2 - j])
+        assert (visibility[i, j], residual[i, j]) == werner_visibility(rhos[i, j], BELL_LABELING[1][1])
+    rho, prob = induced_state([0.2, 0.7], 3)
+    assert rho.shape == (2, 4, 4) and prob.shape == (2,)
+    assert np.array_equal(rho[1], induced_state(0.7, 3)[0])
+
+
+def exact_fields(report):
+    """Every field of a GapReport with its type, floats as hex (bit-exact)."""
+
+    def exact(value):
+        if isinstance(value, tuple):
+            return tuple(exact(item) for item in value)
+        return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+    return [exact(getattr(report, field.name)) for field in dataclasses.fields(report)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40))
+def test_gap_report_is_its_row_of_the_stacked_pass(ps):
+    ps = [0.0, 0.5, 0.66, 1.0] + ps
+    rows = list(_gap_reports(np.array(ps), VERDICT_TOL))
+    assert len(rows) == len(ps)
+    for p, row in zip(ps, rows):
+        assert exact_fields(gap_report(p)) == exact_fields(row)

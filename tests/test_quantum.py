@@ -2,19 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_reference import embed_operator, kron_all
 
 from jointcert.behavior import independence_check, marginal_party, validate_behavior
 from jointcert.quantum import (
+    _BEHAVIOR_PATH,
     BELL_LABELING,
     ID2,
     KET_0,
     KET_1,
     PSI_MINUS,
+    _bell_projectors,
     _bsm_elements,
+    _projector_stack,
+    _simulated,
+    _state_tensor,
     closed_form_behavior,
     noisy_bsm,
     party_observable,
@@ -157,3 +162,76 @@ def test_validate_povm_catches_defects():
     broken[0] = broken[0] + 1j * np.eye(4) * 1e-3
     assert any("Hermitian" in p for p in validate_povm(broken))
     assert validate_povm([]) == ["no elements given"]
+
+
+def reference_closed_form(p):
+    """closed_form_behavior as the 64-iteration loop it replaced, verbatim."""
+    arr = np.empty((2, 2, 2, 2, 2, 2))
+    for x, y, a, b, c0, c1 in itertools.product(range(2), repeat=6):
+        bracket = ((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0
+        arr[x, y, a, b, c0, c1] = (1.0 + p * (-1.0) ** (a + b) * bracket) / 16.0
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.0)
+@example(0.25)
+@example(0.5)
+@example(0.66)
+@example(1.0)
+def test_closed_form_matches_the_reference_loop_bit_for_bit(p):
+    assert np.array_equal(closed_form_behavior(p).probabilities, reference_closed_form(p))
+    assert np.array_equal(closed_form_behavior(np.float64(p)).probabilities, reference_closed_form(np.float64(p)))
+
+
+def one_state_behavior(p):
+    """The simulation as it was written for one p: the four POVM elements
+    built one by one and the einsum without a stack axis, on the order
+    einsum_path finds for it."""
+    noise = (1 - p) * np.eye(4, dtype=complex) / 4
+    povm = np.array([p * bell + noise for bell in _bell_projectors()]).reshape((4,) + (2,) * 4)
+    operands = (_state_tensor(), _projector_stack(0), _projector_stack(1), povm)
+    subscripts = "ABCDEFGH,xaCA,ybGE,cDHBF->xyabc"
+    path = np.einsum_path(subscripts, *operands, optimize="optimal")[0]
+    return path, np.einsum(subscripts, *operands, optimize=path).real.reshape((2,) * 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=300))
+@example([0.0, 0.5, 0.66, 1.0])
+def test_stacked_simulation_is_the_one_state_simulation_bit_for_bit(ps):
+    # the stack keeps the one-state contraction order; the order einsum_path
+    # finds for the stacked operands moves entries by up to 5.6e-17
+    stacked = _simulated(ps)
+    assert stacked.shape == (len(ps),) + (2,) * 6
+    for p, row in zip(ps, stacked):
+        path, want = one_state_behavior(p)
+        assert path == _BEHAVIOR_PATH
+        assert np.array_equal(row, want)
+        assert np.array_equal(quantum_behavior(p).probabilities, want)
+
+
+def test_stacked_elements_are_the_one_state_elements():
+    ps = np.linspace(0.0, 1.0, 41)
+    stacked = _bsm_elements(ps)
+    assert stacked.shape == (41, 4, 4, 4)
+    for p, row in zip(ps.tolist(), stacked):
+        # the elements as they were built for one p, one at a time
+        noise = (1 - p) * np.eye(4, dtype=complex) / 4
+        want = [p * proj(vec) + noise for _, vec in BELL_LABELING]
+        elements = noisy_bsm(p)
+        assert isinstance(elements, tuple) and len(elements) == 4
+        for got, element, one in zip(elements, row, want):
+            assert got.shape == (4, 4)
+            assert np.array_equal(got, one) and np.array_equal(element, one)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.0000001, float("nan")])
+def test_stacked_simulation_refuses_any_sharpness_outside_the_range(p):
+    with pytest.raises(ValueError, match="sharpness p must lie in"):
+        _simulated([0.5, p])
+    with pytest.raises(ValueError, match="sharpness p must lie in"):
+        quantum_behavior(p)
+    with pytest.raises(ValueError, match="sharpness p must lie in"):
+        closed_form_behavior(p)
