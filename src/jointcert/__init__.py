@@ -12,10 +12,9 @@ from .behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     correlator_table,
-    independence_check,
     load_behavior,
-    marginal_party,
     save_behavior,
+    signalling_residuals,
     validate_behavior,
 )
 from .classical import (
@@ -62,10 +61,9 @@ __all__ = [
     "InvalidBehaviorError",
     "ScenarioShape",
     "correlator_table",
-    "independence_check",
     "load_behavior",
-    "marginal_party",
     "save_behavior",
+    "signalling_residuals",
     "validate_behavior",
     "ClassicalStrategy",
     "deterministic_count",

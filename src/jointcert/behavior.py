@@ -18,10 +18,10 @@ files of classical.save_strategy/load_strategy alike: one JSON object with
 integer header fields and flat row-major lists of 17-digit floats.
 
 Tolerances: entries may be negative down to -1e-12 (clamped to 0 on load),
-and each setting slice must sum to 1 within 1e-10.
+each setting slice must sum to 1 within 1e-10, and no party may signal by
+more than 1e-9 in total variation (see signalling_residuals).
 """
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +30,9 @@ import numpy as np
 
 NEGATIVITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
+# slices normalized only within NORMALIZATION_TOL can already differ by that
+# much in total variation, so the no-signalling check leaves ten times room
+SIGNALLING_TOL = 1e-9
 MAX_AXES = 64  # numpy's limit on array dimensions
 
 
@@ -118,50 +121,31 @@ def validate_behavior(behavior):
                 f"setting {setting} sums to {sums[st]:.12f}, "
                 f"expected 1 within {NORMALIZATION_TOL:g}"
             )
+    for party, residual in enumerate(signalling_residuals(behavior)):
+        if residual > SIGNALLING_TOL:
+            problems.append(f"party {party} signals: its setting moves the other outputs and the outcome "
+                            f"by {residual:.3e} in total variation (tolerance {SIGNALLING_TOL:g})")
     return problems
 
 
-def marginal_party(behavior, party):
-    """Output marginal of one party and its stability across the other settings.
-
-    Returns (table, residual): table[x, a] is P(a_party = a | x_party = x)
-    averaged uniformly over the other parties' settings, and residual is the
-    largest total-variation distance between any fixed-setting marginal
-    P(a_party | full setting tuple) and that average.  For a non-signalling
-    behavior the residual is 0.
-    """
-    shape = behavior.shape
-    n, k = shape.n, shape.k
-    if not 0 <= party < n:
-        raise ValueError(f"party index {party} out of range for n={n}")
+def signalling_residuals(behavior):
+    """Per party j (counted from 0), the largest total-variation distance over
+    all settings x between P(a_-j, c | x) and the same with x_j = 0.  In every
+    causal model of the scenario setting x_j reaches only party j, so these
+    are 0 up to rounding.  No loop over settings: per party one pair-add over
+    a_j, one subtraction of the x_j = 0 slice, one abs and one reduction."""
+    n, k = behavior.shape.n, behavior.shape.k
     arr = behavior.probabilities
-    # sum out every output/outcome axis except this party's output
-    keep_out = n + party
-    sum_axes = tuple(ax for ax in range(n, 2 * n + k) if ax != keep_out)
-    per_setting = arr.sum(axis=sum_axes)  # shape (k,)*n + (2,)
-    move = np.moveaxis(per_setting, party, 0)  # (k, other settings..., 2)
-    flat = move.reshape(k, -1, 2)
-    table = flat.mean(axis=1)
-    residual = float(0.5 * np.abs(flat - table[:, None, :]).sum(axis=-1).max())
-    return table, residual
-
-
-def independence_check(behavior):
-    """Largest total-variation gap between the joint output marginal P(a_1..a_n|x)
-    and the product of single-party marginals, over all setting tuples."""
-    shape = behavior.shape
-    n, k = shape.n, shape.k
-    arr = behavior.probabilities
-    joint = arr.sum(axis=tuple(range(2 * n, 2 * n + k)))  # (k,)*n + (2,)*n
-    worst = 0.0
-    for setting in itertools.product(range(k), repeat=n):
-        block = joint[setting]  # (2,)*n
-        product = np.ones(())
-        for j in range(n):
-            single = block.sum(axis=tuple(ax for ax in range(n) if ax != j))
-            product = np.multiply.outer(product, single)
-        worst = max(worst, 0.5 * float(np.abs(block - product).sum()))
-    return worst
+    residuals = np.empty(n)
+    for j in range(n):
+        outputs = (slice(None),) * (n + j)
+        # P(a_-j, c | x) with axes (x_<j, x_j, x_>j, a_-j and c)
+        view = (arr[outputs + (0,)] + arr[outputs + (1,)]).reshape(k**j, k, k ** (n - 1 - j), -1)
+        moved = view[:, 1:]
+        moved -= view[:, :1]
+        np.abs(moved, out=moved)
+        residuals[j] = 0.5 * moved.sum(axis=-1).max()
+    return residuals
 
 
 @functools.cache

@@ -188,9 +188,14 @@ def enumerate_deterministic(shape, hidden_alphabet):
     """
     n, k = shape.n, shape.k
     L = _alphabet_size(hidden_alphabet)
-    total = deterministic_count(shape, L)
-    if total > MAX_DETERMINISTIC:
-        raise ValueError(f"{total} deterministic strategies exceeds {MAX_DETERMINISTIC}")
+    limit, b = MAX_DETERMINISTIC.bit_length() - 1, n * (L.bit_length() - 1)
+    # k*n + b + k * 2**b is at most log2 of the count: screened first, as in
+    # _too_many_logits, so no huge power of 2**k is ever formed
+    if b > limit or k * n + b + k * 2**b > limit or deterministic_count(shape, L) > MAX_DETERMINISTIC:
+        raise ValueError(
+            f"more than MAX_DETERMINISTIC = {MAX_DETERMINISTIC} deterministic strategies "
+            f"at n={n}, k={k}, hidden alphabet {L}"
+        )
 
     # table f has row x at the point mass on a = f(x), for each f: x -> a
     functions = np.array(list(itertools.product(range(2), repeat=k)))

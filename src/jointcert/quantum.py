@@ -203,9 +203,17 @@ def quantum_behavior(p):
     return BehaviorTensor(ScenarioShape(2, 2), _simulated(p))
 
 
+@functools.cache
+def _closed_form_signs():
+    """(-1)**(a+b) * ((-1)**c0 + (-1)**(x+y+c1)) / 2 over (x, y, a, b, c0, c1),
+    read-only; its entries are 0 and +-1, so p times it rounds as p times each factor in turn does."""
+    x, y, a, b, c0, c1 = np.indices((2,) * 6, sparse=True)
+    signs = (-1.0) ** (a + b) * (((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0)
+    signs.setflags(write=False)
+    return signs
+
+
 def closed_form_behavior(p):
     """The same behavior directly from its exact closed form."""
     p = float(_sharpness(p))
-    x, y, a, b, c0, c1 = np.indices((2,) * 6, sparse=True)
-    bracket = ((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0
-    return BehaviorTensor(ScenarioShape(2, 2), (1.0 + p * (-1.0) ** (a + b) * bracket) / 16.0)
+    return BehaviorTensor(ScenarioShape(2, 2), (1.0 + p * _closed_form_signs()) / 16.0)

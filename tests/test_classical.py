@@ -15,6 +15,7 @@ from jointcert.behavior import (
     ScenarioShape,
     load_behavior,
     save_behavior,
+    signalling_residuals,
     validate_behavior,
 )
 from jointcert.classical import (
@@ -319,6 +320,18 @@ def test_saturation_family_components():
         saturation_strategy(1.2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    nk=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)]),
+    L=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classical_behaviors_do_not_signal(nk, L, seed):
+    behavior = strategy_to_behavior(random_strategy(*nk, L, np.random.default_rng(seed)))
+    assert signalling_residuals(behavior).max() <= 1e-14
+    assert validate_behavior(behavior) == []
+
+
 def test_deterministic_count_values():
     assert deterministic_count(SHAPE22, 2) == 16384
     assert deterministic_count(ScenarioShape(1, 2), 1) == 16
@@ -353,10 +366,23 @@ def test_enumerate_small_scenario_exhaustively():
 
 
 def test_enumerate_respects_cap():
-    # (n, k, L) = (2, 2, 4) has 16 * 16 * 4**16, about 1.1e12, strategies
+    # (n, k, L) = (2, 2, 4) has 16 * 16 * 4**16, about 1.1e12, strategies;
+    # at L = 100 the count has more than 4300 digits (its text used to raise
+    # Python's digit-limit error) and at L = 10**5 it is about 4**(10**10)
+    # (forming it used to hang): all are refused before the count is formed
     assert deterministic_count(SHAPE22, 4) > MAX_DETERMINISTIC
-    with pytest.raises(ValueError, match=str(MAX_DETERMINISTIC)):
-        next(enumerate_deterministic(SHAPE22, 4))
+    for alphabet in (4, 100, 10**5, 10**9):
+        with pytest.raises(ValueError, match="MAX_DETERMINISTIC = 100000000 deterministic"):
+            next(enumerate_deterministic(SHAPE22, alphabet))
+
+
+def test_enumerate_below_the_cap_passes_the_screen():
+    # every shape the exact count admits passes the bit-length screen;
+    # criterion 4 counts the 16384 strategies at (2, 2, L=2)
+    for n, k, L in itertools.product(range(1, 5), range(2, 5), range(1, 6)):
+        shape = ScenarioShape(n, k)
+        if deterministic_count(shape, L) <= MAX_DETERMINISTIC:
+            assert next(enumerate_deterministic(shape, L)).hidden_alphabet == L
 
 
 def test_enumerated_strategies_share_no_writable_state():

@@ -1,12 +1,22 @@
 import csv
 import hashlib
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from jointcert.behavior import BehaviorTensor, ScenarioShape, save_behavior
+from jointcert.behavior import (
+    BehaviorTensor,
+    InvalidBehaviorError,
+    ScenarioShape,
+    load_behavior,
+    save_behavior,
+    signalling_residuals,
+)
 from jointcert import classical, cli
 from jointcert.classical import load_strategy, strategy_to_behavior
 from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_BLOCK, SWEEP_COLUMNS, _fmt, main
@@ -156,6 +166,66 @@ def test_shared_coin_mixture_of_classical_devices_reads_violated(tmp_path, capsy
     code, out, _ = run(capsys, "certify", str(path))
     assert code == EXIT_VIOLATED
     assert json.loads(out)["statistic"] == pytest.approx(np.sqrt(2), abs=1e-12)
+
+
+def test_certify_refuses_the_signalling_example(tmp_path, capsys):
+    # a_1 = 0, a_2 = c_0 with c_0 uniform, c_1 = c_0 xor x xor y: the
+    # statistic would be the algebraic maximum 2, but both settings reach the
+    # outcome, which no causal model of the scenario allows
+    arr = np.zeros(ScenarioShape(2, 2).tensor_shape)
+    for x, y, c0 in itertools.product(range(2), repeat=3):
+        arr[x, y, 0, c0, c0, c0 ^ x ^ y] = 0.5
+    behavior = BehaviorTensor(ScenarioShape(2, 2), arr)
+    assert evaluate_mn(behavior).statistic == 2.0
+    np.testing.assert_array_equal(signalling_residuals(behavior), [1.0, 1.0])
+    path = tmp_path / "signalling.json"
+    save_behavior(behavior, path)
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: party 0 signals")
+    assert "party 1 signals" in err and "by 1.000e+00 in total variation" in err
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    nk=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    epsilon=st.floats(1e-8, 0.1),
+    data=st.data(),
+)
+def test_certify_refuses_mass_moved_within_one_setting(tmp_path, capsys, nk, epsilon, data):
+    # outputs a_j = f_j(x_j) and a uniform outcome do not signal; moving
+    # epsilon from one cell to the cell with party m's output flipped keeps
+    # every slice normalized, is invisible to P(a_-m, c | x), and moves
+    # every other party's view by epsilon
+    n, k = nk
+    shape = ScenarioShape(n, k)
+    functions = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=n, max_size=n))
+    arr = np.zeros(shape.tensor_shape)
+    for x in itertools.product(range(k), repeat=n):
+        arr[x + tuple(functions[j][x[j]] for j in range(n))] = 1.0 / 2**k
+    x = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    c = tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    m = data.draw(st.integers(0, n - 1))
+    a = [functions[j][x[j]] for j in range(n)]
+    source = x + tuple(a) + c
+    a[m] = 1 - a[m]
+    arr[source] -= epsilon
+    arr[x + tuple(a) + c] += epsilon
+    behavior = BehaviorTensor(shape, arr)
+    residuals = signalling_residuals(behavior)
+    assert residuals[m] == 0.0
+    np.testing.assert_allclose(np.delete(residuals, m), epsilon, rtol=1e-6)
+    path = tmp_path / "moved.json"
+    save_behavior(behavior, path)
+    with pytest.raises(InvalidBehaviorError, match="signals"):
+        load_behavior(path, strict=True)
+    capsys.readouterr()
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: party")
+    named = [j for j in range(n) if f"party {j} signals" in err]
+    assert named == [j for j in range(n) if j != m]
+    assert "sums to" not in err
 
 
 def test_certify_mode_mismatch(tmp_path, capsys):

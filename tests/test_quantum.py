@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qubit_reference import embed_operator, kron_all
 
-from jointcert.behavior import independence_check, marginal_party, validate_behavior
+from jointcert.behavior import signalling_residuals, validate_behavior
 from jointcert.quantum import (
     _BEHAVIOR_PATH,
     BELL_LABELING,
@@ -65,13 +65,14 @@ def test_simulation_matches_closed_form_on_grid():
 
 
 def test_behavior_is_valid_and_nonsignalling():
-    behavior = quantum_behavior(0.8)
-    assert validate_behavior(behavior) == []
-    for party in range(2):
-        table, residual = marginal_party(behavior, party)
-        np.testing.assert_allclose(table, 0.5, atol=1e-12)
-        assert residual < 1e-12
-    assert independence_check(behavior) < 1e-12
+    for p in np.linspace(0.0, 1.0, 101):
+        behavior = quantum_behavior(p)
+        assert signalling_residuals(behavior).max() <= 1e-14
+        assert validate_behavior(behavior) == []
+    # every party's output is uniform at every setting
+    outputs = quantum_behavior(0.8).probabilities.sum(axis=(4, 5))
+    np.testing.assert_allclose(outputs.sum(axis=3), 0.5, atol=1e-12)
+    np.testing.assert_allclose(outputs.sum(axis=2), 0.5, atol=1e-12)
 
 
 def test_correlators_by_direct_summation():
