@@ -18,7 +18,6 @@ two-setting bound, and a seeded multi-restart ascent optimizer over the full
 """
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -47,6 +46,8 @@ MAX_OPTIMIZER_CELLS = 2**24
 MAX_DETERMINISTIC = 10**8
 # and builds its response tables this many floats at a time
 RESPONSE_BLOCK_CELLS = 2**16
+# deterministic_count refuses counts longer than this many bits
+MAX_COUNT_BITS = 2**20
 
 
 def _alphabet_size(value):
@@ -166,13 +167,29 @@ def saturation_strategy(r):
     )
 
 
+def _count_too_long(n, k, L):
+    """Whether the deterministic count, M * 2**(k * (n + M)) with M = L**n,
+    has more than MAX_COUNT_BITS bits.  M >= 2**(n * (bit length of L - 1)),
+    so a shape that bound refuses never forms M, and the others form it
+    below 2**40: no huge power is formed."""
+    if k * n > MAX_COUNT_BITS or n * (L.bit_length() - 1) >= MAX_COUNT_BITS.bit_length() - 1:
+        return True
+    return k * (n + L**n) + (L**n).bit_length() > MAX_COUNT_BITS
+
+
 def deterministic_count(shape, hidden_alphabet):
     """Number of deterministic strategies: output functions x_j -> a_j per
     party, a point-mass hidden value per party, and a response function
     lambda -> c for the measuring device.  Raises ValueError on a hidden
-    alphabet that is not an integer >= 1."""
+    alphabet that is not an integer >= 1, and on a count of more than
+    MAX_COUNT_BITS bits, before forming it."""
     n, k = shape.n, shape.k
     L = _alphabet_size(hidden_alphabet)
+    if _count_too_long(n, k, L):
+        raise ValueError(
+            f"the deterministic strategy count at n={n}, k={k}, hidden alphabet {L} "
+            f"has more than MAX_COUNT_BITS = {MAX_COUNT_BITS} bits"
+        )
     return (2**k) ** n * L**n * (2**k) ** (L**n)
 
 
@@ -188,10 +205,7 @@ def enumerate_deterministic(shape, hidden_alphabet):
     """
     n, k = shape.n, shape.k
     L = _alphabet_size(hidden_alphabet)
-    limit, b = MAX_DETERMINISTIC.bit_length() - 1, n * (L.bit_length() - 1)
-    # k*n + b + k * 2**b is at most log2 of the count: screened first, as in
-    # _too_many_logits, so no huge power of 2**k is ever formed
-    if b > limit or k * n + b + k * 2**b > limit or deterministic_count(shape, L) > MAX_DETERMINISTIC:
+    if _count_too_long(n, k, L) or deterministic_count(shape, L) > MAX_DETERMINISTIC:
         raise ValueError(
             f"more than MAX_DETERMINISTIC = {MAX_DETERMINISTIC} deterministic strategies "
             f"at n={n}, k={k}, hidden alphabet {L}"
@@ -291,12 +305,16 @@ def load_strategy(path):
 # candidate, the gradient at each, each restart's statistic and step size,
 # and the accept mask; _gradient_pass holds a buffer for every intermediate
 # of the forward and backward pass: softmax rows, output means and their
-# prefix and suffix products, prefix weights, pbar, Gamma, components,
-# roots and slopes.  Its one response-sized temporary is the response
-# segment of the gradient it writes, which takes each response-sized
-# product before its reduction and the response slope last.  Views into
-# the buffers are cut when they are allocated, and a step writes only into
-# them, through ufunc calls with out=.  A restart keeps or drops its whole
+# prefix and suffix products, hidden weights up to and after each party,
+# pbar, Gamma, components, roots and slopes.  The response segment of the
+# gradient takes each response-sized product before its reduction and the
+# response slope last.  A step writes only into these buffers, through
+# ufunc calls with out=, but numpy (2.4) still allocates a temporary of the
+# output's size for each of the five calls per pass that broadcast an
+# (L**n, R) or (2**k, 1, R) operand across the response axis.  The pass runs
+# plain for loops over lists of per-party views, cut once with the buffers:
+# indexing the arrays in the loops would cut each view anew on every call,
+# a few microseconds per pass.  A restart keeps or drops its whole
 # candidate, so acceptance is a masked copy in place: np.putmask copies
 # each accepting restart's column of the candidate, its gradient and its
 # statistic over the current ones (np.copyto with a where= mask broadcast
@@ -398,63 +416,27 @@ def _gradient_pass(theta, grad, n, k, L):
     g_corr_col = g_corr[:, None]
     stat = np.empty(R)
 
-    def scratch_view(*shape):
-        return scratch[: math.prod(shape)].reshape(shape)
-
-    # w_prefix[j] is the joint weight of parties < j, (L**j, R), and
-    # w_prefix[n] is w; party 0's value is the most significant digit
-    w_prefix = [None, hid_probs[:, 0]] + [np.empty((L**j, R)) for j in range(2, n + 1)]
-    w = w_prefix[n]
-    weight_steps = [
-        functools.partial(mul, w_prefix[j][:, None], hid_probs[:, j], out=w_prefix[j + 1].reshape(-1, L, R))
-        for j in range(1, n)
-    ]
-    # h_before[j] multiplies the factors of parties < j, and hprod all n
-    first_before = h_before[0]
-    prefix_steps = [functools.partial(mul, h_before[j - 1], h[j - 1], out=h_before[j]) for j in range(1, n)]
-    prefix_steps.append(functools.partial(mul, h_before[n - 1], h[n - 1], out=hprod))
-    # hbar_j(i) enters I_i times the other parties' factors, the prefix over
-    # parties < j times the suffix over parties > j, which multiplies into
-    # the prefixes in place
-    suffix_steps = []
-    suffix = h[n - 1]
-    for j in range(n - 2, -1, -1):
-        suffix_steps.append(functools.partial(mul, h_before[j], suffix, out=h_before[j]))
-        if j:
-            suffix_steps.append(functools.partial(mul, suffix, h[j], out=h_after))
-            suffix = h_after
-    # hidden rows: w_m is the product of one entry per party, so party j's
-    # slope sums g_w over the other parties' weights: the suffix over
-    # parties > j, then the prefix over parties < j; party n-1 has no
-    # suffix and party 0 no prefix, so those sides are skipped
-    hidden_steps = []
-    grids = np.empty(L ** (n - 1) * R) if n > 2 else None
-    after = None
-    for j in reversed(range(n)):
-        if after is None:
-            grid = g_w.reshape(L**j, L, R)
-        else:
-            terms = scratch_view(L**j, L, L ** (n - 1 - j), R)
-            grid = g_hid[:, 0][None] if j == 0 else grids[: L ** (j + 1) * R].reshape(L**j, L, R)
-            hidden_steps += [
-                functools.partial(mul, g_w.reshape(terms.shape), after, out=terms),
-                functools.partial(reduce, terms, axis=2, out=grid),
-            ]
-        if j == 0:
-            if after is None:
-                hidden_steps.append(functools.partial(np.copyto, g_hid[:, 0], grid[0]))
-            continue
-        terms = scratch_view(L**j, L, R)
-        hidden_steps += [
-            functools.partial(mul, grid, w_prefix[j][:, None], out=terms),
-            functools.partial(reduce, terms, axis=0, out=g_hid[:, j]),
-        ]
-        probs = hid_probs[:, j]
-        if after is not None:
-            product = np.empty((L * after.shape[0], R))
-            hidden_steps.append(functools.partial(mul, probs[:, None], after, out=product.reshape(L, -1, R)))
-            probs = product
-        after = probs
+    # per-party views, cut once: hbar_j, the product of the factors of parties < j (hprod
+    # after the last), P(lambda_j) as a row and as a column, and its slopes
+    hs, befores = list(h), [*h_before, hprod]
+    probs, g_hids = list(hid_probs.swapaxes(0, 1)), list(g_hid.swapaxes(0, 1))
+    prob_cols = [p[:, None] for p in probs]
+    # upto[j] is the joint hidden weight of parties <= j as a column
+    # (L**(j+1), 1, R), party 0's value the most significant digit, written
+    # as (L**j, L, R); w is the last.  after[j], j < n-1, is that of parties
+    # > j, (L**(n-1-j), R), written as (L, L**(n-2-j), R)
+    upto = [prob_cols[0]] + [np.empty((L ** (j + 1), 1, R)) for j in range(1, n)]
+    w, upto_grids = upto[-1][:, 0], [u.reshape(-1, L, R) for u in upto]
+    after = [np.empty((L ** (n - 1 - j), R)) for j in range(n - 2)] + [probs[-1]]
+    after_grids = [a.reshape(L, -1, R) for a in after[:-1]]
+    # party j's hidden slope sums g_w as (L**j, L, L**(n-1-j), R) against
+    # after[j] into sums[j], (L**j, L, R), then sums[j] against the weight of
+    # parties < j, each product in scratch.  sums[0] is party 0's slope and
+    # sums[n-1] is g_w; between them, sums[j] is the spent weight of parties <= j
+    g_w_grids = [g_w.reshape(L**j, L, -1, R) for j in range(n)]
+    suffix_terms = [scratch.reshape(L**j, L, -1, R) for j in range(n)]
+    prefix_terms = [scratch[: L ** (j + 1) * R].reshape(L**j, L, R) for j in range(n)]
+    sums = [g_hids[0][None], *upto_grids[1 : n - 1], g_w.reshape(-1, L, R)]
 
     # hbar_j(i) and its slope pair setting i with i+1 mod k, the last
     # setting with the first at sign -1
@@ -471,18 +453,21 @@ def _gradient_pass(theta, grad, n, k, L):
         np.exp(cha, out=cha_probs)
         reduce(cha_probs, axis=0, out=cha_sums)
         np.divide(cha_probs, cha_sums, out=cha_probs)
-        # output means, hbar and its products over parties; pbar, Gamma, the
+        # output means, hbar and its prefix products over parties; the joint
+        # hidden weights of parties up to j and after j; pbar, Gamma, the
         # components and their roots
         mul(gaps, 0.5, out=means)
         np.tanh(means, out=means)
         add(means_lo, means_hi, out=h_lo)
         np.subtract(means_last, means_first, out=h_last)
         mul(h, 0.5, out=h)
-        first_before.fill(1.0)
-        for step in prefix_steps:
-            step()
-        for step in weight_steps:
-            step()
+        befores[0].fill(1.0)
+        for j in range(n):
+            mul(befores[j], hs[j], out=befores[j + 1])
+        for j in range(1, n):
+            mul(upto[j - 1], probs[j], out=upto_grids[j])
+        for j in range(n - 2, 0, -1):
+            mul(prob_cols[j], after[j], out=after_grids[j - 1])
         mul(cha_probs, w, out=cha_scratch)
         reduce(cha_scratch, axis=1, out=pbar)
         np.matmul(signs_t, pbar, out=gamma)
@@ -497,10 +482,15 @@ def _gradient_pass(theta, grad, n, k, L):
         g_comps.fill(0.0)
         np.divide(roots, n_comps, out=g_comps, where=nonzero)
 
-        # output rows: <A_x> enters hbar(x) with weight 1/2 and hbar(x-1)
-        # with sigma_{x-1}/2, and 2 d <A_x> / du_x = 1 - <A_x>**2
-        for step in suffix_steps:
-            step()
+        # output rows: hbar_j(i) enters I_i times the other parties' factors, the prefix over
+        # parties < j times the suffix over parties > j, which multiplies into the prefixes in
+        # place.  <A_x> enters hbar(x) with weight 1/2 and hbar(x-1) with sigma_{x-1}/2, and
+        # 2 d <A_x> / du_x = 1 - <A_x>**2
+        suffix = hs[n - 1]
+        for j in range(n - 2, -1, -1):
+            mul(befores[j], suffix, out=befores[j])
+            if j:
+                suffix = mul(suffix, hs[j], out=h_after)
         mul(g_comps, gamma, out=g_scaled)
         mul(g_scaled, h_before, out=g_h)
         mul(means, means, out=g_gaps)
@@ -521,9 +511,18 @@ def _gradient_pass(theta, grad, n, k, L):
         mul(g_cha, cha_probs, out=g_cha)
         mul(g_cha, w, out=g_cha)
 
-        # hidden rows: party j's slopes, then their softmax VJP
-        for step in hidden_steps:
-            step()
+        # hidden rows: w_m is the product of one entry per party, so party j's slope sums g_w
+        # over the other parties' weights: the suffix over parties > j, then the prefix over
+        # parties < j (party n-1 has no suffix and party 0 no prefix); then their softmax VJP
+        for j in range(n - 1, -1, -1):
+            if j < n - 1:
+                mul(g_w_grids[j], after[j], out=suffix_terms[j])
+                reduce(suffix_terms[j], axis=2, out=sums[j])
+            if j:
+                mul(sums[j], upto[j - 1], out=prefix_terms[j])
+                reduce(prefix_terms[j], axis=0, out=g_hids[j])
+        if n == 1:
+            np.copyto(g_hids[0], g_w)
         mul(hid_probs, g_hid, out=hid_scratch)
         reduce(hid_scratch, axis=0, out=hid_sums)
         np.subtract(g_hid, hid_sums, out=g_hid)

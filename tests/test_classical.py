@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from jointcert.behavior import (
     validate_behavior,
 )
 from jointcert.classical import (
+    MAX_COUNT_BITS,
     MAX_DETERMINISTIC,
     MAX_OPTIMIZER_CELLS,
     RESPONSE_BLOCK_CELLS,
@@ -385,6 +387,24 @@ def test_enumerate_below_the_cap_passes_the_screen():
             assert next(enumerate_deterministic(shape, L)).hidden_alphabet == L
 
 
+def test_deterministic_count_refuses_huge_counts_at_once():
+    # 4**(10**10) at L = 10**5 used to hang; at (18, 2, 3) the count has
+    # about 775 million bits, where a bound from L's bit length alone reads
+    # 524,342; n = 10**9 and k = 10**7 need no large L at all
+    for n, k, L in [(2, 2, 10**5), (2, 2, 10**9), (18, 2, 3), (10**9, 2, 1), (1, 10**7, 1)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_COUNT_BITS = 1048576 bits"):
+            deterministic_count(ScenarioShape(n, k), L)
+        assert time.perf_counter() - start < 1.0, (n, k, L)
+    assert deterministic_count(SHAPE22, 100) == 16 * 100**2 * 4 ** (100**2)
+    assert deterministic_count(SHAPE22, 100).bit_length() == 20018
+    # the cap is on the exact bit length, 2 + 2L + 19 at (1, 2, L) for L
+    # below 2**19: one bit under it at L = 524277, one over at L = 524278
+    assert deterministic_count(ScenarioShape(1, 2), 524277).bit_length() == MAX_COUNT_BITS - 1
+    with pytest.raises(ValueError, match="MAX_COUNT_BITS"):
+        deterministic_count(ScenarioShape(1, 2), 524278)
+
+
 def test_enumerated_strategies_share_no_writable_state():
     shape = ScenarioShape(1, 2)
     reference = [strategy_to_behavior(s).probabilities for s in enumerate_deterministic(shape, 2)]
@@ -600,7 +620,11 @@ def test_gradient_pass_matches_the_reference_bit_for_bit():
     # vanishing starts follow a start where every component is nonzero
     rng = np.random.default_rng(61)
     nkl_zero, zero_starts = vanishing_component_starts()
-    for n, k, L in [(2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 2), (1, 2, 3), (2, 2, 2), (5, 2, 2), (9, 2, 1), (2, 4, 3)]:
+    shapes = [(2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 2), (1, 2, 3), (2, 2, 2), (5, 2, 2), (9, 2, 1), (2, 4, 3)]
+    # a middle party with L > 2, and one party with one hidden value, where
+    # the per-party views' shapes are easiest to get wrong
+    shapes += [(3, 2, 3), (3, 3, 3), (1, 2, 1)]
+    for n, k, L in shapes:
         for R in (1, 7, 100):
             starts = [random_starts(n, k, L, R, rng) for _ in range(2)]
             if ((n, k, L), R) == (nkl_zero, 1):
@@ -691,6 +715,26 @@ def test_ascent_workspace_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= FRESH_ARRAYS_PEAK, peak
+
+
+def test_gradient_pass_allocates_no_per_call_arrays():
+    # a pass on fresh arrays passes every other test here, at a peak 4.2-5.3
+    # times the response segment.  The workspace pass allocates only numpy's
+    # own buffer where a ufunc broadcasts an operand across the response
+    # axis, one response segment at a time
+    rng = np.random.default_rng(67)
+    for (n, k, L), _ in PINNED_BEST:
+        theta = random_starts(n, k, L, 100, rng)
+        evaluate = _gradient_pass(theta, np.empty(theta.shape), n, k, L)
+        evaluate()
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**k * L**n * 100 * 8, ((n, k, L), peak)
 
 
 def test_optimizer_matches_pinned_statistics():
