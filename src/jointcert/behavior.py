@@ -185,9 +185,11 @@ def save_behavior(behavior, path):
     exactly, so save -> load -> save is byte-identical.  A NaN or infinite
     entry raises InvalidBehaviorError and leaves no file at path.
     """
-    body = _number_text(behavior.probabilities)
+    chunks = _number_chunks(behavior.probabilities)
     with open(path, "w") as fh:
-        fh.writelines(('{"n": %d, "k": %d, "probabilities": ' % (behavior.shape.n, behavior.shape.k), body, "}\n"))
+        fh.write('{"n": %d, "k": %d, "probabilities": ' % (behavior.shape.n, behavior.shape.k))
+        fh.writelines(chunks)
+        fh.write("}\n")
 
 
 def load_behavior(path, strict=False):
@@ -215,38 +217,36 @@ def load_behavior(path, strict=False):
 #
 # A file is one JSON object: integer header fields and flat row-major lists of
 # floats written with 17 significant digits.  Every structural fault raises
-# InvalidBehaviorError, and no array is built before its size is checked.
+# InvalidBehaviorError, and no array is built before its size is checked.  The
+# writers check every list for non-finite entries, then open the file, then
+# stream each list's text a block of WRITE_BLOCK entries at a time, so a
+# write holds one block's text and never a copy of the whole file.
 
 
-# _number_text deduplicates when at most this share of the entries are distinct
+# entries per written block, and the largest share of distinct entries at
+# which a block is deduplicated; both measured in the docstrings below
+WRITE_BLOCK = 2**16
 DEDUPLICATE_SHARE = 1 / 8
 
 
-def _number_text(values):
+def _number_chunks(values):
     """values as a flat row-major JSON list of floats in "%.17g", 17
-    significant digits, which round-trip float64 exactly.
+    significant digits, which round-trip float64 exactly: an iterator over
+    the list's text, one chunk per block of WRITE_BLOCK entries plus the
+    brackets and the ", " between blocks.  The bytes do not depend on where
+    the blocks are cut.
 
-    Each distinct value is formatted once.  Distinct means a distinct bit
-    pattern (the float64 array viewed as uint64), so -0.0 and 0.0, which
-    compare equal but print as "-0" and "0", stay apart.  The patterns are
-    found by np.sort and an adjacent-difference mask: np.unique (numpy 2.4.6)
-    took 0.42 s on 524288 distinct patterns where np.sort took 6 ms.  When at
-    most DEDUPLICATE_SHARE of the entries are distinct, the distinct values
-    are formatted by one % call and split, every entry finds its string by
-    np.searchsorted, and one ", ".join over the gathered strings builds the
-    list.  Otherwise the whole list is one % call: a template with one
-    "%.17g" field per entry, applied to the entries as a tuple of Python
-    floats.  Both give the same bytes as formatting each entry alone.
+    JSON has no literal for NaN or infinity, so a non-finite entry anywhere
+    in values raises InvalidBehaviorError here, before the caller opens a
+    file; nothing is formatted until the iterator is read.
 
-    The cut-off rests on 524288 random entries (2 vCPUs, Python 3.11.7,
-    numpy 2.4.6, best of 7): deduplicating took 75 ms against the template's 259 ms at
-    1/64 distinct, 144 ms against 259 ms at 1/8, 215 ms against 261 ms at 1/4
-    and 600 ms against 265 ms when all are distinct.  The behaviors of the
-    built-in families and of deterministic strategies have a handful of
-    distinct entries; random continuous ones have all distinct.
-
-    JSON has no literal for NaN or infinity, so a non-finite entry raises
-    InvalidBehaviorError before any file is opened.
+    The block size rests on whole (5, 4) saves, 524288 entries (2 vCPUs,
+    Python 3.11.7, numpy 2.4.6, best of 5): at 2**14, 2**16 and 2**18
+    entries per block an all-distinct behavior took 366, 372 and 334 ms and
+    a three-valued one 27.8, 23.0 and 27.9 ms, with tracemalloc peaks of
+    1.1, 4.6 and 18.2 MB (all-distinct) and 0.5, 2.1 and 8.0 MB
+    (three-valued).  Writing the whole list in one block peaked at 31.6 and
+    15.9 MB.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
@@ -254,22 +254,53 @@ def _number_text(values):
         raise InvalidBehaviorError(
             f"cannot write {nonfinite} non-finite entries (NaN or infinity): JSON has no literal for them"
         )
-    if not arr.size:
-        return "[]"
-    bits = arr.view(np.uint64)
+    return _chunks(arr.view(np.uint64))
+
+
+def _chunks(bits):
+    """_number_chunks' iterator, a generator of its own so that the check
+    there runs at the call and not at the first read."""
+    yield "["
+    for start in range(0, bits.size, WRITE_BLOCK):
+        if start:
+            yield ", "
+        yield _block_text(bits[start : start + WRITE_BLOCK])
+    yield "]"
+
+
+def _block_text(bits):
+    """The entries of one block, given as float64 bit patterns, in "%.17g"
+    joined by ", ": the same bytes as formatting each entry alone.
+
+    Each distinct value is formatted once.  Distinct means a distinct bit
+    pattern, so -0.0 and 0.0, which compare equal but print as "-0" and "0",
+    stay apart.  The patterns are found by np.sort and an adjacent-difference
+    mask: np.unique (numpy 2.4.6) took 0.42 s on 524288 distinct patterns
+    where np.sort took 6 ms.  When at most DEDUPLICATE_SHARE of the entries
+    are distinct, the distinct values are formatted by one % call and split,
+    every entry finds its string by np.searchsorted, and one ", ".join
+    builds the text.  Otherwise the block is one % call: a template with one
+    "%.17g" field per entry, applied to the entries as a tuple of Python
+    floats.
+
+    The cut-off rests on one block of 2**16 random entries (2 vCPUs, Python
+    3.11.7, numpy 2.4.6, best of 7 to 9, two runs): deduplicating took 8-9
+    ms against the template's 40-51 ms at 1/64 distinct, 17-19 ms against
+    44-54 ms at 1/8, 22-28 ms against 48-49 ms at 1/4 and 61-75 ms against
+    34-48 ms when all are distinct; the two broke even near 1/2.  The
+    behaviors of the built-in families and of deterministic strategies have
+    a handful of distinct entries; random continuous ones have all distinct,
+    so 1/8 leaves room for the machine's noise without moving either kind.
+    """
     ordered = np.sort(bits)
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if np.count_nonzero(first) > DEDUPLICATE_SHARE * arr.size:
-        del ordered, first  # not held through the formatting, the largest allocation
-        return ("[" + "%.17g, " * (arr.size - 1) + "%.17g]") % tuple(arr.tolist())
+    if np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size:
+        return ("%.17g, " * (bits.size - 1) + "%.17g") % tuple(bits.view(np.float64).tolist())
     distinct = ordered[first]
     texts = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    parts = np.array(texts.split("\n"), dtype=object)[np.searchsorted(distinct, bits)].tolist()
-    parts[0] = "[" + parts[0]
-    parts[-1] += "]"
-    return ", ".join(parts)
+    return ", ".join(np.array(texts.split("\n"), dtype=object)[np.searchsorted(distinct, bits)].tolist())
 
 
 def _read_object(path, keys):

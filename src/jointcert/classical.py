@@ -29,7 +29,7 @@ from .behavior import (
     ScenarioShape,
     _int_field,
     _integer,
-    _number_text,
+    _number_chunks,
     _read_lists,
     _read_numbers,
     _read_object,
@@ -236,16 +236,20 @@ def enumerate_deterministic(shape, hidden_alphabet):
 
 def save_strategy(strategy, path):
     """Write a strategy as JSON with flat row-major float lists (17 digits)."""
-    tables = ", ".join(_number_text(t) for t in strategy.output_tables)
-    dists = ", ".join(_number_text(d) for d in strategy.hidden_dists)
-    charlie = _number_text(strategy.charlie_table)
+    n = strategy.shape.n
+    lists = [_number_chunks(v) for v in (*strategy.output_tables, *strategy.hidden_dists, strategy.charlie_table)]
     header = '{"n": %d, "k": %d, "hidden_alphabet": %d, "output_tables": [' % (
-        strategy.shape.n,
+        n,
         strategy.shape.k,
         strategy.hidden_alphabet,
     )
+    # the text before each list: n tables, n distributions, one Charlie table
+    openings = [header] + [", "] * (n - 1) + ['], "hidden_dists": ['] + [", "] * (n - 1) + ['], "charlie_table": ']
     with open(path, "w") as fh:
-        fh.writelines((header, tables, '], "hidden_dists": [', dists, '], "charlie_table": ', charlie, "}\n"))
+        for opening, chunks in zip(openings, lists):
+            fh.write(opening)
+            fh.writelines(chunks)
+        fh.write("}\n")
 
 
 def load_strategy(path):

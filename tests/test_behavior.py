@@ -3,16 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jointcert import behavior as behavior_module
 from jointcert.behavior import (
     DEDUPLICATE_SHARE,
     BehaviorTensor,
     InvalidBehaviorError,
     ScenarioShape,
-    _number_text,
+    WRITE_BLOCK,
+    _number_chunks,
     correlator_table,
     load_behavior,
     save_behavior,
@@ -388,6 +390,11 @@ def test_load_structural_errors(tmp_path):
         load_behavior(path)
 
 
+def number_text(values):
+    """The whole text _number_chunks yields."""
+    return "".join(_number_chunks(values))
+
+
 def reference_number_text(values):
     """The per-entry writer: each float formatted by its own "%.17g"."""
     return "[%s]" % ", ".join("%.17g" % v for v in np.asarray(values).ravel())
@@ -404,7 +411,7 @@ floats64 = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=5), elements=floats64))
 def test_number_text_matches_per_entry_reference(arr):
-    assert _number_text(arr) == reference_number_text(arr)
+    assert number_text(arr) == reference_number_text(arr)
 
 
 def test_writers_match_per_entry_reference(tmp_path):
@@ -456,6 +463,43 @@ def test_writers_refuse_non_finite_entries(tmp_path, value):
         assert not path.exists()
 
 
+def one_party_strategy(hidden_dist):
+    """A one-party strategy whose hidden distribution is hidden_dist and whose
+    Charlie table is all zeros: not valid, but the writer does not check that."""
+    L = hidden_dist.size
+    tables = (np.array([[1.0, 0.0], [0.0, 1.0]]),)
+    return ClassicalStrategy(ScenarioShape(1, 2), L, tables, (hidden_dist,), np.zeros((L, 2, 2)))
+
+
+def test_writers_refuse_a_non_finite_entry_in_a_later_block(tmp_path):
+    # the whole array is checked before the file is opened, not block by block
+    arr = np.random.default_rng(4).random(ScenarioShape(5, 4).tensor_shape)
+    arr.reshape(-1)[-1] = np.nan
+    path = tmp_path / "b.json"
+    with pytest.raises(InvalidBehaviorError, match="cannot write 1 non-finite entries"):
+        save_behavior(BehaviorTensor(ScenarioShape(5, 4), arr), path)
+    assert not path.exists()
+    dist = np.full(WRITE_BLOCK + 1, 1 / (WRITE_BLOCK + 1))
+    dist[-1] = np.inf
+    path = tmp_path / "s.json"
+    with pytest.raises(InvalidBehaviorError, match="cannot write 1 non-finite entries"):
+        save_strategy(one_party_strategy(dist), path)
+    assert not path.exists()
+
+
+def test_save_to_a_directory_fails_before_formatting(tmp_path, monkeypatch):
+    # an all-distinct (5, 4) behavior, which the template branch would format
+    formatted = []
+    monkeypatch.setattr(behavior_module, "_block_text", formatted.append)
+    shape = ScenarioShape(5, 4)
+    behavior = BehaviorTensor(shape, np.random.default_rng(3).random(shape.tensor_shape))
+    with pytest.raises(OSError):
+        save_behavior(behavior, tmp_path)
+    with pytest.raises(OSError):
+        save_strategy(one_party_strategy(np.random.default_rng(5).random(WRITE_BLOCK)), tmp_path)
+    assert formatted == []
+
+
 def single_call_number_text(values):
     """The writer before deduplication, verbatim: one % call over all entries."""
     arr = np.asarray(values, dtype=float).reshape(-1)
@@ -495,17 +539,18 @@ def test_number_text_from_a_small_pool_matches_the_single_call_writer(pool, data
     # deduplicating branch, small ones with many distinct values the template
     arr = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
                                elements=st.sampled_from(pool)))
-    assert _number_text(arr) == single_call_number_text(arr)
+    assert number_text(arr) == single_call_number_text(arr)
 
 
 def spy_on_searchsorted(monkeypatch):
-    """Count np.searchsorted calls: only the deduplicating branch makes one."""
+    """Record the needle count of every np.searchsorted call: only the
+    deduplicating branch makes one, once per block with that block's size."""
     calls = []
     original = np.searchsorted
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def spy(a, v, *args, **kwargs):
+        calls.append(np.size(v))
+        return original(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", spy)
     return calls
@@ -520,8 +565,62 @@ def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     assert len(np.unique(values.view(np.uint64))) == distinct
     arr = np.resize(values, size)
     calls = spy_on_searchsorted(monkeypatch)
-    assert _number_text(arr) == single_call_number_text(arr)
-    assert bool(calls) == deduplicates
+    assert number_text(arr) == single_call_number_text(arr)
+    assert calls == ([size] if deduplicates else [])
+
+
+def first_difference(got, want):
+    """None when the texts are equal, else the first index where they differ
+    with the text around it in each: pytest's own diff of two multi-megabyte
+    strings would take minutes."""
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return at, got[max(at - 30, 0) : at + 30], want[max(at - 30, 0) : at + 30]
+
+
+def deduplicated_block_sizes(arr):
+    """The sizes of the blocks of arr that take the deduplicating branch."""
+    blocks = [arr[start : start + WRITE_BLOCK] for start in range(0, arr.size, WRITE_BLOCK)]
+    return [b.size for b in blocks if np.unique(b.view(np.uint64)).size <= DEDUPLICATE_SHARE * b.size]
+
+
+# no shrink phase: each run writes up to 200,000 entries several times, so
+# shrinking a failure would take thousands of such runs
+@pytest.mark.parametrize("size", [WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 3 * WRITE_BLOCK + 7])
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(pool=st.lists(st.sampled_from(POOL_FLOATS), min_size=1, max_size=6), data=st.data())
+def test_block_boundaries_never_change_the_bytes(tmp_path_factory, size, pool, data):
+    # few-value blocks drawn from the pool, with pool values on both sides of
+    # every block boundary, alternating with blocks of all-distinct values
+    arr = data.draw(hnp.arrays(np.float64, size, elements=st.sampled_from(pool), fill=st.sampled_from(pool)))
+    starts = range(0, size, WRITE_BLOCK)
+    for start in starts[1:]:
+        arr[start - 1 : start + 1] = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for start in starts[data.draw(st.integers(0, 1)) :: 2]:
+        block = arr[start : start + WRITE_BLOCK]
+        block[:] = rng.random(block.size)
+    want = single_call_number_text(arr)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_on_searchsorted(patch)
+        assert first_difference(number_text(arr), want) is None
+    assert calls == deduplicated_block_sizes(arr)
+
+    path = tmp_path_factory.mktemp("boundaries") / "s.json"
+    save_strategy(one_party_strategy(arr), path)
+    assert first_difference(path.read_text(), (
+        '{"n": 1, "k": 2, "hidden_alphabet": %d, "output_tables": [[1, 0, 0, 1]], "hidden_dists": [%s], '
+        '"charlie_table": [%s]}\n' % (size, want, ", ".join(["0"] * (4 * size)))
+    )) is None
+    # an (8, 2) behavior, 4 * 2**16 entries, whose flat entries begin with arr
+    probabilities = np.full(ScenarioShape(8, 2).tensor_shape, arr[-1])
+    probabilities.reshape(-1)[:size] = arr
+    behavior = BehaviorTensor(ScenarioShape(8, 2), probabilities)
+    got, reference = path.with_name("b.json"), path.with_name("reference.json")
+    save_behavior(behavior, got)
+    single_call_save_behavior(behavior, reference)
+    assert first_difference(got.read_text(), reference.read_text()) is None
 
 
 @pytest.mark.parametrize(
@@ -536,7 +635,7 @@ def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     ids=["empty", "single", "single-long", "all-equal", "all-equal-subnormal"],
 )
 def test_number_text_small_and_uniform_arrays(arr, text):
-    assert _number_text(arr) == single_call_number_text(arr) == text
+    assert number_text(arr) == single_call_number_text(arr) == text
 
 
 def three_valued_behavior(v=0.3):
@@ -590,3 +689,23 @@ def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_p
     got = traced_peak(save_behavior, behavior, tmp_path / "got.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
     assert got <= 1.1 * SINGLE_CALL_WRITER_PEAK, got
+
+
+# tracemalloc peaks, in bytes, of save_behavior on the all-distinct behavior
+# above and on three_valued_behavior() with WRITE_BLOCK = 2**16 (numpy 2.4.6,
+# Python 3.11.7): the same in three fresh processes each, where the
+# single-call writer reads 31,647,424 and 15,893,693
+STREAMED_WRITER_PEAKS = {"all-distinct": 4_552_265, "three-valued": 2_054_681}
+
+
+@pytest.mark.parametrize("name", STREAMED_WRITER_PEAKS)
+def test_54_write_peak_is_one_block_deep(tmp_path, name):
+    # a block's text is formatted, written and dropped before the next block
+    shape = ScenarioShape(5, 4)
+    if name == "all-distinct":
+        behavior = BehaviorTensor(shape, np.random.default_rng(3).random(shape.tensor_shape))
+    else:
+        behavior = three_valued_behavior()
+    got = traced_peak(save_behavior, behavior, tmp_path / "b.json")
+    assert got <= 1.1 * STREAMED_WRITER_PEAKS[name], got
+    assert got <= SINGLE_CALL_WRITER_PEAK / 4, got

@@ -509,6 +509,8 @@ def test_gen_validates_parameters(tmp_path, capsys):
     assert code == EXIT_INVALID and "[0, 1]" in err
     code, _, err = run(capsys, "gen", "quantum", "--p", "0.5", "--out", str(tmp_path / "no/dir/x.json"))
     assert code == EXIT_INVALID
+    code, _, err = run(capsys, "gen", "quantum", "--p", "0.5", "--out", str(tmp_path))
+    assert code == EXIT_INVALID and str(tmp_path) in err
 
 
 def fresh_main(argv):
