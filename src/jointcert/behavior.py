@@ -245,8 +245,8 @@ def _number_chunks(values):
     entries per block an all-distinct behavior took 366, 372 and 334 ms and
     a three-valued one 27.8, 23.0 and 27.9 ms, with tracemalloc peaks of
     1.1, 4.6 and 18.2 MB (all-distinct) and 0.5, 2.1 and 8.0 MB
-    (three-valued).  Writing the whole list in one block peaked at 31.6 and
-    15.9 MB.
+    (three-valued).  The whole-list writer this replaced peaked at 31.6
+    and 15.9 MB.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
@@ -290,7 +290,7 @@ def _block_text(bits):
     34-48 ms when all are distinct; the two broke even near 1/2.  The
     behaviors of the built-in families and of deterministic strategies have
     a handful of distinct entries; random continuous ones have all distinct,
-    so 1/8 leaves room for the machine's noise without moving either kind.
+    so 1/8 leaves room for timing noise without moving either kind.
     """
     ordered = np.sort(bits)
     first = np.empty(ordered.size, dtype=bool)
