@@ -16,12 +16,14 @@ Subcommands:
 
 Verdicts compare the report's floor, the statistic with each component's
 rounding taken off (see inequalities), with the bound.  The library's is
-strict; certify applies --tol (default 1e-9) on top of the bound before
-choosing its exit code, so it exits 10 only when floor > bound + tol.  A
-negative or non-finite --tol would decide verdicts by itself, so certify and
-sweep refuse it with exit 2.  The correlator columns of sweep come from the
-exact closed form of the quantum model, the post-selection columns from
-density-matrix simulation.
+strict; certify applies --tol (default inequalities.VERDICT_TOL, 1e-9) on
+top of the bound before choosing its exit code, so it exits 10 only when
+floor > bound + tol.  A negative or non-finite --tol would decide verdicts by
+itself, so certify and sweep refuse it with exit 2.  main maps every
+ValueError and OSError of a subcommand, a failed write of any output file
+included, to one error: line and exit 2.  The correlator columns of sweep
+come from the exact closed form of the quantum model, the post-selection
+columns from density-matrix simulation.
 """
 import argparse
 import csv
@@ -32,9 +34,9 @@ import sys
 
 import numpy as np
 
-from .behavior import InvalidBehaviorError, ScenarioShape, load_behavior, save_behavior
+from .behavior import ScenarioShape, load_behavior, save_behavior
 from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
-from .inequalities import evaluate_chain, evaluate_mn, report_to_json
+from .inequalities import VERDICT_TOL, check_tol, evaluate_chain, evaluate_mn, exceeds_bound, report_to_json
 from .postselect import _gap_reports
 from .quantum import _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
 
@@ -60,53 +62,36 @@ SWEEP_COLUMNS = (
 )
 
 
-def _fail(message):
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
-
-
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     return "%.17g" % value
 
 
 def cmd_certify(args):
-    if not 0.0 <= args.tol < np.inf:
-        return _fail(f"--tol must be finite and >= 0, got {args.tol}")
-    try:
-        behavior = load_behavior(args.behavior, strict=True)
-    except (OSError, InvalidBehaviorError) as exc:
-        return _fail(str(exc))
+    tol = check_tol(args.tol, "--tol")
+    behavior = load_behavior(args.behavior, strict=True)
     mode = args.mode
     if mode is None:
         mode = "mn" if (behavior.shape.n, behavior.shape.k) == (2, 2) else "chain"
-    try:
-        evaluator = evaluate_mn if mode == "mn" else evaluate_chain
-        report = evaluator(behavior)
-    except ValueError as exc:
-        return _fail(str(exc))
+    evaluator = evaluate_mn if mode == "mn" else evaluate_chain
+    report = evaluator(behavior)
     print(report_to_json(report))
-    return EXIT_VIOLATED if report.floor > report.bound + args.tol else EXIT_OK
+    return EXIT_VIOLATED if exceeds_bound(report, tol) else EXIT_OK
 
 
 def cmd_sweep(args):
     if not 0.0 <= args.pmin <= args.pmax <= 1.0:
-        return _fail(f"need 0 <= pmin <= pmax <= 1, got {args.pmin}, {args.pmax}")
+        raise ValueError(f"need 0 <= pmin <= pmax <= 1, got {args.pmin}, {args.pmax}")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
-        return _fail(f"need 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
-    if not 0.0 <= args.tol < np.inf:
-        return _fail(f"--tol must be finite and >= 0, got {args.tol}")
-    try:
-        fh = open(args.out, "w", newline="")
-    except OSError as exc:
-        return _fail(str(exc))
-    with fh:
+        raise ValueError(f"need 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
+    tol = check_tol(args.tol, "--tol")
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         grid = np.linspace(args.pmin, args.pmax, args.steps)
         for block in np.split(grid, range(SWEEP_BLOCK, args.steps, SWEEP_BLOCK)):
-            for p, gap in zip(block, _gap_reports(block, args.tol)):
+            for p, gap in zip(block, _gap_reports(block, tol)):
                 exact = evaluate_mn(closed_form_behavior(p))
                 row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
                 flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
@@ -131,31 +116,25 @@ def cmd_optimize(args):
     # so neither a long run nor a half-written pair of files is wasted
     for path in (args.report_out, args.strategy_out):
         if path and (problem := _unwritable(path)):
-            return _fail(problem)
+            raise ValueError(problem)
     # the strategy would be written over the report
     report_out, strategy_out = args.report_out, args.strategy_out
     if report_out and strategy_out and os.path.realpath(report_out) == os.path.realpath(strategy_out):
-        return _fail(f"--report-out and --strategy-out name the same file: {strategy_out}")
-    try:
-        shape = ScenarioShape(args.n, args.k)
-        report, strategy = optimize_classical(
-            shape,
-            hidden_alphabet=args.alphabet,
-            restarts=args.restarts,
-            seed=args.seed,
-            iterations=args.iterations,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"--report-out and --strategy-out name the same file: {strategy_out}")
+    shape = ScenarioShape(args.n, args.k)
+    report, strategy = optimize_classical(
+        shape,
+        hidden_alphabet=args.alphabet,
+        restarts=args.restarts,
+        seed=args.seed,
+        iterations=args.iterations,
+    )
     text = report_to_json(report)
-    try:
-        if args.report_out:
-            with open(args.report_out, "w") as fh:
-                fh.write(text + "\n")
-        if args.strategy_out:
-            save_strategy(strategy, args.strategy_out)
-    except OSError as exc:
-        return _fail(str(exc))
+    if args.report_out:
+        with open(args.report_out, "w") as fh:
+            fh.write(text + "\n")
+    if args.strategy_out:
+        save_strategy(strategy, args.strategy_out)
     print(text)
     return EXIT_OK
 
@@ -174,19 +153,13 @@ def cmd_validate_povm(args):
 
 
 def cmd_gen(args):
-    try:
-        if args.family == "quantum":
-            behavior = quantum_behavior(args.p)
-        elif args.family == "closed-form":
-            behavior = closed_form_behavior(args.p)
-        else:
-            behavior = strategy_to_behavior(saturation_strategy(args.r))
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        save_behavior(behavior, args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    if args.family == "quantum":
+        behavior = quantum_behavior(args.p)
+    elif args.family == "closed-form":
+        behavior = closed_form_behavior(args.p)
+    else:
+        behavior = strategy_to_behavior(saturation_strategy(args.r))
+    save_behavior(behavior, args.out)
     return EXIT_OK
 
 
@@ -209,14 +182,14 @@ def build_parser():
         default=None,
         help="statistic to evaluate (default: mn when n=k=2, else chain)",
     )
-    p_cert.add_argument("--tol", type=float, default=1e-9, help="violation tolerance")
+    p_cert.add_argument("--tol", type=float, default=VERDICT_TOL, help="violation tolerance")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="tabulate the quantum model over p")
     p_sweep.add_argument("--pmin", type=float, default=0.0)
     p_sweep.add_argument("--pmax", type=float, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=11)
-    p_sweep.add_argument("--tol", type=float, default=1e-9, help="violation tolerance")
+    p_sweep.add_argument("--tol", type=float, default=VERDICT_TOL, help="violation tolerance")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -246,7 +219,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # InvalidBehaviorError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

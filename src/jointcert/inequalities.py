@@ -58,6 +58,8 @@ import numpy as np
 
 from .behavior import correlator_table
 
+VERDICT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -76,9 +78,8 @@ def _rounding_slack(n, k):
 
 
 def _report(statistic, floor, bound, components):
-    statistic = float(statistic)
-    bound = float(bound)
-    components = tuple(map(float, components))
+    """The report of Python floats statistic, floor and bound and a tuple of
+    Python float components, as both evaluators compute them."""
     # NaN compares false against the bound and infinity exceeds it, so
     # either would pass for a verdict
     if not math.isfinite(statistic):
@@ -89,8 +90,23 @@ def _report(statistic, floor, bound, components):
         components=components,
         violated=floor > bound,
         margin=statistic - bound,
-        floor=float(floor),
+        floor=floor,
     )
+
+
+def check_tol(tol, name="tol"):
+    """tol as a float, refused with ValueError unless finite and >= 0: a NaN
+    or infinite tolerance passes every floor, and a negative one flags a
+    floor at the bound, so either would decide verdicts by itself."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+    return float(tol)
+
+
+def exceeds_bound(report, tol):
+    """The verdict at a tolerance from check_tol: the report's floor exceeds
+    its bound by more than tol."""
+    return report.floor > report.bound + tol
 
 
 def chain_components(behavior):
@@ -117,7 +133,7 @@ def evaluate_chain(behavior):
     statistic = sum(abs(c) ** root for c in components)
     delta = _rounding_slack(n, k)
     floor = sum(max(abs(c) - delta, 0.0) ** root for c in components)
-    return _report(statistic, floor, k - 1, components)
+    return _report(statistic, floor, float(k - 1), tuple(components))
 
 
 def evaluate_mn(behavior):

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTensor, ScenarioShape, _integer
-from .inequalities import evaluate_mn
+from .inequalities import VERDICT_TOL, check_tol, evaluate_mn, exceeds_bound
 from .quantum import BELL_LABELING, PAULIS, _bsm_elements, _sharpness, _simulated, _state_tensor, proj
 
 WERNER_LHV_THRESHOLD = 0.66
-VERDICT_TOL = 1e-9
 
 
 def _scalar(x):
@@ -132,14 +131,13 @@ def gap_report(p, tol=VERDICT_TOL):
 def _gap_reports(p, tol):
     """gap_report for each of a 1-D stack of sharpness values (or one p), in
     order: one stacked simulation and one stacked pass over the four outcomes."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    tol = check_tol(tol)
     p = np.atleast_1d(_sharpness(p))
     rho, _ = _induced_states(p)
     visibility, residual = werner_visibility(rho, [vec for _, vec in BELL_LABELING])
     worst = (chsh_max(rho).max(-1), visibility.max(-1), residual.max(-1))
     for p_i, arr, chsh, v, res in zip(p.tolist(), _simulated(p), *(w.tolist() for w in worst)):
         report = evaluate_mn(BehaviorTensor(ScenarioShape(2, 2), arr))
-        nonclassical, simulable = report.floor > report.bound + tol, v < WERNER_LHV_THRESHOLD
+        nonclassical, simulable = exceeds_bound(report, tol), v < WERNER_LHV_THRESHOLD
         yield GapReport(p_i, report.statistic, report.components, chsh, v, res, nonclassical, simulable,
                         nonclassical and simulable)

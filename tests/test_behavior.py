@@ -422,7 +422,9 @@ def test_writers_match_per_entry_reference(tmp_path):
     arr.reshape(-1)[: len(EDGE_FLOATS)] = EDGE_FLOATS
     path = tmp_path / "b54.json"
     save_behavior(BehaviorTensor(shape, arr), path)
-    assert path.read_text() == '{"n": 5, "k": 4, "probabilities": %s}\n' % reference_number_text(arr)
+    assert first_difference(
+        path.read_text(), '{"n": 5, "k": 4, "probabilities": %s}\n' % reference_number_text(arr)
+    ) is None
 
     tables = (rng.dirichlet(np.ones(2), size=3), np.array([[1.0, 0.0], [-0.0, 1.0], [0.5, 0.5]]))
     dists = (np.array([1 / 3, 2 / 3]), np.array([5e-324, 1.0]))
@@ -434,7 +436,7 @@ def test_writers_match_per_entry_reference(tmp_path):
         ", ".join(map(reference_number_text, dists)),
         reference_number_text(charlie),
     )
-    assert path.read_text() == want
+    assert first_difference(path.read_text(), want) is None
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -659,10 +661,10 @@ def test_three_valued_54_behavior_writes_the_single_call_bytes(tmp_path):
     path, want = tmp_path / "b.json", tmp_path / "want.json"
     save_behavior(behavior, path)
     single_call_save_behavior(behavior, want)
-    assert path.read_bytes() == want.read_bytes()
+    assert first_difference(path.read_bytes(), want.read_bytes()) is None
     again = tmp_path / "again.json"
     save_behavior(load_behavior(path), again)
-    assert again.read_bytes() == path.read_bytes()
+    assert first_difference(again.read_bytes(), path.read_bytes()) is None
 
 
 def traced_peak(write, *args):
@@ -687,7 +689,7 @@ def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_p
     behavior = BehaviorTensor(ScenarioShape(5, 4), rng.random(ScenarioShape(5, 4).tensor_shape))
     single_call_save_behavior(behavior, tmp_path / "want.json")
     got = traced_peak(save_behavior, behavior, tmp_path / "got.json")
-    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert first_difference((tmp_path / "got.json").read_bytes(), (tmp_path / "want.json").read_bytes()) is None
     assert got <= 1.1 * SINGLE_CALL_WRITER_PEAK, got
 
 

@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -513,10 +515,31 @@ def test_gen_validates_parameters(tmp_path, capsys):
     assert code == EXIT_INVALID and str(tmp_path) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--steps", "11", "--out", "/dev/full"],
+        ["gen", "quantum", "--out", "/dev/full"],
+        ["optimize", "--restarts", "1", "--iterations", "1", "--report-out", "/dev/full"],
+        ["optimize", "--restarts", "1", "--iterations", "1", "--strategy-out", "/dev/full"],
+    ],
+    ids=["sweep-out", "gen-out", "optimize-report-out", "optimize-strategy-out"],
+)
+def test_a_failed_write_exits_2_with_one_error_line(capsys, argv):
+    # every write to /dev/full fails with ENOSPC; the sweep's rows used to
+    # fail outside any handler and end in a traceback with exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+
 def fresh_main(argv):
     """main with a parser built for this one call."""
-    args = cli.build_parser.__wrapped__().parse_args(argv)
-    return args.func(args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return main(argv)
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import json
 from decimal import Decimal, localcontext
@@ -12,15 +14,19 @@ from jointcert.behavior import BehaviorTensor, ScenarioShape, correlator_table
 from jointcert.classical import (
     ClassicalStrategy,
     enumerate_deterministic,
+    saturation_strategy,
     strategy_to_behavior,
     validate_strategy,
 )
 from jointcert.inequalities import (
+    VERDICT_TOL,
     chain_components,
     evaluate_chain,
     evaluate_mn,
+    exceeds_bound,
     report_to_json,
 )
+from jointcert.postselect import gap_report
 from jointcert.quantum import closed_form_behavior, quantum_behavior
 
 SHAPE22 = ScenarioShape(2, 2)
@@ -132,6 +138,39 @@ def test_non_finite_behavior_gets_no_verdict(shape, index, value, evaluators, co
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match=r"not finite: components " + components):
                 evaluate(behavior)
+
+
+REPORT_FIELD_TYPES = {
+    "statistic": float,
+    "bound": float,
+    "components": tuple,
+    "violated": bool,
+    "margin": float,
+    "floor": float,
+}
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_mn, evaluate_chain])
+def test_reports_carry_plain_python_scalars(evaluate):
+    behaviors = [
+        quantum_behavior(0.8),
+        closed_form_behavior(0.3),
+        BehaviorTensor.uniform(SHAPE22),
+        strategy_to_behavior(saturation_strategy(0.25)),
+    ]
+    if evaluate is evaluate_chain:
+        rng = np.random.default_rng(37)
+        behaviors += [random_behavior(ScenarioShape(3, 2), rng), random_behavior(ScenarioShape(2, 3), rng)]
+    for behavior in behaviors:
+        report = evaluate(behavior)
+        types = {field.name: type(getattr(report, field.name)) for field in dataclasses.fields(report)}
+        assert types == REPORT_FIELD_TYPES
+        assert [type(c) for c in report.components] == [float] * behavior.shape.k
+        assert type(exceeds_bound(report, VERDICT_TOL)) is bool
+    for p in (0.3, 0.6, 1.0):
+        gap = gap_report(p)
+        flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
+        assert [type(flag) for flag in flags] == [bool] * 3
 
 
 def test_report_json_round_trip():
@@ -272,6 +311,28 @@ def test_floor_never_exceeds_the_exact_statistic(nk, near_bound, noise_exponent,
             (Decimal(abs(c.numerator)) / c.denominator) ** root for c in exact_components(behavior) if c
         )
         assert Decimal(report.floor) <= exact
+
+
+@functools.cache
+def deterministic_strategies(n, k, L):
+    return list(enumerate_deterministic(ScenarioShape(n, k), L))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nkL=st.sampled_from([(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1)]), data=st.data())
+def test_mixtures_of_deterministic_strategies_obey_the_shared_source_bound(nkL, data):
+    # a mixture of deterministic strategies is a model with one shared source;
+    # the components are linear in the behavior, and at a deterministic point
+    # each |I_i| is 0 or 1 with at least one 0, so sum_i |I_i| <= k - 1.  At
+    # n = k = 2 this is |I| + |J| <= 1 (Branciard, Rosset, Gisin, Pironio,
+    # PRA 85, 032119, 2012)
+    n, k, L = nkL
+    pool = deterministic_strategies(n, k, L)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    weights = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(len(picks)))
+    mixture = sum(w * strategy_to_behavior(pool[i]).probabilities for w, i in zip(weights, picks))
+    components = chain_components(BehaviorTensor(ScenarioShape(n, k), mixture))
+    assert sum(abs(c) for c in components) <= k - 1 + 1e-12
 
 
 def test_quantum_violations_above_one_half_survive_the_floor():
