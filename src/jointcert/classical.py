@@ -27,6 +27,7 @@ from .behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
     ScenarioShape,
+    _assemble,
     _int_field,
     _integer,
     _number_chunks,
@@ -141,7 +142,8 @@ def strategy_to_behavior(strategy):
         weights = (weights[:, None] * dist).reshape(-1)
     responses = strategy.charlie_table.reshape(weights.size, 2**k)
     cdist = weights @ responses
-    return BehaviorTensor(shape, out * cdist.reshape((2,) * k))
+    # float64 of shape.tensor_shape by construction, so not checked again
+    return _assemble(BehaviorTensor, shape=shape, probabilities=out * cdist.reshape((2,) * k))
 
 
 def saturation_strategy(r):
@@ -201,7 +203,10 @@ def enumerate_deterministic(shape, hidden_alphabet):
     share their output tables and hidden distributions, which are read-only.
     Response tables are built a block at a time, at most RESPONSE_BLOCK_CELLS
     floats per block; each strategy's response table is its own row of a
-    block, writable and disjoint from every other strategy's.
+    block, writable and disjoint from every other strategy's.  Each group
+    of strategies sharing output tables and hidden points is validated once,
+    by one ClassicalStrategy build; its strategies are then assembled from
+    those checked fields and their own response rows (behavior._assemble).
     """
     n, k = shape.n, shape.k
     L = _alphabet_size(hidden_alphabet)
@@ -226,12 +231,16 @@ def enumerate_deterministic(shape, hidden_alphabet):
     charlie_shape = (L,) * n + (2,) * k
     for tables in itertools.product(table_pool, repeat=n):
         for dists in itertools.product(dist_pool, repeat=n):
+            # one validating build per group; its strategies differ only in
+            # the response table, whose shape and dtype each block fixes
+            fields = vars(ClassicalStrategy(shape, L, tables, dists, np.zeros(charlie_shape))).copy()
+            del fields["charlie_table"]
             for start in range(0, count, rows):
                 codes = (np.arange(start, min(start + rows, count))[:, None] >> shifts) & (C - 1)
                 block = np.zeros((len(codes),) + charlie_shape)
                 block.reshape(-1)[np.arange(codes.size) * C + codes.reshape(-1)] = 1.0
                 for charlie in block:
-                    yield ClassicalStrategy(shape, L, tables, dists, charlie)
+                    yield _assemble(ClassicalStrategy, **fields, charlie_table=charlie)
 
 
 def save_strategy(strategy, path):

@@ -21,9 +21,9 @@ top of the bound before choosing its exit code, so it exits 10 only when
 floor > bound + tol.  A negative or non-finite --tol would decide verdicts by
 itself, so certify and sweep refuse it with exit 2.  main maps every
 ValueError and OSError of a subcommand, a failed write of any output file
-included, to one error: line and exit 2.  The correlator columns of sweep
-come from the exact closed form of the quantum model, the post-selection
-columns from density-matrix simulation.
+or of stdout included, to one error: line and exit 2.  The correlator
+columns of sweep come from the exact closed form of the quantum model, the
+post-selection columns from density-matrix simulation.
 """
 import argparse
 import csv
@@ -219,9 +219,24 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    flushing = False
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a block-buffered stdout holds what print wrote until it is
+        # flushed; flushed here, a failed write maps to exit 2 below instead
+        # of failing in the interpreter's flush at exit (exit 120)
+        flushing = True
+        if sys.stdout is not None:  # None when the process has no stdout
+            sys.stdout.flush()
+        return code
     except (OSError, ValueError) as exc:  # InvalidBehaviorError is a ValueError
+        if flushing:
+            # the unwritten bytes stay buffered and the flush at exit would
+            # fail again, so stdout's descriptor goes to devnull, as Python's
+            # docs advise for SIGPIPE
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import correlator_table
+from .behavior import _assemble, correlator_table
 
 VERDICT_TOL = 1e-9
 
@@ -84,7 +84,8 @@ def _report(statistic, floor, bound, components):
     # either would pass for a verdict
     if not math.isfinite(statistic):
         raise ValueError(f"statistic is {statistic}, not finite: components {components}")
-    return InequalityReport(
+    return _assemble(
+        InequalityReport,
         statistic=statistic,
         bound=bound,
         components=components,

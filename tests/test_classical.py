@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ from jointcert.classical import (
     strategy_to_behavior,
     validate_strategy,
 )
-from jointcert.inequalities import evaluate_chain, evaluate_mn, report_to_json
+from jointcert.inequalities import InequalityReport, evaluate_chain, evaluate_mn, report_to_json
 
 SHAPE22 = ScenarioShape(2, 2)
 
@@ -451,6 +452,51 @@ def test_enumeration_matches_the_reference_generator(n, k, L):
     # each response table is C-contiguous, the layout strategy_to_behavior
     # reads, and writable
     assert all(s.charlie_table.flags.c_contiguous and s.charlie_table.flags.writeable for s in got)
+
+
+def strategy_arrays(strategy):
+    return [*strategy.output_tables, *strategy.hidden_dists, strategy.charlie_table]
+
+
+@pytest.mark.parametrize("n, k, L", [(1, 2, 3), (2, 2, 2), (2, 3, 1)])
+def test_enumerated_strategies_are_what_the_constructor_builds(n, k, L):
+    # enumerate_deterministic validates one strategy per group and assembles
+    # the rest without __post_init__: each must hold every field, and the
+    # validating constructor must accept it and rebuild the same arrays
+    names = {field.name for field in dataclasses.fields(ClassicalStrategy)}
+    got, want = [], []
+    for strategy in enumerate_deterministic(ScenarioShape(n, k), L):
+        assert set(vars(strategy)) == names
+        rebuilt = ClassicalStrategy(**vars(strategy))
+        assert rebuilt.shape == strategy.shape and rebuilt.hidden_alphabet == strategy.hidden_alphabet == L
+        got.append(strategy_arrays(strategy))
+        want.append(strategy_arrays(rebuilt))
+        assert [(type(a), a.shape, a.dtype, a.flags.writeable) for a in got[-1]] == [
+            (np.ndarray, b.shape, b.dtype, b.flags.writeable) for b in want[-1]
+        ]
+        assert validate_strategy(strategy) == []
+    # shapes agree field by field, so each field stacks across strategies
+    for got_field, want_field in zip(zip(*got), zip(*want), strict=True):
+        np.testing.assert_array_equal(np.array(got_field), np.array(want_field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nk=st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]),
+    L=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assembled_behaviors_and_reports_are_what_the_constructors_build(nk, L, seed):
+    # strategy_to_behavior and the evaluators' reports skip __post_init__
+    shape = ScenarioShape(*nk)
+    behavior = strategy_to_behavior(random_strategy(*nk, L, np.random.default_rng(seed)))
+    assert type(behavior) is BehaviorTensor and behavior.shape == shape
+    probs = behavior.probabilities
+    assert type(probs) is np.ndarray and probs.dtype == np.float64 and probs.shape == shape.tensor_shape
+    assert behavior == BehaviorTensor(shape, probs)
+    reports = [evaluate_chain(behavior)] + ([evaluate_mn(behavior)] if nk == (2, 2) else [])
+    for report in reports:
+        assert report == InequalityReport(**vars(report))
 
 
 def test_first_strategy_allocates_one_block():

@@ -4,6 +4,9 @@ import hashlib
 import itertools
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jointcert
 from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
@@ -533,6 +537,34 @@ def test_a_failed_write_exits_2_with_one_error_line(capsys, argv):
     assert code == EXIT_INVALID
     assert out == ""
     assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["certify", "{behavior}"], ["validate-povm", "--p", "0.5"]], ids=["certify", "validate-povm"]
+)
+def test_a_failed_buffered_stdout_write_exits_2_with_one_error_line(tmp_path, argv):
+    # without PYTHONUNBUFFERED a file stdout is block-buffered, so print only
+    # fills the buffer; the write used to fail in the interpreter's flush at
+    # exit, after main had returned, with exit 120 and no error: line
+    behavior = tmp_path / "q.json"
+    save_behavior(closed_form_behavior(0.8), behavior)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    # the package this suite imports comes first, so the child runs it
+    source = str(pathlib.Path(jointcert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([source] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "jointcert", *[arg.format(behavior=behavior) for arg in argv]],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    assert result.returncode == EXIT_INVALID, result.stderr
+    assert "Exception ignored" not in result.stderr
+    assert result.stderr.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
 
 
 def fresh_main(argv):
