@@ -40,13 +40,27 @@ class InvalidBehaviorError(ValueError):
     """A behavior file or tensor violates a structural or probability invariant."""
 
 
-def _integer(value, name):
+def _integer(value, name, minimum=None):
     """value as an int.  Refuses booleans and non-integers (numpy integers
-    are accepted) with a ValueError naming the argument, never truncating."""
+    are accepted) with a ValueError naming the argument, never truncating,
+    and values below minimum when one is given."""
     # bool is a subclass of int, but True is not a count
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _exceeds(factors, limit):
+    """Whether the product of base**exp over factors, pairs of ints with
+    base >= 1 and exp >= 0, exceeds the int limit.  The product is at least
+    2**(sum of exp * (bit length of base - 1)), so a product that this bound
+    puts past limit is settled before any power is formed; any other stays
+    below limit**2, and is formed and compared exactly."""
+    floor = sum(exp * (base.bit_length() - 1) for base, exp in factors)
+    return floor >= limit.bit_length() or math.prod(base**exp for base, exp in factors) > limit
 
 
 def _assemble(cls, **fields):
@@ -344,18 +358,9 @@ def _read_object(path, keys):
     return doc
 
 
-def _int_field(doc, key):
-    value = doc[key]
-    # bool is a subclass of int, but "n": true is not a party count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidBehaviorError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _read_shape(doc):
-    n, k = _int_field(doc, "n"), _int_field(doc, "k")
     try:
-        return ScenarioShape(n, k)
+        return ScenarioShape(doc["n"], doc["k"])
     except ValueError as exc:
         raise InvalidBehaviorError(f"bad scenario shape: {exc}") from exc
 
@@ -369,7 +374,7 @@ def _count_text(dims):
     length > 1) once the exact count is too long to be worth printing (and
     Python refuses to print integers of more than 4300 digits)."""
     floor = sum(repeat for size, repeat in dims if size > 1)
-    if floor > 1024 or sum(repeat * size.bit_length() for size, repeat in dims if size > 1) > 8192:
+    if floor > 1024 or _exceeds(dims, 2**8192):
         return f"at least 2**{floor}"
     return str(math.prod(size**repeat for size, repeat in dims))
 

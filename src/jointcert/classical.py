@@ -28,7 +28,7 @@ from .behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     _assemble,
-    _int_field,
+    _exceeds,
     _integer,
     _number_chunks,
     _read_lists,
@@ -51,15 +51,6 @@ RESPONSE_BLOCK_CELLS = 2**16
 MAX_COUNT_BITS = 2**20
 
 
-def _alphabet_size(value):
-    """The hidden alphabet size as an int.  Refuses booleans, non-integers
-    and sizes below 1 with a ValueError instead of truncating them."""
-    L = _integer(value, "hidden alphabet size")
-    if L < 1:
-        raise ValueError(f"hidden alphabet size must be >= 1, got {L}")
-    return L
-
-
 @dataclass(frozen=True)
 class ClassicalStrategy:
     shape: ScenarioShape
@@ -70,7 +61,7 @@ class ClassicalStrategy:
 
     def __post_init__(self):
         n, k = self.shape.n, self.shape.k
-        L = _alphabet_size(self.hidden_alphabet)
+        L = _integer(self.hidden_alphabet, "hidden alphabet size", 1)
         tables = tuple([np.asarray(t, dtype=float) for t in self.output_tables])
         dists = tuple([np.asarray(d, dtype=float) for d in self.hidden_dists])
         charlie = np.asarray(self.charlie_table, dtype=float)
@@ -171,12 +162,9 @@ def saturation_strategy(r):
 
 def _count_too_long(n, k, L):
     """Whether the deterministic count, M * 2**(k * (n + M)) with M = L**n,
-    has more than MAX_COUNT_BITS bits.  M >= 2**(n * (bit length of L - 1)),
-    so a shape that bound refuses never forms M, and the others form it
-    below 2**40: no huge power is formed."""
-    if k * n > MAX_COUNT_BITS or n * (L.bit_length() - 1) >= MAX_COUNT_BITS.bit_length() - 1:
-        return True
-    return k * (n + L**n) + (L**n).bit_length() > MAX_COUNT_BITS
+    has more than MAX_COUNT_BITS bits.  It has more than 2M bits, so an M
+    past MAX_COUNT_BITS settles it before M is formed."""
+    return _exceeds([(L, n)], MAX_COUNT_BITS) or k * (n + L**n) + (L**n).bit_length() > MAX_COUNT_BITS
 
 
 def deterministic_count(shape, hidden_alphabet):
@@ -186,7 +174,7 @@ def deterministic_count(shape, hidden_alphabet):
     alphabet that is not an integer >= 1, and on a count of more than
     MAX_COUNT_BITS bits, before forming it."""
     n, k = shape.n, shape.k
-    L = _alphabet_size(hidden_alphabet)
+    L = _integer(hidden_alphabet, "hidden alphabet size", 1)
     if _count_too_long(n, k, L):
         raise ValueError(
             f"the deterministic strategy count at n={n}, k={k}, hidden alphabet {L} "
@@ -209,7 +197,7 @@ def enumerate_deterministic(shape, hidden_alphabet):
     those checked fields and their own response rows (behavior._assemble).
     """
     n, k = shape.n, shape.k
-    L = _alphabet_size(hidden_alphabet)
+    L = _integer(hidden_alphabet, "hidden alphabet size", 1)
     if _count_too_long(n, k, L) or deterministic_count(shape, L) > MAX_DETERMINISTIC:
         raise ValueError(
             f"more than MAX_DETERMINISTIC = {MAX_DETERMINISTIC} deterministic strategies "
@@ -268,9 +256,10 @@ def load_strategy(path):
     )
     shape = _read_shape(doc)
     n, k = shape.n, shape.k
-    L = _int_field(doc, "hidden_alphabet")
-    if L < 1:
-        raise InvalidBehaviorError(f"hidden_alphabet must be >= 1, got {L}")
+    try:
+        L = _integer(doc["hidden_alphabet"], "hidden_alphabet", 1)
+    except ValueError as exc:
+        raise InvalidBehaviorError(str(exc)) from exc
     # the response table first: it refuses n + k past numpy's axis limit
     charlie = _read_numbers(doc["charlie_table"], "charlie_table", ((L, n), (2, k)))
     tables = _read_lists(doc["output_tables"], "output_tables", n, ((k, 1), (2, 1)))
@@ -600,24 +589,6 @@ def _ascend(theta, n, k, L, iterations):
     return state, stat
 
 
-def _too_many_logits(restarts, n, k, L):
-    """Whether restarts * (L**n * 2**k + 2nk + nL) logits exceed
-    MAX_OPTIMIZER_CELLS.  A power-of-two lower bound from bit lengths screens
-    huge n and k first, so no huge L**n or 2**k is ever formed."""
-    low_bits = (int(restarts).bit_length() - 1) + (L.bit_length() - 1) * n + k
-    if low_bits > MAX_OPTIMIZER_CELLS.bit_length() - 1:
-        return True
-    return restarts * (L**n * 2**k + 2 * n * k + n * L) > MAX_OPTIMIZER_CELLS
-
-
-def _report_too_large(n, k):
-    """Whether the report's behavior tensor, k**n * 2**(n + k) floats, exceeds
-    MAX_OPTIMIZER_CELLS; screened by bit lengths as _too_many_logits is."""
-    if (k.bit_length() - 1) * n + n + k > MAX_OPTIMIZER_CELLS.bit_length() - 1:
-        return True
-    return k**n * 2 ** (n + k) > MAX_OPTIMIZER_CELLS
-
-
 def optimize_classical(
     shape,
     hidden_alphabet=2,
@@ -639,22 +610,21 @@ def optimize_classical(
     tensor, k**n * 2**(n + k) floats, would.
     """
     n, k = shape.n, shape.k
-    L = _alphabet_size(hidden_alphabet)
+    L = _integer(hidden_alphabet, "hidden alphabet size", 1)
     restarts = _integer(restarts, "restarts")
-    iterations = _integer(iterations, "iterations")
-    seed = _integer(seed, "seed")
+    iterations = _integer(iterations, "iterations", 0)
+    seed = _integer(seed, "seed", 0)
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if _too_many_logits(restarts, n, k, L):
+    # the response logits alone settle a huge shape before L**n is formed
+    if _exceeds([(restarts, 1), (L, n), (2, k)], MAX_OPTIMIZER_CELLS) or (
+        restarts * (L**n * 2**k + 2 * n * k + n * L) > MAX_OPTIMIZER_CELLS
+    ):
         raise ValueError(
             f"{restarts} restarts at n={n}, k={k}, hidden alphabet {L} need more "
             f"than {MAX_OPTIMIZER_CELLS} logits"
         )
-    if _report_too_large(n, k):
+    if _exceeds([(k, n), (2, n + k)], MAX_OPTIMIZER_CELLS):
         raise ValueError(
             f"the report's behavior tensor at n={n}, k={k} holds k**n * 2**(n + k) "
             f"floats, more than {MAX_OPTIMIZER_CELLS}"

@@ -101,8 +101,10 @@ def cmd_sweep(args):
 
 def _unwritable(path):
     """The reason no file can be written at path, checked without creating
-    or opening it: the path is a directory, or its parent directory does not
-    exist.  None otherwise; any other OSError surfaces when it is written."""
+    or opening it: the path is empty or a directory, or its parent directory
+    does not exist.  None otherwise; other OSErrors surface at the write."""
+    if not path:  # the error open("") raises
+        return f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
     if os.path.isdir(path):
         return f"{path}: {os.strerror(errno.EISDIR)}"
     parent = os.path.dirname(os.path.abspath(path))
@@ -115,7 +117,7 @@ def cmd_optimize(args):
     # refuse an output path that cannot be written before the ascent runs,
     # so neither a long run nor a half-written pair of files is wasted
     for path in (args.report_out, args.strategy_out):
-        if path and (problem := _unwritable(path)):
+        if path is not None and (problem := _unwritable(path)):
             raise ValueError(problem)
     # the strategy would be written over the report
     report_out, strategy_out = args.report_out, args.strategy_out

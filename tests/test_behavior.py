@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from jointcert.behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     WRITE_BLOCK,
+    _exceeds,
     _number_chunks,
     correlator_table,
     load_behavior,
@@ -21,7 +24,7 @@ from jointcert.behavior import (
     signalling_residuals,
     validate_behavior,
 )
-from jointcert.classical import ClassicalStrategy, save_strategy
+from jointcert.classical import MAX_COUNT_BITS, MAX_OPTIMIZER_CELLS, ClassicalStrategy, save_strategy
 
 SHAPE22 = ScenarioShape(2, 2)
 
@@ -60,6 +63,42 @@ def test_shape_refuses_non_integer_sizes():
     assert type(shape.n) is int and type(shape.k) is int
     assert shape == ScenarioShape(2, 3)
     assert BehaviorTensor.uniform(shape).probabilities.shape == (3, 3, 2, 2, 2, 2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=st.lists(st.tuples(st.integers(1, 20), st.integers(0, 20)), max_size=5),
+    offset=st.one_of(st.integers(-2, 2), st.integers(-(2**100), 2**100)),
+)
+def test_exceeds_is_the_exact_comparison(factors, offset):
+    # limits at, next to and far from the product, on both sides
+    product = math.prod(base**exp for base, exp in factors)
+    assert _exceeds(factors, product + offset) == (product > product + offset)
+
+
+def test_exceeds_at_the_limit_and_on_huge_exponents():
+    assert not _exceeds([(3, 5), (2, 3), (1, 7)], 3**5 * 2**3)
+    assert _exceeds([(3, 5), (2, 3), (1, 7)], 3**5 * 2**3 - 1)
+    # settled without forming 2**(10**4000) or 3**(10**9); 1**(10**40) is 1
+    for factors, exceeded in [([(1, 10**40)], False), ([(2, 10**4000)], True), ([(3, 10**9)], True)]:
+        start = time.perf_counter()
+        assert _exceeds(factors, 2**24) is exceeded
+        assert time.perf_counter() - start < 1.0, factors
+
+
+def test_exceeds_pins_the_size_caps():
+    # the factors the library screens, at each cap's exact boundary; the
+    # optimizer itself would allocate 128 MiB arrays at an accepted one
+    n, k = 11, 2  # the report tensor k**n * 2**(n + k): 2**24, then 2**26 at n = 12
+    assert not _exceeds([(k, n), (2, n + k)], MAX_OPTIMIZER_CELLS)
+    assert _exceeds([(k, n + 1), (2, n + 1 + k)], MAX_OPTIMIZER_CELLS)
+    # restarts * L**n * 2**k response logits, before the other logits are added
+    assert not _exceeds([(2**20, 1), (2, 2), (2, 2)], MAX_OPTIMIZER_CELLS)
+    assert _exceeds([(2**20 + 1, 1), (2, 2), (2, 2)], MAX_OPTIMIZER_CELLS)
+    assert not _exceeds([(1, 1), (2, 22), (2, 2)], MAX_OPTIMIZER_CELLS)
+    # M = L**n of the deterministic count, which has more than 2M bits
+    assert not _exceeds([(2**10, 2)], MAX_COUNT_BITS)
+    assert _exceeds([(2**10 + 1, 2)], MAX_COUNT_BITS)
 
 
 def test_tensor_shape_mismatch_rejected():
@@ -676,25 +715,13 @@ def traced_peak(write, *args):
         tracemalloc.stop()
 
 
-# tracemalloc peak, in bytes, of single_call_save_behavior on the behavior
-# below (numpy 2.4.6, Python 3.11.7): 31,645,589 to 31,647,269 over three
-# runs, pinned at the largest
+# tracemalloc peak, in bytes, of single_call_save_behavior on the
+# all-distinct behavior below (numpy 2.4.6, Python 3.11.7): 31,645,589 to
+# 31,647,269 over three runs, pinned at the largest
 SINGLE_CALL_WRITER_PEAK = 31_647_269
 
-
-def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_path):
-    # every entry distinct, so the template branch runs; its sort and mask are
-    # dropped before the formatting, and no whole-file copy follows it
-    rng = np.random.default_rng(3)
-    behavior = BehaviorTensor(ScenarioShape(5, 4), rng.random(ScenarioShape(5, 4).tensor_shape))
-    single_call_save_behavior(behavior, tmp_path / "want.json")
-    got = traced_peak(save_behavior, behavior, tmp_path / "got.json")
-    assert first_difference((tmp_path / "got.json").read_bytes(), (tmp_path / "want.json").read_bytes()) is None
-    assert got <= 1.1 * SINGLE_CALL_WRITER_PEAK, got
-
-
 # tracemalloc peaks, in bytes, of save_behavior on the all-distinct behavior
-# above and on three_valued_behavior() with WRITE_BLOCK = 2**16 (numpy 2.4.6,
+# below and on three_valued_behavior() with WRITE_BLOCK = 2**16 (numpy 2.4.6,
 # Python 3.11.7): the same in three fresh processes each, where the
 # single-call writer reads 31,647,424 and 15,893,693
 STREAMED_WRITER_PEAKS = {"all-distinct": 4_552_265, "three-valued": 2_054_681}
@@ -705,9 +732,15 @@ def test_54_write_peak_is_one_block_deep(tmp_path, name):
     # a block's text is formatted, written and dropped before the next block
     shape = ScenarioShape(5, 4)
     if name == "all-distinct":
+        # every entry distinct, so the template branch runs; its sort and mask
+        # are dropped before the formatting, and no whole-file copy follows it
         behavior = BehaviorTensor(shape, np.random.default_rng(3).random(shape.tensor_shape))
     else:
         behavior = three_valued_behavior()
     got = traced_peak(save_behavior, behavior, tmp_path / "b.json")
+    if name == "all-distinct":
+        single_call_save_behavior(behavior, tmp_path / "want.json")
+        assert first_difference((tmp_path / "b.json").read_bytes(), (tmp_path / "want.json").read_bytes()) is None
+        assert got <= 1.1 * SINGLE_CALL_WRITER_PEAK, got
     assert got <= 1.1 * STREAMED_WRITER_PEAKS[name], got
     assert got <= SINGLE_CALL_WRITER_PEAK / 4, got

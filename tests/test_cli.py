@@ -425,6 +425,7 @@ def test_optimize_unwritable_output(tmp_path, capsys, monkeypatch, flag):
     for target, message in [
         (tmp_path / "missing" / "out.json", "No such file"),
         (tmp_path, "Is a directory"),
+        ("", "No such file"),
     ]:
         for extra in ([], [other, str(good)]):
             code, out, err = run(
