@@ -715,13 +715,25 @@ def traced_peak(write, *args):
         tracemalloc.stop()
 
 
-# tracemalloc peak, in bytes, of single_call_save_behavior on the
-# all-distinct behavior below (numpy 2.4.6, Python 3.11.7): 31,645,589 to
-# 31,647,269 over three runs, pinned at the largest
+# tracemalloc peak, in bytes, of single_call_save_behavior on the behavior
+# below (numpy 2.4.6, Python 3.11.7): 31,645,589 to 31,647,269 over three
+# runs, pinned at the largest
 SINGLE_CALL_WRITER_PEAK = 31_647_269
 
+
+def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_path):
+    # every entry distinct, so the template branch runs; its sort and mask are
+    # dropped before the formatting, and no whole-file copy follows it
+    rng = np.random.default_rng(3)
+    behavior = BehaviorTensor(ScenarioShape(5, 4), rng.random(ScenarioShape(5, 4).tensor_shape))
+    single_call_save_behavior(behavior, tmp_path / "want.json")
+    got = traced_peak(save_behavior, behavior, tmp_path / "got.json")
+    assert first_difference((tmp_path / "got.json").read_bytes(), (tmp_path / "want.json").read_bytes()) is None
+    assert got <= 1.1 * SINGLE_CALL_WRITER_PEAK, got
+
+
 # tracemalloc peaks, in bytes, of save_behavior on the all-distinct behavior
-# below and on three_valued_behavior() with WRITE_BLOCK = 2**16 (numpy 2.4.6,
+# above and on three_valued_behavior() with WRITE_BLOCK = 2**16 (numpy 2.4.6,
 # Python 3.11.7): the same in three fresh processes each, where the
 # single-call writer reads 31,647,424 and 15,893,693
 STREAMED_WRITER_PEAKS = {"all-distinct": 4_552_265, "three-valued": 2_054_681}
@@ -732,15 +744,9 @@ def test_54_write_peak_is_one_block_deep(tmp_path, name):
     # a block's text is formatted, written and dropped before the next block
     shape = ScenarioShape(5, 4)
     if name == "all-distinct":
-        # every entry distinct, so the template branch runs; its sort and mask
-        # are dropped before the formatting, and no whole-file copy follows it
         behavior = BehaviorTensor(shape, np.random.default_rng(3).random(shape.tensor_shape))
     else:
         behavior = three_valued_behavior()
     got = traced_peak(save_behavior, behavior, tmp_path / "b.json")
-    if name == "all-distinct":
-        single_call_save_behavior(behavior, tmp_path / "want.json")
-        assert first_difference((tmp_path / "b.json").read_bytes(), (tmp_path / "want.json").read_bytes()) is None
-        assert got <= 1.1 * SINGLE_CALL_WRITER_PEAK, got
     assert got <= 1.1 * STREAMED_WRITER_PEAKS[name], got
     assert got <= SINGLE_CALL_WRITER_PEAK / 4, got
