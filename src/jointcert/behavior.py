@@ -34,10 +34,26 @@ NORMALIZATION_TOL = 1e-10
 # much in total variation, so the no-signalling check leaves ten times room
 SIGNALLING_TOL = 1e-9
 MAX_AXES = 64  # numpy's limit on array dimensions
+# refusal messages show at most this many characters of a refused value
+SHOWN_CHARS = 64
 
 
 class InvalidBehaviorError(ValueError):
     """A behavior file or tensor violates a structural or probability invariant."""
+
+
+def _shown(value):
+    """repr(value) for a refusal message, cut to its first SHOWN_CHARS
+    characters and its length when longer: a value read from a file can be
+    a string or a list of any length.  An int of more than 4 * SHOWN_CHARS
+    bits is given by its bit length, as Python prints no int of more than
+    4300 digits."""
+    if isinstance(value, int) and value.bit_length() > 4 * SHOWN_CHARS:
+        return f"an integer of {value.bit_length()} bits"
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def _integer(value, name, minimum=None):
@@ -46,10 +62,10 @@ def _integer(value, name, minimum=None):
     and values below minimum when one is given."""
     # bool is a subclass of int, but True is not a count
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     value = int(value)
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -80,8 +96,10 @@ def _assemble(cls, **fields):
        of them, and the finiteness check runs before the report is built.
 
     With these three, one exhaustive step at (2, 2, L=2), enumeration,
-    strategy_to_behavior and evaluate_mn, went from 22-24 to 15-18 us
-    (timeit best of 7; 2 vCPUs, Python 3.11.7, numpy 2.4.6)."""
+    strategy_to_behavior and evaluate_mn, takes 10-12 us, and 14-15 us when
+    strategy_to_behavior does not reuse enumerate_deterministic's group
+    factors (timeit best of 7, two runs; 2 vCPUs, Python 3.11.7, numpy
+    2.4.6)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -98,9 +116,9 @@ class ScenarioShape:
         for field in ("n", "k"):
             object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.n < 1:
-            raise ValueError(f"need at least one party, got n={self.n}")
+            raise ValueError(f"need at least one party, got n={_shown(self.n)}")
         if self.k < 2:
-            raise ValueError(f"need at least two settings, got k={self.k}")
+            raise ValueError(f"need at least two settings, got k={_shown(self.k)}")
 
     @property
     def tensor_shape(self):
@@ -370,12 +388,11 @@ def _length_text(values):
 
 
 def _count_text(dims):
-    """prod(size**repeat) over dims in decimal, or its lower bound 2**(axes of
-    length > 1) once the exact count is too long to be worth printing (and
-    Python refuses to print integers of more than 4300 digits)."""
-    floor = sum(repeat for size, repeat in dims if size > 1)
-    if floor > 1024 or _exceeds(dims, 2**8192):
-        return f"at least 2**{floor}"
+    """prod(size**repeat) over dims in decimal while that takes at most
+    SHOWN_CHARS digits, and otherwise its lower bound 2**(axes of length
+    > 1), so that a refusal stays one short line however large the count."""
+    if _exceeds(dims, 10**SHOWN_CHARS - 1):
+        return f"at least 2**{sum(repeat for size, repeat in dims if size > 1)}"
     return str(math.prod(size**repeat for size, repeat in dims))
 
 

@@ -117,24 +117,49 @@ def _table_shapes(n, k):
     return tuple(shapes)
 
 
-def strategy_to_behavior(strategy):
-    """Exact behavior tensor P(a, c | x) produced by a classical strategy."""
-    shape = strategy.shape
-    n, k = shape.n, shape.k
+def _factors(strategy):
+    """The half of strategy_to_behavior that does not read the response
+    table: the output tables' product on their behavior axes, and the joint
+    hidden-source weight, the outer product of the per-party distributions
+    flattened row-major."""
+    n, k = strategy.shape.n, strategy.shape.k
     # output part: the parties' tables broadcast onto their own axes
     shapes = _table_shapes(n, k)
     out = strategy.output_tables[0].reshape(shapes[0])
     for table, dims in zip(strategy.output_tables[1:], shapes[1:]):
         out = out * table.reshape(dims)
-    # measuring-device part: average the response table over the joint
-    # hidden-source distribution, the outer product of the per-party ones
     weights = strategy.hidden_dists[0]
     for dist in strategy.hidden_dists[1:]:
         weights = (weights[:, None] * dist).reshape(-1)
-    responses = strategy.charlie_table.reshape(weights.size, 2**k)
+    return out, weights
+
+
+# (output_tables, hidden_dists, _factors of them) of the group that a running
+# enumerate_deterministic is yielding, or None; see strategy_to_behavior
+_group = None
+
+
+def strategy_to_behavior(strategy):
+    """Exact behavior tensor P(a, c | x) produced by a classical strategy.
+
+    A strategy whose output tables and hidden distributions are the very
+    tuples (`is`) of the group enumerate_deterministic is yielding reuses
+    that group's _factors.  Those tuples hold read-only views of the
+    enumerator's own pools, so a reused entry cannot be stale, and every
+    other strategy computes its own by the same arithmetic: the result is
+    the same bytes either way."""
+    shape = strategy.shape
+    group = _group
+    if group is not None and strategy.output_tables is group[0] and strategy.hidden_dists is group[1]:
+        out, weights = group[2]
+    else:
+        out, weights = _factors(strategy)
+    # measuring-device part: average the response table over the joint
+    # hidden-source weight
+    responses = strategy.charlie_table.reshape(weights.size, 2**shape.k)
     cdist = weights @ responses
     # float64 of shape.tensor_shape by construction, so not checked again
-    return _assemble(BehaviorTensor, shape=shape, probabilities=out * cdist.reshape((2,) * k))
+    return _assemble(BehaviorTensor, shape=shape, probabilities=out * cdist.reshape((2,) * shape.k))
 
 
 def saturation_strategy(r):
@@ -195,6 +220,12 @@ def enumerate_deterministic(shape, hidden_alphabet):
     of strategies sharing output tables and hidden points is validated once,
     by one ClassicalStrategy build; its strategies are then assembled from
     those checked fields and their own response rows (behavior._assemble).
+
+    The strategies of one group also share its output-table product and
+    joint hidden weight: while the group is being yielded, the generator
+    publishes them for strategy_to_behavior, and it withdraws them when it
+    ends or is closed.  A consumer that lists the strategies first converts
+    them to the same bytes, without that saving.
     """
     n, k = shape.n, shape.k
     L = _integer(hidden_alphabet, "hidden alphabet size", 1)
@@ -217,18 +248,24 @@ def enumerate_deterministic(shape, hidden_alphabet):
     # significant first: the order of itertools.product(range(C), repeat=M)
     shifts = k * np.arange(M - 1, -1, -1)
     charlie_shape = (L,) * n + (2,) * k
-    for tables in itertools.product(table_pool, repeat=n):
-        for dists in itertools.product(dist_pool, repeat=n):
-            # one validating build per group; its strategies differ only in
-            # the response table, whose shape and dtype each block fixes
-            fields = vars(ClassicalStrategy(shape, L, tables, dists, np.zeros(charlie_shape))).copy()
-            del fields["charlie_table"]
-            for start in range(0, count, rows):
-                codes = (np.arange(start, min(start + rows, count))[:, None] >> shifts) & (C - 1)
-                block = np.zeros((len(codes),) + charlie_shape)
-                block.reshape(-1)[np.arange(codes.size) * C + codes.reshape(-1)] = 1.0
-                for charlie in block:
-                    yield _assemble(ClassicalStrategy, **fields, charlie_table=charlie)
+    global _group
+    try:
+        for tables in itertools.product(table_pool, repeat=n):
+            for dists in itertools.product(dist_pool, repeat=n):
+                # one validating build per group; its strategies differ only
+                # in the response table, whose shape and dtype each block fixes
+                group = ClassicalStrategy(shape, L, tables, dists, np.zeros(charlie_shape))
+                fields = vars(group).copy()
+                del fields["charlie_table"]
+                _group = (group.output_tables, group.hidden_dists, _factors(group))
+                for start in range(0, count, rows):
+                    codes = (np.arange(start, min(start + rows, count))[:, None] >> shifts) & (C - 1)
+                    block = np.zeros((len(codes),) + charlie_shape)
+                    block.reshape(-1)[np.arange(codes.size) * C + codes.reshape(-1)] = 1.0
+                    for charlie in block:
+                        yield _assemble(ClassicalStrategy, **fields, charlie_table=charlie)
+    finally:
+        _group = None
 
 
 def save_strategy(strategy, path):

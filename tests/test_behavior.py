@@ -14,8 +14,10 @@ from jointcert.behavior import (
     DEDUPLICATE_SHARE,
     BehaviorTensor,
     InvalidBehaviorError,
+    SHOWN_CHARS,
     ScenarioShape,
     WRITE_BLOCK,
+    _count_text,
     _exceeds,
     _number_chunks,
     correlator_table,
@@ -84,6 +86,14 @@ def test_exceeds_at_the_limit_and_on_huge_exponents():
         start = time.perf_counter()
         assert _exceeds(factors, 2**24) is exceeded
         assert time.perf_counter() - start < 1.0, factors
+
+
+def test_count_text_is_exact_up_to_its_width():
+    assert _count_text([(2, 64)]) == "18446744073709551616"
+    assert _count_text([(10, SHOWN_CHARS - 1), (9, 1)]) == "9" + "0" * (SHOWN_CHARS - 1)
+    # past SHOWN_CHARS digits only the bound 2**(axes longer than 1) is printed
+    assert _count_text([(10, SHOWN_CHARS), (1, 9)]) == f"at least 2**{SHOWN_CHARS}"
+    assert _count_text([(2**600, 2), (2, 2)]) == "at least 2**4"
 
 
 def test_exceeds_pins_the_size_caps():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jointcert import classical
 from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
@@ -478,6 +479,67 @@ def test_enumerated_strategies_are_what_the_constructor_builds(n, k, L):
     # shapes agree field by field, so each field stacks across strategies
     for got_field, want_field in zip(zip(*got), zip(*want), strict=True):
         np.testing.assert_array_equal(np.array(got_field), np.array(want_field))
+
+
+def behavior_bytes(strategy):
+    return strategy_to_behavior(strategy).probabilities.tobytes()
+
+
+def converted_as_rebuilt(streamed):
+    """Whether each (behavior bytes, strategy) pair, converted while its
+    enumeration ran, matches its strategy's rebuild converted afterwards:
+    the rebuild holds new tuples, and no enumeration publishes a group now."""
+    assert classical._group is None
+    return all(got == behavior_bytes(ClassicalStrategy(**vars(s))) for got, s in streamed)
+
+
+@pytest.mark.parametrize("n, k, L", [(1, 2, 3), (2, 2, 2), (2, 3, 1)])
+def test_group_factors_give_the_bytes_of_the_uncached_path(n, k, L):
+    streamed = []
+    for strategy in enumerate_deterministic(ScenarioShape(n, k), L):
+        # a streamed strategy holds its group's published tuples
+        tables, dists, _ = classical._group
+        assert strategy.output_tables is tables and strategy.hidden_dists is dists
+        streamed.append((behavior_bytes(strategy), strategy))
+    assert converted_as_rebuilt(streamed)
+
+
+@pytest.mark.parametrize(
+    "first, second, skip",
+    [((1, 2, 3), (1, 2, 3), 100), ((1, 2, 3), (2, 3, 1), 0)],
+    ids=["same-shape", "other-shape"],
+)
+def test_interleaved_enumerations_convert_as_the_uncached_path(first, second, skip):
+    # each step of one enumeration publishes over the other's group; at
+    # (1, 2, 3), 64 strategies per group, a second stream 100 strategies
+    # ahead is always in another group, of equal values in its own pools
+    streams = [enumerate_deterministic(ScenarioShape(n, k), L) for n, k, L in (first, second)]
+    for _ in range(skip):
+        next(streams[1])
+    streamed = [(behavior_bytes(s), s) for pair in zip(*streams) for s in pair]
+    counts = [deterministic_count(ScenarioShape(n, k), L) for n, k, L in (first, second)]
+    assert len(streamed) == 2 * min(counts[0], counts[1] - skip)
+    for stream in streams:
+        stream.close()
+    assert converted_as_rebuilt(streamed)
+
+
+def test_group_slot_is_empty_once_an_enumeration_ends_or_closes():
+    shape = ScenarioShape(2, 2)
+    listed = list(enumerate_deterministic(shape, 1))
+    assert classical._group is None
+    # listed first, a strategy converts without its group's factors, even
+    # while another enumeration publishes its copy of that group
+    streamed = []
+    stream = enumerate_deterministic(shape, 1)
+    for strategy, twin in zip(listed, stream):
+        streamed += [(behavior_bytes(strategy), strategy), (behavior_bytes(twin), twin)]
+    assert len(streamed) == 2 * len(listed)
+    assert classical._group is not None
+    stream.close()
+    assert converted_as_rebuilt(streamed)
+    next(enumerate_deterministic(shape, 2))  # dropped, so closed, at once
+    assert classical._group is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -977,6 +1039,8 @@ def test_random_strategies_obey_the_bound_and_round_trip(tmp_path_factory, nkl, 
         ({"n": 3, "k": 2}, "charlie_table must be a list of 32 numbers, got 16"),
         # L**2 * 4 has 8001 digits, more than Python will print
         ({"hidden_alphabet": 10**4000}, r"charlie_table must be a list of at least 2\*\*4 numbers"),
+        # 2**1202 would print in 362 digits; the whole message is pinned
+        ({"hidden_alphabet": 2**600}, r"^charlie_table must be a list of at least 2\*\*4 numbers, got 16$"),
         ("top-level list", "top level must be a JSON object"),
         ("missing key", "missing required key 'charlie_table'"),
         ("truncated", "not valid JSON"),
@@ -984,7 +1048,7 @@ def test_random_strategies_obey_the_bound_and_round_trip(tmp_path_factory, nkl, 
     ids=[
         "fractional-alphabet", "bool-n", "zero-alphabet", "strings", "string-rows",
         "nested-entries", "numeric-strings", "booleans", "nested-table", "too-few-tables", "short-dist", "huge-n",
-        "huge-k", "wrong-count", "huge-alphabet", "top-level-list", "missing-key", "truncated",
+        "huge-k", "wrong-count", "huge-alphabet", "long-count", "top-level-list", "missing-key", "truncated",
     ],
 )
 def test_load_strategy_structural_errors(tmp_path, edit, message):

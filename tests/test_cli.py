@@ -135,6 +135,26 @@ def test_certify_rejects_bad_numbers(tmp_path, capsys, edit, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"n": "2" * 10**6}, "n must be an integer, got '2222"),
+        ({"k": [2] * 10**5}, "k must be an integer, got [2, 2"),
+        ({"n": -(10**4000)}, "need at least one party, got n=an integer of 13288 bits"),
+    ],
+    ids=["long-string", "long-list", "long-negative"],
+)
+def test_certify_refusal_shows_a_long_value_cut_short(tmp_path, capsys, edit, message):
+    # a refused value read from a file can be megabytes long; the error line
+    # shows its start and its length
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 2, "k": 2, "probabilities": [1 / 16] * 64, **edit}))
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert message in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
 def test_certify_refuses_bad_tolerance(tmp_path, capsys, tol):
     # without the check, nan and inf pass a statistic of sqrt(2) as not
