@@ -69,14 +69,19 @@ def _integer(value, name, minimum=None):
     return value
 
 
+def _bit_floor(factors):
+    """The sum of exp * (bit length of base - 1) over factors, pairs of ints
+    with base >= 1 and exp >= 0: the product of base**exp is at least 2 to
+    this power."""
+    return sum(exp * (base.bit_length() - 1) for base, exp in factors)
+
+
 def _exceeds(factors, limit):
-    """Whether the product of base**exp over factors, pairs of ints with
-    base >= 1 and exp >= 0, exceeds the int limit.  The product is at least
-    2**(sum of exp * (bit length of base - 1)), so a product that this bound
-    puts past limit is settled before any power is formed; any other stays
-    below limit**2, and is formed and compared exactly."""
-    floor = sum(exp * (base.bit_length() - 1) for base, exp in factors)
-    return floor >= limit.bit_length() or math.prod(base**exp for base, exp in factors) > limit
+    """Whether the product of base**exp over factors exceeds the int limit.
+    A product that its _bit_floor puts past limit is settled before any
+    power is formed; any other stays below limit**2, and is formed and
+    compared exactly."""
+    return _bit_floor(factors) >= limit.bit_length() or math.prod(base**exp for base, exp in factors) > limit
 
 
 def _assemble(cls, **fields):
@@ -88,7 +93,8 @@ def _assemble(cls, **fields):
 
      - classical.enumerate_deterministic: one validating ClassicalStrategy
        per (output tables, hidden points) group fixes every field but the
-       response table, and each block of response tables, float64 of shape
+       response table, and its _factors, which every strategy of the group
+       copies; each block of response tables, float64 of shape
        (rows,) + (L,)*n + (2,)*k, fixes that row's shape and dtype;
      - classical.strategy_to_behavior: the product of a strategy's float64
        tables has the float64 tensor_shape of its scenario by construction;
@@ -96,10 +102,10 @@ def _assemble(cls, **fields):
        of them, and the finiteness check runs before the report is built.
 
     With these three, one exhaustive step at (2, 2, L=2), enumeration,
-    strategy_to_behavior and evaluate_mn, takes 10-12 us, and 14-15 us when
-    strategy_to_behavior does not reuse enumerate_deterministic's group
-    factors (timeit best of 7, two runs; 2 vCPUs, Python 3.11.7, numpy
-    2.4.6)."""
+    strategy_to_behavior and evaluate_mn, takes 10-12 us; a conversion that
+    computes its strategy's _factors, the first of a strategy built by the
+    constructor or a loader, takes 5-7 us more (timeit best of 7, three
+    runs; 2 vCPUs, Python 3.11.7, numpy 2.4.6)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -389,10 +395,10 @@ def _length_text(values):
 
 def _count_text(dims):
     """prod(size**repeat) over dims in decimal while that takes at most
-    SHOWN_CHARS digits, and otherwise its lower bound 2**(axes of length
-    > 1), so that a refusal stays one short line however large the count."""
+    SHOWN_CHARS digits, and otherwise its lower bound 2**_bit_floor(dims),
+    so that a refusal stays one short line however large the count."""
     if _exceeds(dims, 10**SHOWN_CHARS - 1):
-        return f"at least 2**{sum(repeat for size, repeat in dims if size > 1)}"
+        return f"at least 2**{_bit_floor(dims)}"
     return str(math.prod(size**repeat for size, repeat in dims))
 
 

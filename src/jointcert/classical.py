@@ -9,7 +9,8 @@ A classical strategy consists of, for each party j:
 plus a response table for the measuring device, P(c | lambda_1 .. lambda_n)
 of shape (L,)*n + (2,)*k.  The hidden sources do not depend on the settings;
 this is the constraint that makes the inequality bounds hold, and behaviors
-generated here factorize as P(a|x) * P(c).
+generated here factorize as P(a|x) * P(c).  A strategy holds read-only
+float64 copies of its output tables and hidden distributions.
 
 The module provides exact conversion to behavior tensors, exhaustive
 enumeration of deterministic strategies, a known family saturating the
@@ -53,6 +54,11 @@ MAX_COUNT_BITS = 2**20
 
 @dataclass(frozen=True)
 class ClassicalStrategy:
+    """A classical strategy (see the module docstring).  The output tables
+    and hidden distributions are held as read-only float64 copies, so the
+    cached _factors of a strategy cannot go stale; the response table is
+    held as given when it is float64 already."""
+
     shape: ScenarioShape
     hidden_alphabet: int
     output_tables: tuple  # n arrays of shape (k, 2)
@@ -62,8 +68,8 @@ class ClassicalStrategy:
     def __post_init__(self):
         n, k = self.shape.n, self.shape.k
         L = _integer(self.hidden_alphabet, "hidden alphabet size", 1)
-        tables = tuple([np.asarray(t, dtype=float) for t in self.output_tables])
-        dists = tuple([np.asarray(d, dtype=float) for d in self.hidden_dists])
+        tables = tuple([_read_only(t) for t in self.output_tables])
+        dists = tuple([_read_only(d) for d in self.hidden_dists])
         charlie = np.asarray(self.charlie_table, dtype=float)
         # one list comparison checks the count and every shape
         if [t.shape for t in tables] != [(k, 2)] * n:
@@ -77,6 +83,30 @@ class ClassicalStrategy:
         object.__setattr__(self, "output_tables", tables)
         object.__setattr__(self, "hidden_dists", dists)
         object.__setattr__(self, "charlie_table", charlie)
+
+    @functools.cached_property
+    def _factors(self):
+        """The half of strategy_to_behavior that does not read the response
+        table: the output tables' product on their behavior axes, and the
+        joint hidden-source weight, the outer product of the per-party
+        distributions flattened row-major."""
+        n, k = self.shape.n, self.shape.k
+        # output part: the parties' tables broadcast onto their own axes
+        shapes = _table_shapes(n, k)
+        out = self.output_tables[0].reshape(shapes[0])
+        for table, dims in zip(self.output_tables[1:], shapes[1:]):
+            out = out * table.reshape(dims)
+        weights = self.hidden_dists[0]
+        for dist in self.hidden_dists[1:]:
+            weights = (weights[:, None] * dist).reshape(-1)
+        return out, weights
+
+
+def _read_only(values):
+    """values as a float64 copy that cannot be written."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def validate_strategy(strategy):
@@ -117,43 +147,10 @@ def _table_shapes(n, k):
     return tuple(shapes)
 
 
-def _factors(strategy):
-    """The half of strategy_to_behavior that does not read the response
-    table: the output tables' product on their behavior axes, and the joint
-    hidden-source weight, the outer product of the per-party distributions
-    flattened row-major."""
-    n, k = strategy.shape.n, strategy.shape.k
-    # output part: the parties' tables broadcast onto their own axes
-    shapes = _table_shapes(n, k)
-    out = strategy.output_tables[0].reshape(shapes[0])
-    for table, dims in zip(strategy.output_tables[1:], shapes[1:]):
-        out = out * table.reshape(dims)
-    weights = strategy.hidden_dists[0]
-    for dist in strategy.hidden_dists[1:]:
-        weights = (weights[:, None] * dist).reshape(-1)
-    return out, weights
-
-
-# (output_tables, hidden_dists, _factors of them) of the group that a running
-# enumerate_deterministic is yielding, or None; see strategy_to_behavior
-_group = None
-
-
 def strategy_to_behavior(strategy):
-    """Exact behavior tensor P(a, c | x) produced by a classical strategy.
-
-    A strategy whose output tables and hidden distributions are the very
-    tuples (`is`) of the group enumerate_deterministic is yielding reuses
-    that group's _factors.  Those tuples hold read-only views of the
-    enumerator's own pools, so a reused entry cannot be stale, and every
-    other strategy computes its own by the same arithmetic: the result is
-    the same bytes either way."""
+    """Exact behavior tensor P(a, c | x) produced by a classical strategy."""
     shape = strategy.shape
-    group = _group
-    if group is not None and strategy.output_tables is group[0] and strategy.hidden_dists is group[1]:
-        out, weights = group[2]
-    else:
-        out, weights = _factors(strategy)
+    out, weights = strategy._factors
     # measuring-device part: average the response table over the joint
     # hidden-source weight
     responses = strategy.charlie_table.reshape(weights.size, 2**shape.k)
@@ -218,14 +215,9 @@ def enumerate_deterministic(shape, hidden_alphabet):
     floats per block; each strategy's response table is its own row of a
     block, writable and disjoint from every other strategy's.  Each group
     of strategies sharing output tables and hidden points is validated once,
-    by one ClassicalStrategy build; its strategies are then assembled from
-    those checked fields and their own response rows (behavior._assemble).
-
-    The strategies of one group also share its output-table product and
-    joint hidden weight: while the group is being yielded, the generator
-    publishes them for strategy_to_behavior, and it withdraws them when it
-    ends or is closed.  A consumer that lists the strategies first converts
-    them to the same bytes, without that saving.
+    by one ClassicalStrategy build, whose _factors is computed once; its
+    strategies are then assembled from those checked fields, that _factors
+    and their own response rows (behavior._assemble).
     """
     n, k = shape.n, shape.k
     L = _integer(hidden_alphabet, "hidden alphabet size", 1)
@@ -238,9 +230,7 @@ def enumerate_deterministic(shape, hidden_alphabet):
     # table f has row x at the point mass on a = f(x), for each f: x -> a
     functions = np.array(list(itertools.product(range(2), repeat=k)))
     table_pool = np.eye(2)[functions]
-    table_pool.setflags(write=False)
     dist_pool = np.eye(L)  # row v is the point mass on hidden value v
-    dist_pool.setflags(write=False)
     M, C = L**n, 2**k
     count = C**M  # response functions lambda -> c
     rows = max(1, RESPONSE_BLOCK_CELLS // (M * C))
@@ -248,24 +238,19 @@ def enumerate_deterministic(shape, hidden_alphabet):
     # significant first: the order of itertools.product(range(C), repeat=M)
     shifts = k * np.arange(M - 1, -1, -1)
     charlie_shape = (L,) * n + (2,) * k
-    global _group
-    try:
-        for tables in itertools.product(table_pool, repeat=n):
-            for dists in itertools.product(dist_pool, repeat=n):
-                # one validating build per group; its strategies differ only
-                # in the response table, whose shape and dtype each block fixes
-                group = ClassicalStrategy(shape, L, tables, dists, np.zeros(charlie_shape))
-                fields = vars(group).copy()
-                del fields["charlie_table"]
-                _group = (group.output_tables, group.hidden_dists, _factors(group))
-                for start in range(0, count, rows):
-                    codes = (np.arange(start, min(start + rows, count))[:, None] >> shifts) & (C - 1)
-                    block = np.zeros((len(codes),) + charlie_shape)
-                    block.reshape(-1)[np.arange(codes.size) * C + codes.reshape(-1)] = 1.0
-                    for charlie in block:
-                        yield _assemble(ClassicalStrategy, **fields, charlie_table=charlie)
-    finally:
-        _group = None
+    for tables in itertools.product(table_pool, repeat=n):
+        for dists in itertools.product(dist_pool, repeat=n):
+            # one validating build per group; its strategies differ only
+            # in the response table, whose shape and dtype each block fixes
+            group = ClassicalStrategy(shape, L, tables, dists, np.zeros(charlie_shape))
+            fields = {**vars(group), "_factors": group._factors}
+            del fields["charlie_table"]
+            for start in range(0, count, rows):
+                codes = (np.arange(start, min(start + rows, count))[:, None] >> shifts) & (C - 1)
+                block = np.zeros((len(codes),) + charlie_shape)
+                block.reshape(-1)[np.arange(codes.size) * C + codes.reshape(-1)] = 1.0
+                for charlie in block:
+                    yield _assemble(ClassicalStrategy, **fields, charlie_table=charlie)
 
 
 def save_strategy(strategy, path):

@@ -91,9 +91,10 @@ def test_exceeds_at_the_limit_and_on_huge_exponents():
 def test_count_text_is_exact_up_to_its_width():
     assert _count_text([(2, 64)]) == "18446744073709551616"
     assert _count_text([(10, SHOWN_CHARS - 1), (9, 1)]) == "9" + "0" * (SHOWN_CHARS - 1)
-    # past SHOWN_CHARS digits only the bound 2**(axes longer than 1) is printed
-    assert _count_text([(10, SHOWN_CHARS), (1, 9)]) == f"at least 2**{SHOWN_CHARS}"
-    assert _count_text([(2**600, 2), (2, 2)]) == "at least 2**4"
+    # past SHOWN_CHARS digits only the bound 2**(sum of repeat * (bit length
+    # of size - 1)) is printed: 10 has 4 bits, 2**600 has 601
+    assert _count_text([(10, SHOWN_CHARS), (1, 9)]) == "at least 2**192"
+    assert _count_text([(2**600, 2), (2, 2)]) == "at least 2**1202"
 
 
 def test_exceeds_pins_the_size_caps():

@@ -459,16 +459,25 @@ def strategy_arrays(strategy):
     return [*strategy.output_tables, *strategy.hidden_dists, strategy.charlie_table]
 
 
+FIELD_NAMES = {field.name for field in dataclasses.fields(ClassicalStrategy)}
+
+
+def rebuild(strategy):
+    """The strategy built anew by the validating constructor from its fields,
+    so with a _factors of its own, computed on first use."""
+    return ClassicalStrategy(**{name: getattr(strategy, name) for name in FIELD_NAMES})
+
+
 @pytest.mark.parametrize("n, k, L", [(1, 2, 3), (2, 2, 2), (2, 3, 1)])
 def test_enumerated_strategies_are_what_the_constructor_builds(n, k, L):
     # enumerate_deterministic validates one strategy per group and assembles
-    # the rest without __post_init__: each must hold every field, and the
-    # validating constructor must accept it and rebuild the same arrays
-    names = {field.name for field in dataclasses.fields(ClassicalStrategy)}
+    # the rest without __post_init__: each must hold every field and its
+    # group's _factors, and the validating constructor must accept its fields
+    # and rebuild the same arrays
     got, want = [], []
     for strategy in enumerate_deterministic(ScenarioShape(n, k), L):
-        assert set(vars(strategy)) == names
-        rebuilt = ClassicalStrategy(**vars(strategy))
+        assert set(vars(strategy)) == FIELD_NAMES | {"_factors"}
+        rebuilt = rebuild(strategy)
         assert rebuilt.shape == strategy.shape and rebuilt.hidden_alphabet == strategy.hidden_alphabet == L
         got.append(strategy_arrays(strategy))
         want.append(strategy_arrays(rebuilt))
@@ -487,20 +496,20 @@ def behavior_bytes(strategy):
 
 def converted_as_rebuilt(streamed):
     """Whether each (behavior bytes, strategy) pair, converted while its
-    enumeration ran, matches its strategy's rebuild converted afterwards:
-    the rebuild holds new tuples, and no enumeration publishes a group now."""
-    assert classical._group is None
-    return all(got == behavior_bytes(ClassicalStrategy(**vars(s))) for got, s in streamed)
+    enumeration ran, matches its strategy's rebuild converted afterwards."""
+    return all(got == behavior_bytes(rebuild(s)) for got, s in streamed)
 
 
 @pytest.mark.parametrize("n, k, L", [(1, 2, 3), (2, 2, 2), (2, 3, 1)])
 def test_group_factors_give_the_bytes_of_the_uncached_path(n, k, L):
-    streamed = []
+    streamed, groups = [], {}
     for strategy in enumerate_deterministic(ScenarioShape(n, k), L):
-        # a streamed strategy holds its group's published tuples
-        tables, dists, _ = classical._group
-        assert strategy.output_tables is tables and strategy.hidden_dists is dists
+        # a streamed strategy holds the one _factors object of its group, the
+        # strategies that share its output tables and hidden distributions
+        group = (id(strategy.output_tables), id(strategy.hidden_dists))
+        assert groups.setdefault(group, strategy._factors) is strategy._factors
         streamed.append((behavior_bytes(strategy), strategy))
+    assert len(groups) == (2**k) ** n * L**n
     assert converted_as_rebuilt(streamed)
 
 
@@ -510,9 +519,8 @@ def test_group_factors_give_the_bytes_of_the_uncached_path(n, k, L):
     ids=["same-shape", "other-shape"],
 )
 def test_interleaved_enumerations_convert_as_the_uncached_path(first, second, skip):
-    # each step of one enumeration publishes over the other's group; at
-    # (1, 2, 3), 64 strategies per group, a second stream 100 strategies
-    # ahead is always in another group, of equal values in its own pools
+    # at (1, 2, 3), 64 strategies per group, a second stream 100 strategies
+    # ahead is always in another group, of equal values but its own factors
     streams = [enumerate_deterministic(ScenarioShape(n, k), L) for n, k, L in (first, second)]
     for _ in range(skip):
         next(streams[1])
@@ -524,22 +532,60 @@ def test_interleaved_enumerations_convert_as_the_uncached_path(first, second, sk
     assert converted_as_rebuilt(streamed)
 
 
-def test_group_slot_is_empty_once_an_enumeration_ends_or_closes():
-    shape = ScenarioShape(2, 2)
-    listed = list(enumerate_deterministic(shape, 1))
-    assert classical._group is None
-    # listed first, a strategy converts without its group's factors, even
-    # while another enumeration publishes its copy of that group
-    streamed = []
-    stream = enumerate_deterministic(shape, 1)
-    for strategy, twin in zip(listed, stream):
-        streamed += [(behavior_bytes(strategy), strategy), (behavior_bytes(twin), twin)]
-    assert len(streamed) == 2 * len(listed)
-    assert classical._group is not None
-    stream.close()
+def test_listed_strategies_share_one_factors_per_group():
+    listed = list(enumerate_deterministic(SHAPE22, 2))
+    assert len(listed) == 16384
+    # one group per pair of output tables (4**2) and hidden points (2**2)
+    assert len({id(strategy._factors) for strategy in listed}) == 64
+    # listed or streamed, a strategy converts as its rebuild does
+    pairs = zip(listed, enumerate_deterministic(SHAPE22, 2), strict=True)
+    streamed = [(behavior_bytes(twin), strategy) for strategy, twin in pairs]
+    assert [got for got, _ in streamed] == [behavior_bytes(strategy) for strategy in listed]
     assert converted_as_rebuilt(streamed)
-    next(enumerate_deterministic(shape, 2))  # dropped, so closed, at once
-    assert classical._group is None
+
+
+def test_an_enumeration_leaves_the_module_namespace_as_it_was():
+    def snapshot():
+        return dict(vars(classical))
+
+    def same(first, second):
+        return first.keys() == second.keys() and all(first[name] is second[name] for name in first)
+
+    before = snapshot()
+    stream = enumerate_deterministic(SHAPE22, 2)
+    for strategy in itertools.islice(stream, 300):  # into the second group
+        strategy_to_behavior(strategy)
+    during = snapshot()
+    stream.close()
+    assert same(before, during) and same(during, snapshot())
+
+
+def test_strategy_tables_are_read_only_copies(tmp_path):
+    rng = np.random.default_rng(5)
+    tables = [rng.dirichlet(np.ones(2), size=2) for _ in range(2)]
+    dists = [rng.dirichlet(np.ones(2)) for _ in range(2)]
+    charlie = rng.dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)
+    built = ClassicalStrategy(SHAPE22, 2, tuple(tables), tuple(dists), charlie)
+    unconverted = ClassicalStrategy(SHAPE22, 2, tuple(tables), tuple(dists), charlie)
+    want = behavior_bytes(built)
+    # the caller's arrays change after one strategy cached its factors and
+    # before the other computes them; neither strategy sees it
+    for array in tables + dists:
+        array[...] = 0.5
+    assert behavior_bytes(built) == behavior_bytes(unconverted) == want
+    save_strategy(saturation_strategy(0.3), tmp_path / "saturation.json")
+    kinds = [
+        built,
+        load_strategy(tmp_path / "saturation.json"),
+        optimize_classical(SHAPE22, restarts=2, iterations=5)[1],
+        saturation_strategy(0.3),
+    ]
+    for strategy in kinds:
+        for j in range(strategy.shape.n):
+            for array in (strategy.output_tables[j], strategy.hidden_dists[j]):
+                assert array.dtype == np.float64
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
 
 
 @settings(max_examples=100, deadline=None)
@@ -1038,9 +1084,9 @@ def test_random_strategies_obey_the_bound_and_round_trip(tmp_path_factory, nkl, 
         ({"k": 10**40}, "axes exceeds numpy's 64"),
         ({"n": 3, "k": 2}, "charlie_table must be a list of 32 numbers, got 16"),
         # L**2 * 4 has 8001 digits, more than Python will print
-        ({"hidden_alphabet": 10**4000}, r"charlie_table must be a list of at least 2\*\*4 numbers"),
+        ({"hidden_alphabet": 10**4000}, r"^charlie_table must be a list of at least 2\*\*26576 numbers, got 16$"),
         # 2**1202 would print in 362 digits; the whole message is pinned
-        ({"hidden_alphabet": 2**600}, r"^charlie_table must be a list of at least 2\*\*4 numbers, got 16$"),
+        ({"hidden_alphabet": 2**600}, r"^charlie_table must be a list of at least 2\*\*1202 numbers, got 16$"),
         ("top-level list", "top level must be a JSON object"),
         ("missing key", "missing required key 'charlie_table'"),
         ("truncated", "not valid JSON"),
