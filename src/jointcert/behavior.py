@@ -99,7 +99,8 @@ def _assemble(cls, **fields):
      - classical.strategy_to_behavior: the product of a strategy's float64
        tables has the float64 tensor_shape of its scenario by construction;
      - inequalities._report: both evaluators pass Python floats and a tuple
-       of them, and the finiteness check runs before the report is built.
+       of them, the report computes its floor from those Python-float
+       components, and the finiteness check runs before the report is built.
 
     With these three, one exhaustive step at (2, 2, L=2), enumeration,
     strategy_to_behavior and evaluate_mn, takes 10-12 us; a conversion that

@@ -38,7 +38,7 @@ from .behavior import ScenarioShape, load_behavior, save_behavior
 from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
 from .inequalities import VERDICT_TOL, check_tol, evaluate_chain, evaluate_mn, exceeds_bound, report_to_json
 from .postselect import _gap_reports
-from .quantum import _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
+from .quantum import POVM_TOL, _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
@@ -144,7 +144,7 @@ def cmd_optimize(args):
 def cmd_validate_povm(args):
     elements = _bsm_elements(args.p)
     problems, floor, residual = _check_povm(elements)
-    projective = all(np.abs(el @ el - el).max() <= 1e-10 for el in elements)
+    projective = all(np.abs(el @ el - el).max() <= POVM_TOL for el in elements)
     print("eigenvalue floor: %.17g" % floor)
     print("completeness residual: %.17g" % residual)
     print("projective: %s" % ("true" if projective else "false"))

@@ -45,14 +45,16 @@ k >= 2, delta = 2^(n+k+1) u exceeds that error by more than twice the
 (n(k+1) + 1) u S that the subtraction, the roots and the final sum can add.
 So the floor never exceeds the exact statistic of the tensor as given, and
 a violated report is a violation in exact arithmetic.  The statistic,
-components and margin are reported as computed.
+components and margin are reported as computed.  Each evaluator computes
+its own components and statistic, and _report owns delta, the floor and
+the verdict, for both alike.
 
 A behavior with NaN or infinite entries gets no verdict: its statistic is
 not finite, and both evaluators raise ValueError.
 """
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,19 +73,22 @@ class InequalityReport:
     floor: float  # verdict side of the statistic, see the module docstring
 
 
-def _rounding_slack(n, k):
-    """delta = 2^(n+k-52): a bound, with room to spare, on the rounding of a
-    computed component (see the module docstring)."""
-    return 2.0 ** (n + k - 52)
-
-
-def _report(statistic, floor, bound, components):
-    """The report of Python floats statistic, floor and bound and a tuple of
-    Python float components, as both evaluators compute them."""
+def _report(statistic, bound, components, n, k):
+    """The report of Python floats statistic and bound and a tuple of Python
+    float components, as both evaluators compute them, with its floor at
+    delta = 2^(n+k-52) (see the module docstring)."""
     # NaN compares false against the bound and infinity exceeds it, so
     # either would pass for a verdict
     if not math.isfinite(statistic):
         raise ValueError(f"statistic is {statistic}, not finite: components {components}")
+    delta = 2.0 ** (n + k - 52)
+    floor = 0.0
+    for c in components:
+        # a component within delta of 0 would add max(excess, 0.0) ** (1/n)
+        # = +0.0, which changes no bits; skipping it spares a max() call
+        excess = abs(c) - delta
+        if excess > 0.0:
+            floor += excess ** (1.0 / n)
     return _assemble(
         InequalityReport,
         statistic=statistic,
@@ -130,11 +135,8 @@ def evaluate_chain(behavior):
     ValueError when the statistic is not finite."""
     n, k = behavior.shape.n, behavior.shape.k
     components = chain_components(behavior)
-    root = 1.0 / n
-    statistic = sum(abs(c) ** root for c in components)
-    delta = _rounding_slack(n, k)
-    floor = sum(max(abs(c) - delta, 0.0) ** root for c in components)
-    return _report(statistic, floor, float(k - 1), tuple(components))
+    statistic = sum(abs(c) ** (1.0 / n) for c in components)
+    return _report(statistic, float(k - 1), tuple(components), n, k)
 
 
 def evaluate_mn(behavior):
@@ -149,21 +151,9 @@ def evaluate_mn(behavior):
     (c00, d00), (c01, d01), (c10, d10), (c11, d11) = rows
     m = (0.0 + c00 + c01 + c10 + c11) / 4.0
     n_comp = (0.0 + d00 - d01 - d10 + d11) / 4.0
-    abs_m, abs_n = abs(m), abs(n_comp)
-    statistic = abs_m**0.5 + abs_n**0.5
-    delta = _rounding_slack(2, 2)
-    floor = max(abs_m - delta, 0.0) ** 0.5 + max(abs_n - delta, 0.0) ** 0.5
-    return _report(statistic, floor, 1.0, (m, n_comp))
+    statistic = abs(m) ** 0.5 + abs(n_comp) ** 0.5
+    return _report(statistic, 1.0, (m, n_comp), 2, 2)
 
 
 def report_to_json(report):
-    doc = {
-        "statistic": report.statistic,
-        "bound": report.bound,
-        "components": list(report.components),
-        "violated": report.violated,
-        "margin": report.margin,
-        "floor": report.floor,
-    }
-    return json.dumps(doc, sort_keys=True)
-
+    return json.dumps(asdict(report), sort_keys=True)

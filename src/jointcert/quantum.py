@@ -120,13 +120,14 @@ def noisy_bsm(p):
     return tuple(_bsm_elements(_sharpness(p)))
 
 
-def validate_povm(elements, tol=POVM_TOL):
+def validate_povm(elements):
     """Return a list of POVM violations: non-Hermitian or non-positive
-    elements, or completeness failure (sum != identity), checked within tol."""
-    return _check_povm(elements, tol)[0]
+    elements, or completeness failure (sum != identity), checked within
+    POVM_TOL."""
+    return _check_povm(elements)[0]
 
 
-def _check_povm(elements, tol=POVM_TOL):
+def _check_povm(elements):
     """(problems, floor, residual): validate_povm's list, the lowest
     eigenvalue of any well-shaped Hermitian element, and the largest entry of
     |sum - identity|; floor and residual are NaN where undefined."""
@@ -144,18 +145,18 @@ def _check_povm(elements, tol=POVM_TOL):
             problems.append(f"element {idx} has non-finite entries")
             continue
         herm = np.abs(el - el.conj().T).max()
-        if herm > tol:
+        if herm > POVM_TOL:
             problems.append(f"element {idx} deviates from Hermitian by {herm:.3e}")
             continue
         low = np.linalg.eigvalsh(el).min()
         lows.append(low)
-        if low < -tol:
+        if low < -POVM_TOL:
             problems.append(f"element {idx} has negative eigenvalue {low:.3e}")
     residual = np.nan
     total = sum(elements)
     if total.shape == (dim, dim):
         residual = np.abs(total - np.eye(dim)).max()
-        if not residual <= tol:
+        if not residual <= POVM_TOL:
             problems.append(f"elements sum to identity only within {residual:.3e}")
     return problems, min(lows, default=np.nan), residual
 

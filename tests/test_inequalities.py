@@ -195,7 +195,8 @@ def test_report_json_round_trip():
 
 def reference_evaluate_mn(behavior):
     """evaluate_mn's arithmetic written as the loop it replaced: the
-    statistic and the components (M, N)."""
+    statistic, the components (M, N) and the floor at delta = 2**-48 as
+    a sum of two terms."""
     table = correlator_table(behavior).tolist()
     m = 0.0
     n_comp = 0.0
@@ -204,7 +205,8 @@ def reference_evaluate_mn(behavior):
         n_comp += (-1.0) ** (x + y) * table[x][y][1]
     m /= 4.0
     n_comp /= 4.0
-    return abs(m) ** 0.5 + abs(n_comp) ** 0.5, (m, n_comp)
+    floor = max(abs(m) - 2**-48, 0.0) ** 0.5 + max(abs(n_comp) - 2**-48, 0.0) ** 0.5
+    return abs(m) ** 0.5 + abs(n_comp) ** 0.5, (m, n_comp), floor
 
 
 def test_evaluate_mn_matches_the_reference_loop_bit_for_bit():
@@ -218,10 +220,11 @@ def test_evaluate_mn_matches_the_reference_loop_bit_for_bit():
     count = 0
     for behavior in behaviors:
         report = evaluate_mn(behavior)
-        statistic, components = reference_evaluate_mn(behavior)
+        statistic, components, floor = reference_evaluate_mn(behavior)
         # hex strings tell -0.0 from 0.0
         got = [v.hex() for v in (report.statistic, *report.components, report.margin)]
         assert got == [v.hex() for v in (statistic, *components, statistic - 1.0)]
+        assert report.floor.hex() == floor.hex()
         assert report.bound == 1.0
         assert report.violated == (statistic > 1.0)
         count += 1
@@ -265,9 +268,13 @@ def test_near_bound_classical_strategies_are_never_violated(nk, L, noise_exponen
     assert validate_strategy(strategy) == []
     behavior = strategy_to_behavior(strategy)
     reports = [evaluate_chain(behavior)] + ([evaluate_mn(behavior)] if nk == (2, 2) else [])
+    n, k = nk
     for report in reports:
         assert not report.violated
         assert report.floor <= report.statistic
+        # the floor as a generator sum, apart from _report's loop
+        floor = sum(max(abs(c) - 2.0 ** (n + k - 52), 0.0) ** (1.0 / n) for c in report.components)
+        assert report.floor.hex() == floor.hex()
 
 
 def exact_components(behavior):
