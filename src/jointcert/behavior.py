@@ -13,9 +13,9 @@ probability slice is a contiguous row-major block.
 Every full correlator <A^1_{x_1} .. A^n_{x_n} C^i> comes from one table,
 correlator_table(behavior)[x_1, .., x_n, i], of shape (k,)*n + (k,).
 
-This module also owns the file format, for behaviors and for the strategy
-files of classical.save_strategy/load_strategy alike: one JSON object with
-integer header fields and flat row-major lists of 17-digit floats.
+This module also owns the file format: _read_file and _write_file read and
+write both behavior files and strategy files, each format given by its header
+ints and its field table, BEHAVIOR_FIELDS here and classical.STRATEGY_FIELDS.
 
 Tolerances: entries may be negative down to -1e-12 (clamped to 0 on load),
 each setting slice must sum to 1 within 1e-10, and no party may signal by
@@ -248,11 +248,11 @@ def save_behavior(behavior, path):
     exactly, so save -> load -> save is byte-identical.  A NaN or infinite
     entry raises InvalidBehaviorError and leaves no file at path.
     """
-    chunks = _number_chunks(behavior.probabilities)
-    with open(path, "w") as fh:
-        fh.write('{"n": %d, "k": %d, "probabilities": ' % (behavior.shape.n, behavior.shape.k))
-        fh.writelines(chunks)
-        fh.write("}\n")
+    _write_file(path, (), BEHAVIOR_FIELDS, behavior)
+
+
+# the behavior file after n and k: (key, one list per party, dims(n, k))
+BEHAVIOR_FIELDS = (("probabilities", False, lambda n, k: ((k, n), (2, n + k))),)
 
 
 def load_behavior(path, strict=False):
@@ -263,12 +263,9 @@ def load_behavior(path, strict=False):
     when strict is set; otherwise the behavior is returned as stored, with
     entries in [-1e-12, 0) clamped to exact zeros.
     """
-    doc = _read_object(path, ("n", "k", "probabilities"))
-    shape = _read_shape(doc)
-    n, k = shape.n, shape.k
-    arr = _read_numbers(doc["probabilities"], "probabilities", ((k, n), (2, n + k)))
-    arr = np.where((arr < 0) & (arr >= -NEGATIVITY_TOL), 0.0, arr)
-    behavior = BehaviorTensor(shape, arr)
+    shape, values = _read_file(path, (), BEHAVIOR_FIELDS)
+    arr = values["probabilities"]
+    behavior = BehaviorTensor(shape, np.where((arr < 0) & (arr >= -NEGATIVITY_TOL), 0.0, arr))
     if strict:
         problems = validate_behavior(behavior)
         if problems:
@@ -276,14 +273,15 @@ def load_behavior(path, strict=False):
     return behavior
 
 
-# --- the file codec, shared with classical.load_strategy -------------------
+# --- the file codec: one reader and one writer for both formats ------------
 #
-# A file is one JSON object: integer header fields and flat row-major lists of
-# floats written with 17 significant digits.  Every structural fault raises
-# InvalidBehaviorError, and no array is built before its size is checked.  The
-# writers check every list for non-finite entries, then open the file, then
-# stream each list's text a block of WRITE_BLOCK entries at a time, so a
-# write holds one block's text and never a copy of the whole file.
+# A file is one JSON object: n, k and its format's header ints, then one key
+# per (key, per_party, dims) row of the format's table, BEHAVIOR_FIELDS or
+# classical.STRATEGY_FIELDS, in table order: a flat row-major float list with
+# dims(n, k, *header ints) axes, or n such lists if per_party, in 17 digits.
+# _read_file builds no array before its size is checked.  _write_file checks
+# every list for non-finite entries, then opens the file and streams each
+# list a block of WRITE_BLOCK entries at a time, never the whole file's text.
 
 
 # entries per written block, and the largest share of distinct entries at
@@ -366,8 +364,27 @@ def _block_text(bits):
     return ", ".join(np.array(texts.split("\n"), dtype=object)[np.searchsorted(distinct, bits)].tolist())
 
 
-def _read_object(path, keys):
-    """The JSON object in the file at path, which must hold every key."""
+def _write_file(path, header, fields, values):
+    """Write values, with a .shape and an attribute for each key of header
+    and of the table fields, as the file at path."""
+    ints = [("n", values.shape.n), ("k", values.shape.k)] + [(key, getattr(values, key)) for key in header]
+    parts = [["{" + ", ".join('"%s": %d' % pair for pair in ints)]]
+    for key, per_party, _ in fields:
+        lists = getattr(values, key) if per_party else [getattr(values, key)]
+        for j, item in enumerate(lists):
+            parts += [[", " if j else ', "%s": %s' % (key, "[" * per_party)], _number_chunks(item)]
+        parts.append(["]" * per_party])
+    parts.append(["}\n"])
+    with open(path, "w") as fh:
+        for part in parts:
+            fh.writelines(part)
+
+
+def _read_file(path, header, fields):
+    """The scenario shape of the file at path and a dict of its other values:
+    each header int, read by _integer(value, key, 1), and each row's array,
+    or tuple of n arrays if per_party.  Whole tensors are read first, so a
+    shape past numpy's axis limit is refused by the tensor's own message."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -377,17 +394,26 @@ def _read_object(path, keys):
         raise InvalidBehaviorError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidBehaviorError("top level must be a JSON object")
-    for key in keys:
+    for key in ("n", "k", *header, *(row[0] for row in fields)):
         if key not in doc:
             raise InvalidBehaviorError(f"missing required key {key!r}")
-    return doc
-
-
-def _read_shape(doc):
     try:
-        return ScenarioShape(doc["n"], doc["k"])
+        shape = ScenarioShape(doc["n"], doc["k"])
     except ValueError as exc:
         raise InvalidBehaviorError(f"bad scenario shape: {exc}") from exc
+    try:
+        values = {key: _integer(doc[key], key, 1) for key in header}
+    except ValueError as exc:
+        raise InvalidBehaviorError(str(exc)) from exc
+    sizes = (shape.n, shape.k, *values.values())
+    for key, per_party, dims in sorted(fields, key=lambda row: row[1]):
+        if not per_party:
+            values[key] = _read_numbers(doc[key], key, dims(*sizes))
+        elif isinstance(doc[key], list) and len(doc[key]) == shape.n:
+            values[key] = tuple(_read_numbers(v, f"{key}[{j}]", dims(*sizes)) for j, v in enumerate(doc[key]))
+        else:
+            raise InvalidBehaviorError(f"{key} must be a list of {shape.n} lists, got {_length_text(doc[key])}")
+    return shape, values
 
 
 def _length_text(values):
@@ -431,10 +457,3 @@ def _read_numbers(values, key, dims):
     except OverflowError as exc:  # an integer entry past float's range
         raise InvalidBehaviorError(f"{key} must all be numbers: {exc}") from exc
     return arr.reshape(shape)
-
-
-def _read_lists(values, key, count, dims):
-    """A list of count number lists, each read by _read_numbers with dims."""
-    if not isinstance(values, list) or len(values) != count:
-        raise InvalidBehaviorError(f"{key} must be a list of {count} lists, got {_length_text(values)}")
-    return tuple(_read_numbers(v, f"{key}[{j}]", dims) for j, v in enumerate(values))

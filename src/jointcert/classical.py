@@ -26,16 +26,12 @@ import numpy as np
 
 from .behavior import (
     BehaviorTensor,
-    InvalidBehaviorError,
     ScenarioShape,
     _assemble,
     _exceeds,
     _integer,
-    _number_chunks,
-    _read_lists,
-    _read_numbers,
-    _read_object,
-    _read_shape,
+    _read_file,
+    _write_file,
 )
 from .inequalities import evaluate_chain
 
@@ -100,6 +96,16 @@ class ClassicalStrategy:
         for dist in self.hidden_dists[1:]:
             weights = (weights[:, None] * dist).reshape(-1)
         return out, weights
+
+
+# the strategy file after n and k: its header ints, then one row per list
+# field of ClassicalStrategy in file order, (key, one list per party, dims)
+STRATEGY_HEADER = ("hidden_alphabet",)
+STRATEGY_FIELDS = (
+    ("output_tables", True, lambda n, k, L: ((k, 1), (2, 1))),
+    ("hidden_dists", True, lambda n, k, L: ((L, 1),)),
+    ("charlie_table", False, lambda n, k, L: ((L, n), (2, k))),
+)
 
 
 def _read_only(values):
@@ -255,38 +261,13 @@ def enumerate_deterministic(shape, hidden_alphabet):
 
 def save_strategy(strategy, path):
     """Write a strategy as JSON with flat row-major float lists (17 digits)."""
-    n = strategy.shape.n
-    lists = [_number_chunks(v) for v in (*strategy.output_tables, *strategy.hidden_dists, strategy.charlie_table)]
-    header = '{"n": %d, "k": %d, "hidden_alphabet": %d, "output_tables": [' % (
-        n,
-        strategy.shape.k,
-        strategy.hidden_alphabet,
-    )
-    # the text before each list: n tables, n distributions, one Charlie table
-    openings = [header] + [", "] * (n - 1) + ['], "hidden_dists": ['] + [", "] * (n - 1) + ['], "charlie_table": ']
-    with open(path, "w") as fh:
-        for opening, chunks in zip(openings, lists):
-            fh.write(opening)
-            fh.writelines(chunks)
-        fh.write("}\n")
+    _write_file(path, STRATEGY_HEADER, STRATEGY_FIELDS, strategy)
 
 
 def load_strategy(path):
     """Read a strategy file; any structural problem raises InvalidBehaviorError."""
-    doc = _read_object(
-        path, ("n", "k", "hidden_alphabet", "output_tables", "hidden_dists", "charlie_table")
-    )
-    shape = _read_shape(doc)
-    n, k = shape.n, shape.k
-    try:
-        L = _integer(doc["hidden_alphabet"], "hidden_alphabet", 1)
-    except ValueError as exc:
-        raise InvalidBehaviorError(str(exc)) from exc
-    # the response table first: it refuses n + k past numpy's axis limit
-    charlie = _read_numbers(doc["charlie_table"], "charlie_table", ((L, n), (2, k)))
-    tables = _read_lists(doc["output_tables"], "output_tables", n, ((k, 1), (2, 1)))
-    dists = _read_lists(doc["hidden_dists"], "hidden_dists", n, ((L, 1),))
-    return ClassicalStrategy(shape, L, tables, dists, charlie)
+    shape, values = _read_file(path, STRATEGY_HEADER, STRATEGY_FIELDS)
+    return ClassicalStrategy(shape, **values)
 
 
 # --- optimizer over the continuous strategy class -------------------------

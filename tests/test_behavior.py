@@ -479,14 +479,27 @@ def test_writers_match_per_entry_reference(tmp_path):
     tables = (rng.dirichlet(np.ones(2), size=3), np.array([[1.0, 0.0], [-0.0, 1.0], [0.5, 0.5]]))
     dists = (np.array([1 / 3, 2 / 3]), np.array([5e-324, 1.0]))
     charlie = rng.dirichlet(np.ones(8), size=4).reshape(2, 2, 2, 2, 2)
+    strategies = [ClassicalStrategy(ScenarioShape(2, 3), 2, tables, dists, charlie)]
+    # three parties, so two ", " separators inside each per-party list
+    strategies.append(ClassicalStrategy(
+        ScenarioShape(3, 2),
+        3,
+        tuple(rng.dirichlet(np.ones(2), size=2) for _ in range(3)),
+        tuple(rng.dirichlet(np.ones(3)) for _ in range(3)),
+        rng.dirichlet(np.ones(4), size=27).reshape((3,) * 3 + (2, 2)),
+    ))
     path = tmp_path / "s.json"
-    save_strategy(ClassicalStrategy(ScenarioShape(2, 3), 2, tables, dists, charlie), path)
-    want = '{"n": 2, "k": 3, "hidden_alphabet": 2, "output_tables": [%s], "hidden_dists": [%s], "charlie_table": %s}\n' % (
-        ", ".join(map(reference_number_text, tables)),
-        ", ".join(map(reference_number_text, dists)),
-        reference_number_text(charlie),
-    )
-    assert first_difference(path.read_text(), want) is None
+    for strategy in strategies:
+        save_strategy(strategy, path)
+        want = '{"n": %d, "k": %d, "hidden_alphabet": %d, "output_tables": [%s], "hidden_dists": [%s], "charlie_table": %s}\n' % (
+            strategy.shape.n,
+            strategy.shape.k,
+            strategy.hidden_alphabet,
+            ", ".join(map(reference_number_text, strategy.output_tables)),
+            ", ".join(map(reference_number_text, strategy.hidden_dists)),
+            reference_number_text(strategy.charlie_table),
+        )
+        assert first_difference(path.read_text(), want) is None
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

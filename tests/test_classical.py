@@ -211,7 +211,7 @@ def random_starts(n, k, L, restarts, rng):
 
 
 def test_strategy_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hidden alphabet size must be >= 1"):
         ClassicalStrategy(SHAPE22, 0, (), (), np.zeros(()))
     # alphabet 0 with shapes that agree with it: only the alphabet check can raise
     with pytest.raises(ValueError, match="hidden alphabet size must be >= 1"):
@@ -222,7 +222,7 @@ def test_strategy_shape_validation():
             (np.zeros(0), np.zeros(0)),
             np.zeros((0, 0, 2, 2)),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need 2 output tables of shape \(2, 2\)"):
         ClassicalStrategy(
             SHAPE22,
             2,
@@ -230,7 +230,15 @@ def test_strategy_shape_validation():
             (np.full(2, 0.5), np.full(2, 0.5)),
             np.zeros((2, 2, 2, 2)),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need 2 hidden distributions of shape \(2,\)"):
+        ClassicalStrategy(
+            SHAPE22,
+            2,
+            (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+            (np.full(3, 1 / 3), np.full(3, 1 / 3)),  # length 3 for alphabet 2
+            np.zeros((2, 2, 2, 2)),
+        )
+    with pytest.raises(ValueError, match=r"charlie table has shape \(2, 2, 2\), expected \(2, 2, 2, 2\)"):
         ClassicalStrategy(
             SHAPE22,
             2,

@@ -10,6 +10,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,13 @@ from jointcert.behavior import (
     save_behavior,
     validate_behavior,
 )
-from jointcert.classical import load_strategy, saturation_strategy, save_strategy, validate_strategy
+from jointcert.classical import (
+    ClassicalStrategy,
+    load_strategy,
+    saturation_strategy,
+    save_strategy,
+    validate_strategy,
+)
 from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, main
 from jointcert.quantum import closed_form_behavior
 
@@ -37,7 +44,13 @@ scalars = (
 json_values = st.recursive(
     scalars,
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.sampled_from(["n", "k", "probabilities", "hidden_alphabet", "x"]), children, max_size=4),
+    | st.dictionaries(
+        st.sampled_from(
+            ["n", "k", "probabilities", "hidden_alphabet", "output_tables", "hidden_dists", "charlie_table", "x"]
+        ),
+        children,
+        max_size=4,
+    ),
     max_leaves=12,
 )
 
@@ -58,8 +71,18 @@ def saved_docs(doc_path):
     for behavior in behaviors:
         save_behavior(behavior, doc_path)
         docs.append(json.loads(doc_path.read_text()))
-    save_strategy(saturation_strategy(0.3), doc_path)
-    docs.append(json.loads(doc_path.read_text()))
+    # strategies at one, two and three parties, so that every row of
+    # STRATEGY_FIELDS is read with one and with several lists per party
+    strategies = [
+        ClassicalStrategy(ScenarioShape(1, 2), 2, [np.full((2, 2), 0.5)], [np.full(2, 0.5)], np.full((2, 2, 2), 0.25)),
+        saturation_strategy(0.3),
+        ClassicalStrategy(
+            ScenarioShape(3, 2), 2, [np.eye(2)] * 3, [np.array([0.25, 0.75])] * 3, np.full((2,) * 5, 0.25)
+        ),
+    ]
+    for strategy in strategies:
+        save_strategy(strategy, doc_path)
+        docs.append(json.loads(doc_path.read_text()))
     return docs
 
 

@@ -4,7 +4,8 @@ Each `jointcert` line of the `sh` block under "Command line" runs as
 `python -m jointcert` in a fresh directory, in order, so later lines see the
 files earlier ones wrote.  A stated `# exit N` must be the exit code, and a
 stated `statistic X` must be the reported statistic within 1e-9.  A line
-that states no exit code must still not exit 2.
+that states no exit code must still not exit 2.  The strategy-file layout
+the section states names the keys of classical.STRATEGY_FIELDS in file order.
 """
 import json
 import math
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 import jointcert
+from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 EXIT = re.compile(r"#.*\bexit (\d+)")
@@ -79,3 +81,18 @@ def test_readme_commands_behave_as_stated(tmp_path):
         if statistic is not None:
             report = json.loads(result.stdout)
             assert report["statistic"] == pytest.approx(statistic, abs=1e-9), line
+
+
+def test_readme_states_the_strategy_file_layout():
+    # the bullet list under "Command line" that follows "A strategy file holds"
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    layout = section[section.index("A strategy file holds") :]
+    layout = layout[layout.index("\n- ") + 1 : layout.index("\n\n", layout.index("\n- "))]
+    bullets = layout.split("\n- ")
+    keys = [re.findall(r"`(\w+)`", bullet.split(":")[0]) for bullet in bullets]
+    assert keys[0] == ["n", "k", *STRATEGY_HEADER]
+    assert [key for group in keys[1:] for key in group] == [row[0] for row in STRATEGY_FIELDS]
+    # a per-party field is stated as n lists, any other as one list
+    for bullet, (_, per_party, _) in zip(bullets[1:], STRATEGY_FIELDS):
+        assert bullet.split(":")[1].startswith(" n lists of" if per_party else " one list of"), bullet
