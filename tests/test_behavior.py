@@ -26,7 +26,8 @@ from jointcert.behavior import (
     signalling_residuals,
     validate_behavior,
 )
-from jointcert.classical import MAX_COUNT_BITS, MAX_OPTIMIZER_CELLS, ClassicalStrategy, save_strategy
+from jointcert.classical import MAX_COUNT_BITS, MAX_OPTIMIZER_CELLS, ClassicalStrategy, load_strategy, save_strategy
+from read_paths import BEHAVIOR_FORMAT, STRATEGY_FORMAT, assert_same_read, streamed_read, whole_document_read
 
 SHAPE22 = ScenarioShape(2, 2)
 
@@ -446,8 +447,10 @@ def number_text(values):
 
 
 def reference_number_text(values):
-    """The per-entry writer: each float formatted by its own "%.17g"."""
-    return "[%s]" % ", ".join("%.17g" % v for v in np.asarray(values).ravel())
+    """The per-entry writer: each float formatted by its own "%.17g", and
+    negative zero as "-0.0", since JSON reads "-0" as the integer 0."""
+    return "[%s]" % ", ".join("-0.0" if v == 0 and math.copysign(1, v) < 0 else "%.17g" % v
+                              for v in np.asarray(values).ravel())
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 1.0, 3.0, -42.0, 0.1]
@@ -552,6 +555,64 @@ def test_writers_refuse_a_non_finite_entry_in_a_later_block(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_readers_refuse_non_finite_entries(tmp_path, token):
+    # JSON has no literal for these, but json.load reads the first three, and
+    # reads 1e400 as infinity; the writers would refuse what they give
+    path = tmp_path / "b.json"
+    save_behavior(BehaviorTensor.uniform(SHAPE22), path)
+    path.write_text(path.read_text().replace("0.0625", token, 1))
+    for strict in (False, True):
+        with pytest.raises(InvalidBehaviorError, match=r"^probabilities has 1 non-finite entries"):
+            load_behavior(path, strict=strict)
+
+    tables = (np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+    dists = (np.full(2, 0.5), np.array([0.375, 0.625]))
+    save_strategy(ClassicalStrategy(SHAPE22, 2, tables, dists, np.full((2, 2, 2, 2), 0.25)), path)
+    text = path.read_text()
+    for value, key in [("0.5", r"output_tables\[0\]"), ("0.375", r"hidden_dists\[1\]"), ("0.25", "charlie_table")]:
+        path.write_text(text.replace(value, token, 1))
+        with pytest.raises(InvalidBehaviorError, match="^%s has 1 non-finite entries" % key):
+            load_strategy(path)
+
+
+def edge_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=st.sampled_from(EDGE_FLOATS))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_save_load_save_is_byte_identical_over_edge_floats(tmp_path_factory, data):
+    # -0.0 among them, which JSON reads back as the integer 0 unless it is
+    # written "-0.0"
+    path = tmp_path_factory.mktemp("edge") / "f.json"
+    shape = ScenarioShape(2, 2)
+    probabilities = data.draw(edge_arrays(shape.tensor_shape))
+    strategy = ClassicalStrategy(
+        shape,
+        2,
+        tuple(data.draw(edge_arrays((2, 2))) for _ in range(2)),
+        tuple(data.draw(edge_arrays(2)) for _ in range(2)),
+        data.draw(edge_arrays((2,) * 4)),
+    )
+    # load_behavior reads -5e-324 as 0.0, as it clamps every entry in [-1e-12, 0)
+    clamped = np.where(probabilities == -5e-324, 0.0, probabilities)
+    for values, want, save, load, arrays in [
+        (BehaviorTensor(shape, probabilities), BehaviorTensor(shape, clamped), save_behavior, load_behavior,
+         lambda b: [b.probabilities]),
+        (strategy, strategy, save_strategy, load_strategy,
+         lambda s: [*s.output_tables, *s.hidden_dists, s.charlie_table]),
+    ]:
+        save(want, path)
+        want_bytes = path.read_bytes()
+        save(values, path)
+        loaded = load(path)
+        for got, expected in zip(arrays(loaded), arrays(want), strict=True):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        save(loaded, path)
+        assert path.read_bytes() == want_bytes
+
+
 def test_save_to_a_directory_fails_before_formatting(tmp_path, monkeypatch):
     # an all-distinct (5, 4) behavior, which the template branch would format
     formatted = []
@@ -566,14 +627,18 @@ def test_save_to_a_directory_fails_before_formatting(tmp_path, monkeypatch):
 
 
 def single_call_number_text(values):
-    """The writer before deduplication, verbatim: one % call over all entries."""
+    """The writer before deduplication, verbatim but for negative zero: one %
+    call over all entries, then each "-0" entry rewritten as "-0.0"."""
     arr = np.asarray(values, dtype=float).reshape(-1)
     nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
     if nonfinite:
         raise InvalidBehaviorError(
             f"cannot write {nonfinite} non-finite entries (NaN or infinity): JSON has no literal for them"
         )
-    return "[%s]" % (", ".join(["%.17g"] * arr.size) % tuple(arr.tolist()))
+    text = ", ".join(["%.17g"] * arr.size) % tuple(arr.tolist())
+    # an entry is "-0" exactly when a space or the start is before it and a
+    # comma or the end after it
+    return "[%s]" % (" %s," % text).replace(" -0,", " -0.0,")[1:-1]
 
 
 def single_call_save_behavior(behavior, path):
@@ -624,14 +689,26 @@ def spy_on_searchsorted(monkeypatch):
 @pytest.mark.parametrize("extra, deduplicates", [(0, True), (1, False)])
 def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     # 64 entries with exactly 64 * DEDUPLICATE_SHARE distinct values, then one more
+    # (no negative zero among them, which is always deduplicated)
     size = 64
     distinct = int(size * DEDUPLICATE_SHARE) + extra
-    values = np.array(POOL_FLOATS[:distinct])
+    values = np.array([v for v in POOL_FLOATS if math.copysign(1, v) > 0 or v != 0][:distinct])
     assert len(np.unique(values.view(np.uint64))) == distinct
     arr = np.resize(values, size)
     calls = spy_on_searchsorted(monkeypatch)
     assert number_text(arr) == single_call_number_text(arr)
     assert calls == ([size] if deduplicates else [])
+
+
+def test_a_block_holding_negative_zero_is_deduplicated(monkeypatch):
+    # all distinct, which alone would take the template branch
+    arr = np.arange(64.0)
+    arr[5] = -0.0
+    calls = spy_on_searchsorted(monkeypatch)
+    text = number_text(arr)
+    assert calls == [64]
+    assert text == single_call_number_text(arr) == reference_number_text(arr)
+    assert text.startswith("[0, 1, 2, 3, 4, -0.0, 6, ")
 
 
 def first_difference(got, want):
@@ -645,9 +722,10 @@ def first_difference(got, want):
 
 
 def deduplicated_block_sizes(arr):
-    """The sizes of the blocks of arr that take the deduplicating branch."""
-    blocks = [arr[start : start + WRITE_BLOCK] for start in range(0, arr.size, WRITE_BLOCK)]
-    return [b.size for b in blocks if np.unique(b.view(np.uint64)).size <= DEDUPLICATE_SHARE * b.size]
+    """The sizes of the blocks of arr that take the deduplicating branch: few
+    distinct values, or a negative zero among them."""
+    blocks = [arr[start : start + WRITE_BLOCK].view(np.uint64) for start in range(0, arr.size, WRITE_BLOCK)]
+    return [b.size for b in blocks if np.unique(b).size <= DEDUPLICATE_SHARE * b.size or 1 << 63 in b]
 
 
 # no shrink phase: each run writes up to 200,000 entries several times, so
@@ -686,16 +764,123 @@ def test_block_boundaries_never_change_the_bytes(tmp_path_factory, size, pool, d
     save_behavior(behavior, got)
     # single_call_save_behavior's text, built from want: the fill entries
     # after arr all print as arr[-1]
-    fill = ", %.17g" % arr[-1]
+    fill = ", " + reference_number_text(arr[-1:])[1:-1]
     reference = '{"n": 8, "k": 2, "probabilities": ' + want[:-1] + fill * (probabilities.size - size) + "]}\n"
     assert first_difference(got.read_text(), reference) is None
+
+
+def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
+    allocated = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        allocated.append(math.prod(shape))
+        return empty(shape, *args, **kwargs)
+
+    path = tmp_path / "b.json"
+    save_behavior(BehaviorTensor.uniform(SHAPE22), path)
+    text = path.read_text()
+    # the writer's text, with trailing whitespace, with entries that are
+    # other spellings of numbers, and with JSON whitespace between entries
+    for edited in [
+        text,
+        text + " \r\n\t",
+        text.replace("0.0625", "6.25E-2", 1),
+        text.replace("0.0625", "-0", 1),
+        text.replace(", 0.0625", ",0.0625"),
+        text.replace(", 0.0625", " ,\n\t0.0625", 1),
+        text.replace("[0.0625", "[ 0.0625", 1).replace("0.0625]", "0.0625\r\n]"),
+    ]:
+        path.write_text(edited)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", spy)
+            got = streamed_read(path, *BEHAVIOR_FORMAT)
+        assert got is not None, edited
+        assert_same_read(got, whole_document_read(path, *BEHAVIOR_FORMAT))
+    assert allocated == [64] * 7
+    # other layouts of the same values outside the list, which only the
+    # whole-document reader reads
+    for edited in [
+        " " + text,
+        text.replace('2, "k"', '2,"k"'),
+        text.replace('{"n": 2, "k": 2', '{"k": 2, "n": 2'),
+        text.replace('"k": 2', '"k": 2, "k": 2'),
+        text.replace("]}", '], "x": 1}'),
+        text.replace(": [", ":[", 1),
+        text.replace(": [", ": \n[", 1),
+        text.replace("]}", "] }", 1),
+    ]:
+        path.write_text(edited)
+        assert streamed_read(path, *BEHAVIOR_FORMAT) is None, edited
+        assert not isinstance(whole_document_read(path, *BEHAVIOR_FORMAT), Exception), edited
+    # and texts that no reader takes
+    for edited in [
+        text.replace(", 0.0625", ", , 0.0625", 1),
+        text.replace("[0.0625, ", "[, 0.0625, ", 1),
+        text.replace(", 0.0625", ",, 0.0625", 1),
+        text.replace("0.0625]", "0.0625, ]"),
+        text.replace("0.0625]", "0.0625, 0.0625]"),
+        text.replace("[0.0625, ", "[[0.0625], ", 1),
+        text.replace("0.0625", "NaN", 1),
+        text.replace("0.0625", '"0.0625"', 1),
+        text + "}",
+        # 4194304 entries promised in a file of a few hundred bytes
+        text.replace('"n": 2', '"n": 10'),
+    ]:
+        path.write_text(edited)
+        # read whole, and a character at a time, so that an empty entry can
+        # be a piece of its own
+        for block in (WRITE_BLOCK, 1):
+            allocated.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "empty", spy)
+                patch.setattr(behavior_module, "READ_BLOCK", block)
+                assert streamed_read(path, *BEHAVIOR_FORMAT) is None, edited
+            assert all(count <= len(edited) for count in allocated), edited
+        assert isinstance(whole_document_read(path, *BEHAVIOR_FORMAT), InvalidBehaviorError), edited
+
+
+@pytest.fixture(scope="module")
+def read_boundary_files(tmp_path_factory):
+    """[(path, format)]: an (8, 2) behavior, 262144 entries, and an n = 3
+    strategy, each with every POOL_FLOATS value and some all-distinct
+    stretches, saved once."""
+    rng = np.random.default_rng(8)
+    arr = np.zeros(ScenarioShape(8, 2).tensor_shape)
+    flat = arr.reshape(-1)
+    flat[: len(POOL_FLOATS)] = POOL_FLOATS
+    flat[-len(POOL_FLOATS) :] = POOL_FLOATS
+    flat[rng.integers(0, flat.size, 500)] = rng.random(500)
+    path = tmp_path_factory.mktemp("read_boundaries") / "b.json"
+    save_behavior(BehaviorTensor(ScenarioShape(8, 2), arr), path)
+    strategy = ClassicalStrategy(
+        ScenarioShape(3, 2),
+        3,
+        tuple(rng.choice(POOL_FLOATS, (2, 2)) for _ in range(3)),
+        tuple(rng.choice(POOL_FLOATS, 3) for _ in range(3)),
+        rng.random((3,) * 3 + (2, 2)),
+    )
+    strategy_path = path.with_name("s.json")
+    save_strategy(strategy, strategy_path)
+    return [(path, BEHAVIOR_FORMAT), (strategy_path, STRATEGY_FORMAT)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_read_block_boundaries_never_change_the_values(read_boundary_files, monkeypatch, block):
+    # with reads of 1, 2, 7 and 64 characters, the pieces are cut at every
+    # offset of entries, separators and keys
+    monkeypatch.setattr(behavior_module, "READ_BLOCK", block)
+    for path, file_format in read_boundary_files:
+        got = streamed_read(path, *file_format)
+        assert got is not None
+        assert_same_read(got, whole_document_read(path, *file_format))
 
 
 @pytest.mark.parametrize(
     "arr, text",
     [
         (np.array([]), "[]"),
-        (np.array([-0.0]), "[-0]"),
+        (np.array([-0.0]), "[-0.0]"),
         (np.array([-1.2345678901234567e-308]), "[-1.2345678901234567e-308]"),
         (np.full(1000, 0.1), "[%s]" % ", ".join(["0.10000000000000001"] * 1000)),
         (np.full((2, 2, 2), 5e-324), "[%s]" % ", ".join(["4.9406564584124654e-324"] * 8)),
@@ -772,6 +957,22 @@ def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_p
 # Python 3.11.7): the same in three fresh processes each, where the
 # single-call writer reads 31,647,424 and 15,893,693
 STREAMED_WRITER_PEAKS = {"all-distinct": 4_552_265, "three-valued": 2_054_681}
+
+
+# tracemalloc peaks, in bytes, of load_behavior on the all-distinct (5, 4)
+# file above (numpy 2.4.6, Python 3.11.7, the same in three fresh processes
+# each): the whole-document reader, json.load with every entry a Python float
+# at once, and the streamed reader with READ_BLOCK = 2**16, whose float64
+# array alone takes 4,194,304
+WHOLE_DOCUMENT_READER_PEAK = 28_286_478
+STREAMED_READER_PEAK = 5_248_062
+
+
+def test_54_read_peak_is_one_block_deep(all_distinct_54_save):
+    # a block's text and numbers are dropped before the next block is read
+    got = traced_peak(load_behavior, all_distinct_54_save[1])
+    assert got <= 1.1 * STREAMED_READER_PEAK, got
+    assert got <= WHOLE_DOCUMENT_READER_PEAK / 2, got
 
 
 @pytest.mark.parametrize("name", STREAMED_WRITER_PEAKS)

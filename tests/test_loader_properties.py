@@ -2,7 +2,8 @@
 
 Each document either loads or raises InvalidBehaviorError, and `certify` on
 it exits 0, 2 or 10: an error line on 2, a JSON report otherwise, never a
-traceback.
+traceback.  Whenever the streamed reader reads a document, the
+whole-document reader reads the same values from it, bit for bit.
 """
 import contextlib
 import copy
@@ -12,9 +13,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from jointcert import behavior as behavior_module
 from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
@@ -32,6 +34,7 @@ from jointcert.classical import (
 )
 from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, main
 from jointcert.quantum import closed_form_behavior
+from read_paths import BEHAVIOR_FORMAT, STRATEGY_FORMAT, readers_agree
 
 scalars = (
     st.none()
@@ -61,16 +64,16 @@ def doc_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def saved_docs(doc_path):
+def saved_texts(doc_path):
     behaviors = [
         BehaviorTensor.uniform(ScenarioShape(1, 2)),
         BehaviorTensor.uniform(ScenarioShape(2, 3)),
         closed_form_behavior(0.8),  # violated, so certify exits 10
     ]
-    docs = []
+    texts = []
     for behavior in behaviors:
         save_behavior(behavior, doc_path)
-        docs.append(json.loads(doc_path.read_text()))
+        texts.append(doc_path.read_text())
     # strategies at one, two and three parties, so that every row of
     # STRATEGY_FIELDS is read with one and with several lists per party
     strategies = [
@@ -82,8 +85,13 @@ def saved_docs(doc_path):
     ]
     for strategy in strategies:
         save_strategy(strategy, doc_path)
-        docs.append(json.loads(doc_path.read_text()))
-    return docs
+        texts.append(doc_path.read_text())
+    return texts
+
+
+@pytest.fixture(scope="module")
+def saved_docs(saved_texts):
+    return [json.loads(text) for text in saved_texts]
 
 
 @st.composite
@@ -130,8 +138,28 @@ def near_valid_behaviors(draw):
     return {"n": n, "k": k, "probabilities": probabilities}
 
 
-def _check_document(path, doc):
-    path.write_text(json.dumps(doc))
+# what the text mutations insert or put in place of one character
+TEXT_EDITS = [",", "]", "[", "-", ".", "e", '"a"', "NaN", "}", " ", "\n", "\t"]
+
+
+@st.composite
+def mutated_texts(draw, texts):
+    """A saved file's text with up to three characters deleted, replaced by
+    an edit from TEXT_EDITS, or joined by one, at any offset."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        edit = "" if action == "delete" else draw(st.sampled_from(TEXT_EDITS))
+        text = text[:at] + edit + text[at + (action != "insert") :]
+    return text
+
+
+def _check_text(path, text):
+    path.write_text(text)
+    for name, file_format in [("behavior", BEHAVIOR_FORMAT), ("strategy", STRATEGY_FORMAT)]:
+        if readers_agree(path, *file_format):
+            event(f"streamed as a {name} file")
     for load, validate in [
         (load_behavior, validate_behavior),
         (lambda p: load_behavior(p, strict=True), validate_behavior),
@@ -154,6 +182,12 @@ def _check_document(path, doc):
         assert math.isfinite(json.loads(out.getvalue())["statistic"])
 
 
+def _check_document(path, doc):
+    # json.dumps writes the writer's separators, so a document in the
+    # writer's key order reaches the streamed reader
+    _check_text(path, json.dumps(doc))
+
+
 @settings(max_examples=100, deadline=None)
 @given(doc=json_values)
 def test_arbitrary_json_loads_or_is_refused(doc_path, doc):
@@ -170,3 +204,12 @@ def test_near_valid_behaviors_load_or_are_refused(doc_path, doc):
 @given(data=st.data())
 def test_mutated_files_load_or_are_refused(doc_path, saved_docs, data):
     _check_document(doc_path, data.draw(mutated(saved_docs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_file_texts_read_alike_on_both_paths(doc_path, saved_texts, data):
+    # small reads cut the lists into pieces at the edits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(behavior_module, "READ_BLOCK", data.draw(st.sampled_from([1, 7, behavior_module.READ_BLOCK])))
+        _check_text(doc_path, data.draw(mutated_texts(saved_texts)))
