@@ -291,7 +291,9 @@ def load_behavior(path, strict=False):
 # It reads a file in _write_file's layout with _read_streamed, a block of
 # READ_BLOCK characters at a time into arrays sized from the header; any
 # other file, or one that departs from that layout anywhere, it parses whole
-# with json.load, and that path alone gives every refusal.
+# with json.load, and that path alone gives every refusal.  Both paths take
+# their entries through _read_numbers, the one entry rule (plain numbers
+# only, finite after conversion), and expand a row's dims with _axes.
 
 
 # entries per written block, and the largest share of distinct entries at
@@ -458,8 +460,8 @@ def _read_streamed(fh, size, header, fields):
     against MAX_AXES and its entries, with those of the rows before it,
     against size, as each entry takes at least one byte.  Each list is then
     read by _Text.numbers into its float64 array.  Every number it takes is
-    parsed by json.loads, so what this returns is, bit for bit, what
-    json.load gives for the same text.
+    parsed by json.loads and converted by _read_numbers, so what this
+    returns is, bit for bit, what json.load gives for the same text.
 
     READ_BLOCK rests on load_behavior of two (5, 4) files of 524288 entries
     (2 vCPUs, Python 3.11.7, numpy 2.4.6; median of 21 runs interleaved in
@@ -489,23 +491,23 @@ def _read_streamed(fh, size, header, fields):
             lists = shape.n if per_party else 1
             if sum(repeat for _, repeat in dims) > MAX_AXES or _exceeds(dims + ((lists, 1),), budget):
                 return None
-            axes = sum(((side,) * repeat for side, repeat in dims), ())
+            axes = _axes(dims)
             budget -= lists * math.prod(axes)
-            if not text.take(', "%s": %s' % (key, "[" * per_party)):
+            if not text.match(re.escape(', "%s": %s' % (key, "[" * per_party))):
                 return None
             arrays = []
             for j in range(lists):
                 arrays.append(np.empty(axes))
-                if (j and not text.take(", ")) or not text.numbers(arrays[-1].reshape(-1)):
+                if (j and not text.match(", ")) or not text.numbers(arrays[-1].reshape(-1), key):
                     return None
-            if not text.take("]" * per_party):
+            if not text.match(re.escape("]" * per_party)):
                 return None
             values[key] = tuple(arrays) if per_party else arrays[0]
-        if not (text.take("}") and text.blank()):
+        if not (text.match("}") and text.blank()):
             return None
-    except (ValueError, OverflowError, RecursionError):
-        # a malformed piece, undecodable bytes, an integer entry past
-        # float's range, nesting past the decoder's limit, or k < 2
+    except (ValueError, RecursionError):
+        # a malformed piece, undecodable bytes, an entry _read_numbers
+        # refuses, nesting past the decoder's limit, or k < 2
         return None
     return shape, values
 
@@ -526,31 +528,27 @@ class _Text:
                 return
             self.head += block
 
-    def take(self, literal):
-        """Whether the text goes on with literal, which is consumed if so."""
-        self.fill(len(literal))
-        if not self.head.startswith(literal):
-            return False
-        self.head = self.head[len(literal) :]
-        return True
-
-    def match(self, pattern, width):
+    def match(self, pattern, width=None):
         """re.match of pattern, consumed if it matches, on the next width
-        characters."""
-        self.fill(width)
+        characters; by default len(pattern), which covers the text of a
+        literal, escaped or not."""
+        self.fill(len(pattern) if width is None else width)
         found = re.match(pattern, self.head)
         if found:
             self.head = self.head[found.end() :]
         return found
 
-    def numbers(self, out):
+    def numbers(self, out, key):
         """Whether the text goes on with a JSON list of exactly out.size
-        plain finite numbers, which are read into out and consumed if so.
+        entries that _read_numbers takes for key, which are read into out
+        and consumed if so; a refusal there raises InvalidBehaviorError.
         The list is taken a piece at a time, up to the last comma read so far
         or to the "]", and each piece is parsed by json.loads, which reads
-        the whitespace between entries as json.load does; so a piece holds
-        at most READ_BLOCK characters more than one entry."""
-        if not self.take("["):
+        the whitespace between entries as json.load does, and passed to
+        _read_numbers as a list of its own length; so a piece holds at most
+        READ_BLOCK characters more than one entry, and the entry rule is the
+        whole-document reader's."""
+        if not self.match(r"\["):
             return False
         filled, text, self.head = 0, self.head, ""
         seen = 0  # text[:seen] holds no "]" and no comma
@@ -560,12 +558,11 @@ class _Text:
             if cut >= 0:
                 values = json.loads("[" + text[:cut] + "]")
                 # an empty piece is an empty entry, as in "[1, , 2]"
-                if not values or set(map(type, values)) - {int, float}:
+                if not values:
                     return False
                 end = filled + len(values)
-                out[filled:end] = values  # a ValueError if out has no room for them
-                if not np.isfinite(out[filled:end]).all():
-                    return False
+                # a ValueError if out has no room for them
+                out[filled:end] = _read_numbers(values, key, ((len(values), 1),))
                 filled = end
                 if close >= 0:
                     self.head = text[close + 1 :]
@@ -586,6 +583,12 @@ class _Text:
         return False
 
 
+def _axes(dims):
+    """The shape with `repeat` axes of length `size` for each (size, repeat)
+    in dims, a field table row's dims(n, k, ...)."""
+    return sum(((size,) * repeat for size, repeat in dims), ())
+
+
 def _length_text(values):
     return len(values) if isinstance(values, list) else type(values).__name__
 
@@ -604,7 +607,9 @@ _JSON_KINDS = {list: "nested lists", dict: "objects", str: "strings", bool: "boo
 
 def _read_numbers(values, key, dims):
     """A flat row-major list of plain numbers as a float array with `repeat`
-    axes of length `size` for each (size, repeat) in dims."""
+    axes of length `size` for each (size, repeat) in dims.  The entry rule
+    of both readers: _read_file passes each whole list, _Text.numbers each
+    piece of one."""
     axes = sum(repeat for _, repeat in dims)
     if axes > MAX_AXES:
         # refused before a shape tuple of that length is built
@@ -612,7 +617,7 @@ def _read_numbers(values, key, dims):
             f"{key} must be a list of {_count_text(dims)} numbers, got {_length_text(values)}; "
             f"a tensor with {axes} axes exceeds numpy's {MAX_AXES}"
         )
-    shape = sum(((size,) * repeat for size, repeat in dims), ())
+    shape = _axes(dims)
     if not isinstance(values, list) or len(values) != math.prod(shape):
         raise InvalidBehaviorError(
             f"{key} must be a list of {_count_text(dims)} numbers, got {_length_text(values)}"

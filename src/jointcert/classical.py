@@ -28,6 +28,7 @@ from .behavior import (
     BehaviorTensor,
     ScenarioShape,
     _assemble,
+    _axes,
     _exceeds,
     _integer,
     _read_file,
@@ -53,7 +54,8 @@ class ClassicalStrategy:
     """A classical strategy (see the module docstring).  The output tables
     and hidden distributions are held as read-only float64 copies, so the
     cached _factors of a strategy cannot go stale; the response table is
-    held as given when it is float64 already."""
+    held as given when it is float64 already.  Each list field's shape is
+    its STRATEGY_FIELDS row's dims(n, k, L), the shape its file holds."""
 
     shape: ScenarioShape
     hidden_alphabet: int
@@ -67,14 +69,14 @@ class ClassicalStrategy:
         tables = tuple([_read_only(t) for t in self.output_tables])
         dists = tuple([_read_only(d) for d in self.hidden_dists])
         charlie = np.asarray(self.charlie_table, dtype=float)
+        expect = {key: _axes(dims(n, k, L)) for key, _, dims in STRATEGY_FIELDS}
         # one list comparison checks the count and every shape
-        if [t.shape for t in tables] != [(k, 2)] * n:
-            raise ValueError(f"need {n} output tables of shape ({k}, 2)")
-        if [d.shape for d in dists] != [(L,)] * n:
-            raise ValueError(f"need {n} hidden distributions of shape ({L},)")
-        expect = (L,) * n + (2,) * k
-        if charlie.shape != expect:
-            raise ValueError(f"charlie table has shape {charlie.shape}, expected {expect}")
+        if [t.shape for t in tables] != [expect["output_tables"]] * n:
+            raise ValueError(f"need {n} output tables of shape {expect['output_tables']}")
+        if [d.shape for d in dists] != [expect["hidden_dists"]] * n:
+            raise ValueError(f"need {n} hidden distributions of shape {expect['hidden_dists']}")
+        if charlie.shape != expect["charlie_table"]:
+            raise ValueError(f"charlie table has shape {charlie.shape}, expected {expect['charlie_table']}")
         object.__setattr__(self, "hidden_alphabet", L)
         object.__setattr__(self, "output_tables", tables)
         object.__setattr__(self, "hidden_dists", dists)

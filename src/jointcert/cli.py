@@ -119,9 +119,13 @@ def cmd_optimize(args):
     for path in (args.report_out, args.strategy_out):
         if path is not None and (problem := _unwritable(path)):
             raise ValueError(problem)
-    # the strategy would be written over the report
+    # the strategy would be written over the report: one path once resolved,
+    # or, when both exist, one file under two names, as with a hard link
     report_out, strategy_out = args.report_out, args.strategy_out
-    if report_out and strategy_out and os.path.realpath(report_out) == os.path.realpath(strategy_out):
+    if report_out and strategy_out and (
+        os.path.realpath(report_out) == os.path.realpath(strategy_out)
+        or (os.path.exists(report_out) and os.path.exists(strategy_out) and os.path.samefile(report_out, strategy_out))
+    ):
         raise ValueError(f"--report-out and --strategy-out name the same file: {strategy_out}")
     shape = ScenarioShape(args.n, args.k)
     report, strategy = optimize_classical(

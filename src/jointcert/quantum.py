@@ -121,7 +121,8 @@ def noisy_bsm(p):
 
 
 def validate_povm(elements):
-    """Return a list of POVM violations: non-Hermitian or non-positive
+    """Return a list of POVM violations: elements that are not square
+    matrices of the first one's shape, non-Hermitian or non-positive
     elements, or completeness failure (sum != identity), checked within
     POVM_TOL."""
     return _check_povm(elements)[0]
@@ -135,7 +136,10 @@ def _check_povm(elements):
     elements = [np.asarray(e, dtype=complex) for e in elements]
     if not elements:
         return ["no elements given"], np.nan, np.nan
-    dim = elements[0].shape[0]
+    first = elements[0].shape
+    if len(first) != 2 or first[0] != first[1]:
+        return [f"element 0 has shape {first}, expected a square matrix"], np.nan, np.nan
+    dim = first[0]
     lows = []
     for idx, el in enumerate(elements):
         if el.shape != (dim, dim):
@@ -153,9 +157,9 @@ def _check_povm(elements):
         if low < -POVM_TOL:
             problems.append(f"element {idx} has negative eigenvalue {low:.3e}")
     residual = np.nan
-    total = sum(elements)
-    if total.shape == (dim, dim):
-        residual = np.abs(total - np.eye(dim)).max()
+    # summed only when no element is mis-shaped, as numpy would broadcast them
+    if all(el.shape == (dim, dim) for el in elements):
+        residual = np.abs(sum(elements) - np.eye(dim)).max()
         if not residual <= POVM_TOL:
             problems.append(f"elements sum to identity only within {residual:.3e}")
     return problems, min(lows, default=np.nan), residual

@@ -478,6 +478,19 @@ def test_optimize_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatc
         assert not target.exists()
 
 
+def test_optimize_refuses_a_hard_link_pair(tmp_path, capsys):
+    # two names of one file resolve to different paths; neither is written
+    report, link = tmp_path / "r.json", tmp_path / "s.json"
+    report.write_text("kept\n")
+    os.link(report, link)
+    outputs = ["--report-out", str(report), "--strategy-out", str(link)]
+    code, out, err = run(capsys, "optimize", "--restarts", "1", "--iterations", "1", *outputs)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "same file" in err and err.count("\n") == 1
+    assert report.read_bytes() == link.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("n", ["20", "40"])
 def test_optimize_refuses_an_oversized_report_before_the_ascent(capsys, monkeypatch, n):
     # few logits, but the report's behavior tensor would hold 2**42 floats at

@@ -165,6 +165,25 @@ def test_validate_povm_catches_defects():
     assert validate_povm([]) == ["no elements given"]
 
 
+@pytest.mark.parametrize(
+    "elements, problems",
+    [
+        # no common shape to sum them in: numpy would raise a broadcast error
+        ([np.eye(2) / 2, np.eye(3) / 2], ["element 1 has shape (3, 3), expected (2, 2)"]),
+        # no dimension to check the others against
+        ([1.0], ["element 0 has shape (), expected a square matrix"]),
+        ([np.ones((2, 3))], ["element 0 has shape (2, 3), expected a square matrix"]),
+        # numpy would broadcast the vector onto the matrix and sum to identity
+        ([np.eye(2) / 2, np.ones(2) / 2], ["element 1 has shape (2,), expected (2, 2)"]),
+    ],
+    ids=["two-dimensions", "scalar", "non-square", "vector"],
+)
+def test_validate_povm_reports_mis_shaped_elements(elements, problems):
+    # a mis-shaped element is a problem in the list, never an exception, and
+    # completeness is checked only when every element has the first one's shape
+    assert validate_povm(elements) == problems
+
+
 def reference_closed_form(p):
     """closed_form_behavior as the 64-iteration loop it replaced, verbatim."""
     arr = np.empty((2, 2, 2, 2, 2, 2))

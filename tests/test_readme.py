@@ -5,8 +5,10 @@ Each `jointcert` line of the `sh` block under "Command line" runs as
 files earlier ones wrote.  A stated `# exit N` must be the exit code, and a
 stated `statistic X` must be the reported statistic within 1e-9.  A line
 that states no exit code must still not exit 2.  The strategy-file layout
-the section states names the keys of classical.STRATEGY_FIELDS in file order.
+the section states names the keys of classical.STRATEGY_FIELDS in file order,
+and each list's length as that row's dims give it.
 """
+import itertools
 import json
 import math
 import os
@@ -19,11 +21,13 @@ import sys
 import pytest
 
 import jointcert
+from jointcert.behavior import _axes
 from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 EXIT = re.compile(r"#.*\bexit (\d+)")
 STATISTIC = re.compile(r"#.*\bstatistic (sqrt\(([0-9.]+)\)|[0-9.]+)")
+SUPERSCRIPTS = {"ⁿ": "n", "ᵏ": "k"}
 
 
 def command_lines():
@@ -96,3 +100,39 @@ def test_readme_states_the_strategy_file_layout():
     # a per-party field is stated as n lists, any other as one list
     for bullet, (_, per_party, _) in zip(bullets[1:], STRATEGY_FIELDS):
         assert bullet.split(":")[1].startswith(" n lists of" if per_party else " one list of"), bullet
+
+
+def strategy_layout():
+    """The bullets of the list under "Command line" that follows "A strategy
+    file holds", one per line of the file's keys."""
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    layout = section[section.index("A strategy file holds") :]
+    layout = layout[layout.index("\n- ") + 1 : layout.index("\n\n", layout.index("\n- "))]
+    return layout.split("\n- ")
+
+
+def stated_count(phrase, sizes):
+    """The count a README phrase such as "2k" or "Lⁿ·2ᵏ" states at sizes, a
+    dict of n, k and L: a product of factors separated by "·", each a number,
+    a size or a number times a size, raised to a superscript size or not."""
+    count = 1
+    for factor in phrase.split("·"):
+        found = re.fullmatch(r"([0-9]*)([nkL]?)([ⁿᵏ]?)", factor)
+        assert factor and found, phrase
+        base = int(found[1] or 1) * (sizes[found[2]] if found[2] else 1)
+        count *= base ** (sizes[SUPERSCRIPTS[found[3]]] if found[3] else 1)
+    return count
+
+
+def test_readme_states_the_strategy_list_lengths():
+    # each list's stated count, such as "Lⁿ·2ᵏ", is the entry count of its
+    # STRATEGY_FIELDS row's dims on a grid of small shapes
+    bullets = strategy_layout()[1:]
+    assert len(bullets) == len(STRATEGY_FIELDS)
+    for bullet, (key, _, dims) in zip(bullets, STRATEGY_FIELDS):
+        phrase = re.search(r" lists? of (\S+) numbers", bullet)
+        assert phrase, bullet
+        for n, k, L in itertools.product((1, 2, 3), (2, 3, 5), (1, 2, 7)):
+            want = math.prod(_axes(dims(n, k, L)))
+            assert stated_count(phrase[1], {"n": n, "k": k, "L": L}) == want, (key, n, k, L)
