@@ -24,6 +24,7 @@ each setting slice must sum to 1 within 1e-10, and no party may signal by
 more than 1e-9 in total variation (see signalling_residuals).
 """
 import functools
+import itertools
 import json
 import math
 import os
@@ -287,8 +288,9 @@ def load_behavior(path, strict=False):
 # dims(n, k, *header ints) axes, or n such lists if per_party, in 17 digits.
 # _write_file checks every list for non-finite entries, then opens the file
 # and streams each list a block of WRITE_BLOCK entries at a time, never the
-# whole file's text.  _read_file builds no array before its size is checked.
-# It reads a file in _write_file's layout with _read_streamed, a block of
+# whole file's text: a block of few distinct values formats each value once,
+# any other goes through the digit kernel below.  _read_file builds no array
+# before its size is checked.  It reads a file in _write_file's layout with _read_streamed, a block of
 # READ_BLOCK characters at a time into arrays sized from the header; any
 # other file, or one that departs from that layout anywhere, it parses whole
 # with json.load, and that path alone gives every refusal.  Both paths take
@@ -296,10 +298,12 @@ def load_behavior(path, strict=False):
 # only, finite after conversion), and expand a row's dims with _axes.
 
 
-# entries per written block, and the largest share of distinct entries at
-# which a block is deduplicated; both measured in the docstrings below
+# entries per written block, the largest share of distinct entries at which
+# a block is deduplicated, and entries per slice of the digit kernel; all
+# measured in the docstrings below
 WRITE_BLOCK = 2**16
 DEDUPLICATE_SHARE = 1 / 8
+KERNEL_SLICE = 2**13
 # characters per read of the streamed reader, measured in _read_streamed
 READ_BLOCK = 2**16
 # float64's negative zero as a bit pattern: "%.17g" prints it "-0", which
@@ -319,12 +323,13 @@ def _number_chunks(values):
     file; nothing is formatted until the iterator is read.
 
     The block size rests on whole (5, 4) saves, 524288 entries (2 vCPUs,
-    Python 3.11.7, numpy 2.4.6, best of 5): at 2**14, 2**16 and 2**18
-    entries per block an all-distinct behavior took 366, 372 and 334 ms and
-    a three-valued one 27.8, 23.0 and 27.9 ms, with tracemalloc peaks of
-    1.1, 4.6 and 18.2 MB (all-distinct) and 0.5, 2.1 and 8.0 MB
-    (three-valued).  The whole-list writer this replaced peaked at 31.6
-    and 15.9 MB.
+    Python 3.11.7, numpy 2.4.6, best of 5, two runs): at 2**14, 2**16 and
+    2**18 entries per block an all-distinct behavior took 108-115, 93 and
+    96-103 ms and a three-valued one 25-26, 21-23 and 20-22 ms, with
+    tracemalloc peaks of 1.9, 2.9 and 11.0 MB (all-distinct) and 0.5, 1.9
+    and 7.2 MB (three-valued).  Before the digit kernel the all-distinct
+    saves took 269, 280 and 305 ms and peaked at 1.1, 4.6 and 18.2 MB; the
+    whole-list writer before blocks peaked at 31.6 and 15.9 MB.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
@@ -351,38 +356,227 @@ def _block_text(bits):
     joined by ", ", and negative zero as "-0.0": the same bytes as
     formatting each entry alone.
 
-    Each distinct value is formatted once.  Distinct means a distinct bit
-    pattern, so -0.0 and 0.0, which compare equal but print apart, stay
-    apart.  The patterns are found by np.sort and an adjacent-difference
-    mask: np.unique (numpy 2.4.6) took 0.42 s on 524288 distinct patterns
-    where np.sort took 6 ms.  When at most DEDUPLICATE_SHARE of the entries
-    are distinct, or the block holds NEGATIVE_ZERO, the distinct values are
-    formatted by one % call and split, NEGATIVE_ZERO's text is replaced,
-    every entry finds its string by np.searchsorted, and one ", ".join
-    builds the text.  Otherwise the block is one % call: a template with one
-    "%.17g" field per entry, applied to the entries as a tuple of Python
-    floats.
+    When at most DEDUPLICATE_SHARE of the entries are distinct, each
+    distinct value is formatted once: the distinct values are formatted by
+    one % call and split, NEGATIVE_ZERO's text is replaced, every entry
+    finds its string by np.searchsorted, and one ", ".join builds the text.
+    Otherwise the block is cut into slices of KERNEL_SLICE entries, each
+    written by _slice_text, and joined by ", ".
 
-    The cut-off rests on one block of 2**16 random entries (2 vCPUs, Python
-    3.11.7, numpy 2.4.6, best of 7 to 9, two runs): deduplicating took 8-9
-    ms against the template's 40-51 ms at 1/64 distinct, 17-19 ms against
-    44-54 ms at 1/8, 22-28 ms against 48-49 ms at 1/4 and 61-75 ms against
-    34-48 ms when all are distinct; the two broke even near 1/2.  The
-    behaviors of the built-in families and of deterministic strategies have
-    a handful of distinct entries; random continuous ones have all distinct,
-    so 1/8 leaves room for timing noise without moving either kind.
+    The cut-off rests on one block of 2**16 entries drawn from a pool of
+    random values (2 vCPUs, Python 3.11.7, numpy 2.4.6, best of 7, two
+    runs, the sort included): at 1/64, 1/32, 1/16, 1/8, 1/4, 1/2 and all
+    distinct, deduplicating took 8-11, 9, 11, 15, 21-22, 30-33 and 39-40 ms
+    against the kernel's 11 ms throughout, so the two break even near 1/16.
+    The share stays 1/8 all the same: a block of 64 entries takes 16 us
+    deduplicated and 100 us in the kernel, whose fixed cost per call rules
+    small blocks, and gen's quantum and saturation behaviors hold 8 and 7
+    distinct values in 64 entries.  Random continuous behaviors have all
+    entries distinct, and the built-in families and deterministic
+    strategies a handful, so neither kind is near the cut-off.
     """
-    ordered = np.sort(bits)
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size and NEGATIVE_ZERO not in bits:
-        return ("%.17g, " * (bits.size - 1) + "%.17g") % tuple(bits.view(np.float64).tolist())
-    distinct = ordered[first]
+    distinct = _few_distinct(bits)
+    if distinct is None:
+        starts = range(0, bits.size, KERNEL_SLICE)
+        return ", ".join([_slice_text(bits[start : start + KERNEL_SLICE]) for start in starts])
     texts = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
     texts = np.array(texts.split("\n"), dtype=object)
     texts[distinct == NEGATIVE_ZERO] = "-0.0"
     return ", ".join(texts[np.searchsorted(distinct, bits)].tolist())
+
+
+def _few_distinct(bits):
+    """The distinct bit patterns of bits in ascending order when at most
+    DEDUPLICATE_SHARE of the entries are distinct, else None.  Distinct
+    means a distinct bit pattern, so -0.0 and 0.0, which compare equal but
+    print apart, stay apart.  The patterns are found by np.sort and an
+    adjacent-difference mask: np.unique (numpy 2.4.6) took 0.42 s on 524288
+    distinct patterns where np.sort took 6 ms."""
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size:
+        return None
+    return ordered[first]
+
+
+# --- the digit kernel: "%.17g" from integer arithmetic ----------------------
+#
+# For a float64 x != 0 with e = floor(log10 |x|), "%.17g" prints D, the
+# integer |x| * 10**(16 - e) rounded half to even, as "0.000ddd" with -e - 1
+# zeros after the point when -4 <= e <= -1 and as "d.ddde-XX" when e < -4,
+# trailing zeros of D dropped (a D rounded up to 10**17 would print as
+# 10**16 with e + 1).  _slice_text computes D exactly for every x with |x|
+# in the window [2**-40, 1), which holds [1e-12, 1).  There x = m *
+# 2**(E - 52), m the 53-bit significand and -40 <= E <= -1, and
+# -13 <= e <= -1.  With t = 16 - e,
+#
+#     |x| * 10**t * 2**64 = m * K(E, t),   K(E, t) = 5**t * 2**(t + E + 12),
+#
+# and for every (E, t) that an x of the window takes, t + E + 12 >= 0 and
+# K < 2**69: the product is an integer below 2**122 whose bits from the
+# 64th up are floor(|x| * 10**t) and whose low 64 bits decide the rounding.
+# It is formed on 32-bit limbs held in uint64, each partial product below
+# 2**64.  np.log10's floor gives e for all x but those within a few ulps of
+# a power of ten, where it can miss by one; an entry whose floor(|x| *
+# 10**t) falls outside [10**16, 10**17) has e corrected by one and its
+# product formed again.  No D of the window rounds up to 10**17, which takes
+# an x less than 5e-18 of its size below a power of ten: the float64 nearest
+# below each of 10**-12 .. 10**0 is further, 2.0e-17 at 10**-12 the
+# closest, and the writer tests hold each of them.  Entries outside the
+# window, zeros, subnormals and -0.0 are formatted by one % call with a
+# "%.17g" field each, and -0.0 as "-0.0".
+#
+# Each entry gets one row of KERNEL_ROW bytes, and a mask of the bytes to
+# keep from a table indexed by the sign, the layout and the digit count:
+#
+#     0      "-"       negative entries
+#     1-2    "0."      e >= -4
+#     3-5    "000"     -e - 1 of them when e >= -4
+#     6      the first digit of D
+#     7      "."       e < -4 and more than one digit
+#     8-23   the other 16 digits of D, up to its last nonzero one
+#     24-27  "e-XX"    e < -4
+#     28-29  ", "      every entry but the slice's last
+#
+# One boolean compress of the rows then gives the slice's text.
+#
+# KERNEL_SLICE rests on one all-distinct block of 2**16 random entries
+# (2 vCPUs, Python 3.11.7, numpy 2.4.6, best of 7, three runs): at 2**11,
+# 2**12, 2**13, 2**14 and 2**16 entries per slice it took 11.8-17.8,
+# 11.7-16.7, 11.4-12.5, 10.9-11.8 and 16.5-17.0 ms with tracemalloc peaks
+# of 2.63, 2.63, 2.80, 4.28 and 13.19 MiB, where the one-% template it
+# replaced took 35.8 ms and peaked at 4.33 MiB.  On the eight blocks of
+# perfbench certify's classical-5-4 behavior at seeds 2901-2903 it took
+# 116-121 ms against the template's 305-323 ms.
+
+KERNEL_ROW = 32
+# bit patterns of the window's ends, 2**-40 and 1.0
+KERNEL_WINDOW = (np.uint64(0x3D70_0000_0000_0000), np.uint64(0x3FF0_0000_0000_0000))
+# the powers t = 16 - e of the kernel's table, for e from -1 down to -13
+KERNEL_POWERS = range(17, 30)
+
+
+@functools.cache
+def _kernel_tables():
+    """The digit kernel's tables, built at its first call:
+
+     - scales, a (3, 40 * 13) uint64 array: the 32-bit limbs of K(E, t) at
+       index (E + 40) * 13 + t - 17, zero for the pairs no x of the window
+       takes;
+     - digits, uint32 words holding the four ASCII digits of 0..9999;
+     - ends, a (4, 10000) int8 array: 4 * i plus the number of digits of
+       g, written in four, up to its last nonzero one, or 0 for g = 0;
+     - exponents, uint32 words "e-XX" for t = 17..29, XX = t - 16;
+     - words, the row's constant bytes "-0.000d." and ", .." as a uint64
+       and a uint32 word;
+     - masks, a (2 * 5 * 17, KERNEL_ROW) bool array: the bytes kept for
+       sign s, layout l (-e - 1 for e >= -4, else 4) and c digits of D after
+       the first, at row (5 * s + l) * 17 + c."""
+    scales = np.zeros((3, 40, len(KERNEL_POWERS)), dtype=np.uint64)
+    for E in range(-40, 0):
+        # the t of the smallest and of the largest float64 of [2**E, 2**(E + 1))
+        e_low = math.floor(math.log10(2.0**E))
+        e_high = math.floor(math.log10(math.nextafter(2.0 ** (E + 1), 0)))
+        for t in range(16 - e_high, 17 - e_low):
+            scale = 5**t << (t + E + 12)
+            scales[:, E + 40, t - KERNEL_POWERS[0]] = [(scale >> shift) & 0xFFFF_FFFF for shift in (0, 32, 64)]
+    four_digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    # the position of the last nonzero digit, counted from 1, or 0
+    last = np.where(four_digits.any(axis=1), 4 - np.argmax(four_digits[:, ::-1] > 0, axis=1), 0)
+    ends = np.where(last > 0, last + 4 * np.arange(4)[:, None], 0).astype(np.int8)
+    exponents = "".join("e-%02d" % (t - 16) for t in KERNEL_POWERS)
+    masks = np.zeros((2, 5, 17, KERNEL_ROW), dtype=bool)
+    for sign, layout, count in itertools.product(range(2), range(5), range(17)):
+        row = masks[sign, layout, count]
+        row[0] = sign
+        if layout < 4:
+            row[1 : 3 + layout] = True
+        else:
+            row[7] = count > 0
+            row[24:28] = True
+        row[6] = True
+        row[8 : 8 + count] = True
+        row[28:30] = True
+    return (
+        scales.reshape(3, -1),
+        (four_digits + ord("0")).astype(np.uint8).view(np.uint32).reshape(-1),
+        ends,
+        np.frombuffer(exponents.encode(), dtype=np.uint32),
+        (np.frombuffer(b"-0.000d.", dtype=np.uint64)[0], np.frombuffer(b", ..", dtype=np.uint32)[0]),
+        masks.reshape(-1, KERNEL_ROW),
+    )
+
+
+def _scaled(scales, m0, m1, index):
+    """(floor(m * K / 2**64), m * K mod 2**64) for m = m1 * 2**32 + m0,
+    m1 < 2**21, and K the scale at index, K < 2**69: six products of 32-bit
+    limbs, each below 2**64."""
+    k0, k1, k2 = (np.take(limbs, index) for limbs in scales)
+    a, b, c = m0 * k0, m0 * k1, m1 * k0
+    middle = (a >> 32) + (b & 0xFFFF_FFFF) + (c & 0xFFFF_FFFF)
+    high = (middle >> 32) + (b >> 32) + (c >> 32) + m0 * k2 + m1 * k1 + ((m1 * k2) << 32)
+    return high, (middle << 32) | (a & 0xFFFF_FFFF)
+
+
+def _slice_text(bits):
+    """The entries of one slice, given as float64 bit patterns, in "%.17g"
+    joined by ", ", and negative zero as "-0.0", by the digit kernel above.
+    An entry outside the window is run through the kernel as 2**-40, and
+    its row then holds its own "%.17g" text, or "-0.0", in bytes 0-23; no
+    "%.17g" text is longer than 24 characters."""
+    scales, digits, ends, exponents, words, masks = _kernel_tables()
+    magnitude = bits & ~NEGATIVE_ZERO
+    outside = np.flatnonzero((magnitude < KERNEL_WINDOW[0]) | (magnitude >= KERNEL_WINDOW[1]))
+    magnitude[outside] = KERNEL_WINDOW[0]
+    m0 = magnitude & 0xFFFF_FFFF
+    m1 = (magnitude >> 32) & 0xF_FFFF | 1 << 20
+    # power = t - 17 = -e - 1; K(E, t) is at row + power of the table
+    power = -1 - np.floor(np.log10(magnitude.view(np.float64))).astype(np.intp)
+    row = ((magnitude >> 52).astype(np.intp) - (1023 - 40)) * len(KERNEL_POWERS)
+    high, low = _scaled(scales, m0, m1, row + power)
+    while True:
+        step = (high < 10**16).astype(np.intp) - (high >= 10**17)
+        fix = np.flatnonzero(step)
+        if not fix.size:
+            break
+        power[fix] += step[fix]
+        high[fix], low[fix] = _scaled(scales, m0[fix], m1[fix], row[fix] + power[fix])
+    # half to even: up when the dropped part exceeds one half, or equals it
+    # and high is odd
+    high += (low | (high & 1)) > 1 << 63
+    upper = high // 10**8
+    lower = (high - upper * 10**8).astype(np.uint32)
+    lead = upper // 10**8
+    middle = (upper - lead * 10**8).astype(np.uint32)
+    groups = (middle // 10**4, middle % 10**4, lower // 10**4, lower % 10**4)
+
+    rows = np.empty((bits.size, KERNEL_ROW // 4), dtype=np.uint32)
+    rows.view(np.uint64)[:, 0] = words[0]
+    rows[:, 7] = words[1]
+    for column, group in enumerate(groups, start=2):
+        # mode="clip" lets take write to the strided column unbuffered; every
+        # index is in range
+        np.take(digits, group, out=rows[:, column], mode="clip")
+    np.take(exponents, power, out=rows[:, 6], mode="clip")
+    text = rows.view(np.uint8)
+    text[:, 6] = lead + ord("0")
+    count = functools.reduce(np.maximum, [np.take(ends[i], group) for i, group in enumerate(groups)])
+    keep = np.empty((bits.size, KERNEL_ROW), dtype=bool)
+    signed_layout = (bits >> 63).astype(np.intp) * 5 + np.minimum(power, 4)
+    np.take(masks, signed_layout * 17 + count, axis=0, out=keep, mode="clip")
+    if outside.size:
+        values = bits[outside]
+        texts = "\n".join(["%.17g"] * outside.size) % tuple(values.view(np.float64).tolist())
+        texts = np.array(texts.split("\n"), dtype="S24")
+        texts[values == NEGATIVE_ZERO] = b"-0.0"
+        texts = texts.view(np.uint8).reshape(-1, 24)
+        text[outside, :24] = texts
+        keep[outside, :24] = texts != 0
+        keep[outside, 24:28] = False
+    keep[-1, 28:30] = False
+    return str(text.reshape(-1)[keep.reshape(-1)], "ascii")
 
 
 def _write_file(path, header, fields, values):

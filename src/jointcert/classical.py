@@ -118,28 +118,36 @@ def _read_only(values):
 
 
 def validate_strategy(strategy):
-    """Return a list of probability-invariant violations (empty iff valid)."""
-    problems = []
+    """Return a list of probability-invariant violations (empty iff valid).
+
+    Each kind of table, the n output tables, the n hidden distributions and
+    the response table, is checked in one pass: its tables stacked, then one
+    minimum and one row-sum residual per table.  Problems come per party,
+    output table then hidden distribution, then the response table; for
+    each table a negative entry, then non-finite entries or rows off
+    normalization."""
     n = strategy.shape.n
-
-    def check_rows(name, rows):
-        rows = rows.reshape(-1, rows.shape[-1])
-        if rows.min() < -ROW_TOL:
-            problems.append(f"{name} has a negative entry {rows.min():.3e}")
-        err = np.abs(rows.sum(axis=-1) - 1.0).max()
-        # a non-finite entry makes err NaN or infinite; NaN fails err > tol
+    # np.array stacks the equal-shaped tables, at a quarter of np.stack's cost
+    kinds = [
+        np.array(strategy.output_tables),
+        np.array(strategy.hidden_dists)[:, None],
+        strategy.charlie_table.reshape(1, strategy.hidden_alphabet**n, -1),
+    ]
+    lows = [kind.min(axis=(1, 2)).tolist() for kind in kinds]
+    # a non-finite entry makes its table's residual NaN or infinite
+    errs = [np.abs(kind.sum(axis=2) - 1.0).max(axis=1).tolist() for kind in kinds]
+    names = ("output table {}", "hidden distribution {}", "charlie table")
+    problems = []
+    for kind, i in [(kind, j) for j in range(n) for kind in (0, 1)] + [(2, 0)]:
+        low, err = lows[kind][i], errs[kind][i]
+        if low < -ROW_TOL:
+            problems.append(f"{names[kind].format(i)} has a negative entry {low:.3e}")
         if not err <= ROW_TOL:
-            nonfinite = np.count_nonzero(~np.isfinite(rows))
+            nonfinite = np.count_nonzero(~np.isfinite(kinds[kind][i]))
             if nonfinite:
-                problems.append(f"{name} has {nonfinite} non-finite entries (NaN or infinity)")
+                problems.append(f"{names[kind].format(i)} has {nonfinite} non-finite entries (NaN or infinity)")
             else:
-                problems.append(f"{name} rows off normalization by {err:.3e}")
-
-    for j in range(n):
-        check_rows(f"output table {j}", strategy.output_tables[j])
-        check_rows(f"hidden distribution {j}", strategy.hidden_dists[j][None, :])
-    flat = strategy.charlie_table.reshape(strategy.hidden_alphabet**n, -1)
-    check_rows("charlie table", flat)
+                problems.append(f"{names[kind].format(i)} rows off normalization by {err:.3e}")
     return problems
 
 
@@ -316,12 +324,16 @@ def load_strategy(path):
 # pbar, Gamma, components, roots and slopes.  The response segment of the
 # gradient takes each response-sized product before its reduction and the
 # response slope last.  A step writes only into these buffers, through
-# ufunc calls with out=, but numpy (2.4) still allocates a temporary of the
-# output's size for each of the five calls per pass that broadcast an
-# (L**n, R) or (2**k, 1, R) operand across the response axis.  The pass runs
-# plain for loops over lists of per-party views, cut once with the buffers:
-# indexing the arrays in the loops would cut each view anew on every call,
-# a few microseconds per pass.  A restart keeps or drops its whole
+# ufunc calls with out=.  The five calls per pass that broadcast an
+# (L**n, R) or (2**k, 1, R) operand across the response axis still allocate
+# numpy's iterator buffer, 65,152 bytes under tracemalloc, not a temporary
+# of the output's size: at the three criterion-5 shapes such a multiply
+# took 5-14 us more than one of two full-size operands (numpy 2.4.6, 2
+# vCPUs, best of 5).  A broadcast_to view, a 2-D reshape, an (M, C, R)
+# layout of the responses and a per-row loop were each measured no better.
+# The pass runs plain for loops over lists of per-party views, cut once with
+# the buffers: indexing the arrays in the loops would cut each view anew on
+# every call, a few microseconds per pass.  A restart keeps or drops its whole
 # candidate, so acceptance is a masked copy in place: np.putmask copies
 # each accepting restart's column of the candidate, its gradient and its
 # statistic over the current ones (np.copyto with a where= mask broadcast

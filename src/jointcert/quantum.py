@@ -133,6 +133,7 @@ def _check_povm(elements):
     eigenvalue of any well-shaped Hermitian element, and the largest entry of
     |sum - identity|; floor and residual are NaN where undefined."""
     problems = []
+    nonfinite = False
     elements = [np.asarray(e, dtype=complex) for e in elements]
     if not elements:
         return ["no elements given"], np.nan, np.nan
@@ -147,6 +148,7 @@ def _check_povm(elements):
             continue
         if not np.isfinite(el).all():
             problems.append(f"element {idx} has non-finite entries")
+            nonfinite = True
             continue
         herm = np.abs(el - el.conj().T).max()
         if herm > POVM_TOL:
@@ -157,10 +159,12 @@ def _check_povm(elements):
         if low < -POVM_TOL:
             problems.append(f"element {idx} has negative eigenvalue {low:.3e}")
     residual = np.nan
-    # summed only when no element is mis-shaped, as numpy would broadcast them
+    # summed only when no element is mis-shaped, as numpy would broadcast them;
+    # a non-finite element, already reported, makes the residual NaN or
+    # infinite, which is returned but not reported again
     if all(el.shape == (dim, dim) for el in elements):
         residual = np.abs(sum(elements) - np.eye(dim)).max()
-        if not residual <= POVM_TOL:
+        if not residual <= POVM_TOL and not nonfinite:
             problems.append(f"elements sum to identity only within {residual:.3e}")
     return problems, min(lows, default=np.nan), residual
 

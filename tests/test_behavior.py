@@ -453,11 +453,35 @@ def reference_number_text(values):
                               for v in np.asarray(values).ravel())
 
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 1.0, 3.0, -42.0, 0.1]
+def ulps_away(x, count):
+    """The float count steps of one ulp above x, below it for count < 0."""
+    return float((np.float64(x).view(np.int64) + count).view(np.float64))
+
+
+# the writer's digit kernel formats entries of magnitude in [2**-40, 1) and
+# leaves the others to "%.17g" one by one; its edge cases are ties at 17
+# digits, whose halves round to even, and the neighbours of each power of
+# ten, where its exponent is corrected
+TIES = [
+    2.0**-25,  # 2.98023223876953125e-08
+    43 * 2.0**-22,  # 1.02519989013671875e-05, rounded up
+    45 * 2.0**-22,  # 1.07288360595703125e-05, rounded down
+    26215 * 2.0**-18,  # 0.100002288818359375, rounded up
+    26217 * 2.0**-18,  # 0.100009918212890625, rounded down
+]
+POWER_NEIGHBOURS = [ulps_away(float(f"1e-{k}"), step) for k in range(1, 13) for step in (-1, 1)]
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1.0, 3.0, -42.0, 0.1,
+    2.0**-40, ulps_away(2.0**-40, -1), ulps_away(1.0, -1), -ulps_away(1.0, -1), 1e-12,
+    *TIES, -TIES[0], *POWER_NEIGHBOURS, -POWER_NEIGHBOURS[-2],
+]
 floats64 = st.one_of(
     st.sampled_from(EDGE_FLOATS),
     st.integers(-(2**53), 2**53).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(2.0**-40, 1.0, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.builds(ulps_away, st.integers(0, 13).map(lambda k: float(f"1e-{k}")), st.integers(-3, 3)),
 )
 
 
@@ -595,8 +619,9 @@ def test_save_load_save_is_byte_identical_over_edge_floats(tmp_path_factory, dat
         tuple(data.draw(edge_arrays(2)) for _ in range(2)),
         data.draw(edge_arrays((2,) * 4)),
     )
-    # load_behavior reads -5e-324 as 0.0, as it clamps every entry in [-1e-12, 0)
-    clamped = np.where(probabilities == -5e-324, 0.0, probabilities)
+    # load_behavior clamps every entry in [-1e-12, 0) to 0.0, -5e-324 and the
+    # negative kernel edges among them
+    clamped = np.where((probabilities < 0) & (probabilities >= -1e-12), 0.0, probabilities)
     for values, want, save, load, arrays in [
         (BehaviorTensor(shape, probabilities), BehaviorTensor(shape, clamped), save_behavior, load_behavior,
          lambda b: [b.probabilities]),
@@ -614,7 +639,7 @@ def test_save_load_save_is_byte_identical_over_edge_floats(tmp_path_factory, dat
 
 
 def test_save_to_a_directory_fails_before_formatting(tmp_path, monkeypatch):
-    # an all-distinct (5, 4) behavior, which the template branch would format
+    # an all-distinct (5, 4) behavior, which the digit kernel would format
     formatted = []
     monkeypatch.setattr(behavior_module, "_block_text", formatted.append)
     shape = ScenarioShape(5, 4)
@@ -666,7 +691,7 @@ POOL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -1.2345678901234567e-308, 1
 )
 def test_number_text_from_a_small_pool_matches_the_single_call_writer(pool, data):
     # up to 512 entries from at most 10 values: large arrays take the
-    # deduplicating branch, small ones with many distinct values the template
+    # deduplicating branch, small ones with many distinct values the kernel
     arr = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
                                elements=st.sampled_from(pool)))
     assert number_text(arr) == single_call_number_text(arr)
@@ -689,10 +714,9 @@ def spy_on_searchsorted(monkeypatch):
 @pytest.mark.parametrize("extra, deduplicates", [(0, True), (1, False)])
 def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     # 64 entries with exactly 64 * DEDUPLICATE_SHARE distinct values, then one more
-    # (no negative zero among them, which is always deduplicated)
     size = 64
     distinct = int(size * DEDUPLICATE_SHARE) + extra
-    values = np.array([v for v in POOL_FLOATS if math.copysign(1, v) > 0 or v != 0][:distinct])
+    values = np.array(POOL_FLOATS[:distinct])
     assert len(np.unique(values.view(np.uint64))) == distinct
     arr = np.resize(values, size)
     calls = spy_on_searchsorted(monkeypatch)
@@ -700,15 +724,16 @@ def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     assert calls == ([size] if deduplicates else [])
 
 
-def test_a_block_holding_negative_zero_is_deduplicated(monkeypatch):
-    # all distinct, which alone would take the template branch
-    arr = np.arange(64.0)
+def test_a_block_holding_negative_zero_takes_the_per_entry_route(monkeypatch):
+    # all distinct, so the digit kernel writes the block; -0.0, 0 and the
+    # entries of 1 and more are each formatted alone and spliced in place
+    arr = np.arange(64.0) / 8
     arr[5] = -0.0
     calls = spy_on_searchsorted(monkeypatch)
     text = number_text(arr)
-    assert calls == [64]
+    assert calls == []
     assert text == single_call_number_text(arr) == reference_number_text(arr)
-    assert text.startswith("[0, 1, 2, 3, 4, -0.0, 6, ")
+    assert text.startswith("[0, 0.125, 0.25, 0.375, 0.5, -0.0, 0.75, 0.875, 1, 1.125, ")
 
 
 def first_difference(got, want):
@@ -722,10 +747,10 @@ def first_difference(got, want):
 
 
 def deduplicated_block_sizes(arr):
-    """The sizes of the blocks of arr that take the deduplicating branch: few
-    distinct values, or a negative zero among them."""
+    """The sizes of the blocks of arr that take the deduplicating branch,
+    those with few distinct values."""
     blocks = [arr[start : start + WRITE_BLOCK].view(np.uint64) for start in range(0, arr.size, WRITE_BLOCK)]
-    return [b.size for b in blocks if np.unique(b).size <= DEDUPLICATE_SHARE * b.size or 1 << 63 in b]
+    return [b.size for b in blocks if np.unique(b).size <= DEDUPLICATE_SHARE * b.size]
 
 
 # no shrink phase: each run writes up to 200,000 entries several times, so
@@ -944,7 +969,7 @@ def all_distinct_54_save(tmp_path_factory):
 
 
 def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_path, all_distinct_54_save):
-    # every entry distinct, so the template branch runs; its sort and mask are
+    # every entry distinct, so the digit kernel runs; its sort and mask are
     # dropped before the formatting, and no whole-file copy follows it
     behavior, path, got = all_distinct_54_save
     single_call_save_behavior(behavior, tmp_path / "want.json")
@@ -954,9 +979,11 @@ def test_all_distinct_54_write_peaks_no_higher_than_the_single_call_writer(tmp_p
 
 # tracemalloc peaks, in bytes, of save_behavior on the all-distinct behavior
 # above and on three_valued_behavior() with WRITE_BLOCK = 2**16 (numpy 2.4.6,
-# Python 3.11.7): the same in three fresh processes each, where the
-# single-call writer reads 31,647,424 and 15,893,693
-STREAMED_WRITER_PEAKS = {"all-distinct": 4_552_265, "three-valued": 2_054_681}
+# Python 3.11.7): the largest of three fresh processes each, the first save
+# building the digit kernel's tables, where the single-call writer reads
+# 31,647,424 and 15,893,693 and the writer before the kernel 4,552,265 and
+# 2,054,681
+STREAMED_WRITER_PEAKS = {"all-distinct": 3_055_736, "three-valued": 1_874_392}
 
 
 # tracemalloc peaks, in bytes, of load_behavior on the all-distinct (5, 4)

@@ -290,6 +290,58 @@ def test_validate_strategy_reports_bad_rows():
         assert "charlie table has 1 non-finite entries (NaN or infinity)" in problems, problems
 
 
+def reference_validate_strategy(strategy):
+    """validate_strategy as one check per table, 2n + 1 of them, verbatim."""
+    problems = []
+    n = strategy.shape.n
+
+    def check_rows(name, rows):
+        rows = rows.reshape(-1, rows.shape[-1])
+        if rows.min() < -ROW_TOL:
+            problems.append(f"{name} has a negative entry {rows.min():.3e}")
+        err = np.abs(rows.sum(axis=-1) - 1.0).max()
+        if not err <= ROW_TOL:
+            nonfinite = np.count_nonzero(~np.isfinite(rows))
+            if nonfinite:
+                problems.append(f"{name} has {nonfinite} non-finite entries (NaN or infinity)")
+            else:
+                problems.append(f"{name} rows off normalization by {err:.3e}")
+
+    for j in range(n):
+        check_rows(f"output table {j}", strategy.output_tables[j])
+        check_rows(f"hidden distribution {j}", strategy.hidden_dists[j][None, :])
+    check_rows("charlie table", strategy.charlie_table.reshape(strategy.hidden_alphabet**n, -1))
+    return problems
+
+
+def test_validate_strategy_gives_every_problem_in_table_order():
+    # every table of a three-party strategy broken at once, some twice: each
+    # problem text and their order are those of one check per table
+    rng = np.random.default_rng(17)
+    strategy = random_strategy(3, 2, 3, rng)
+    tables = [t.copy() for t in strategy.output_tables]
+    dists = [d.copy() for d in strategy.hidden_dists]
+    charlie = strategy.charlie_table.copy()
+    tables[0][1] = [1.5, -0.5]
+    tables[1][0, 0] = np.nan
+    tables[2][0] = [-0.25, 1.0]
+    dists[0][0] = np.inf
+    dists[1] = np.array([0.5, 0.5, 0.5])
+    dists[2][2] = -1e-3
+    charlie[0, 1, 2, 1, 0] = np.nan
+    charlie[2, 2, 2] = [[0.75, 0.5], [-0.25, 0.0]]
+    broken = ClassicalStrategy(strategy.shape, 3, tuple(tables), tuple(dists), charlie)
+    problems = validate_strategy(broken)
+    assert problems == reference_validate_strategy(broken)
+    assert problems[:3] == [
+        "output table 0 has a negative entry -5.000e-01",
+        "hidden distribution 0 has 1 non-finite entries (NaN or infinity)",
+        "output table 1 has 1 non-finite entries (NaN or infinity)",
+    ]
+    assert len(problems) == 9, problems
+    assert validate_strategy(strategy) == reference_validate_strategy(strategy) == []
+
+
 def test_strategy_behavior_is_valid_and_factorizes():
     rng = np.random.default_rng(31)
     for n, k, L in [(2, 2, 2), (2, 3, 3), (3, 2, 2), (1, 2, 2)]:

@@ -17,6 +17,7 @@ from jointcert.quantum import (
     PSI_MINUS,
     _bell_projectors,
     _bsm_elements,
+    _check_povm,
     _projector_stack,
     _simulated,
     _state_tensor,
@@ -163,6 +164,13 @@ def test_validate_povm_catches_defects():
     broken[0] = broken[0] + 1j * np.eye(4) * 1e-3
     assert any("Hermitian" in p for p in validate_povm(broken))
     assert validate_povm([]) == ["no elements given"]
+    # a non-finite element is one problem: its NaN or infinite completeness
+    # residual stays in _check_povm's triple but is not reported again
+    for value in (np.nan, np.inf):
+        nonfinite = [np.array([[value, 0.0], [0.0, 1.0]]), np.eye(2)]
+        problems, floor, residual = _check_povm(nonfinite)
+        assert problems == validate_povm(nonfinite) == ["element 0 has non-finite entries"]
+        assert floor == 1.0 and not np.isfinite(residual)
 
 
 @pytest.mark.parametrize(
