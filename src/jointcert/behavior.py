@@ -288,24 +288,35 @@ def load_behavior(path, strict=False):
 # dims(n, k, *header ints) axes, or n such lists if per_party, in 17 digits.
 # _write_file checks every list for non-finite entries, then opens the file
 # and streams each list a block of WRITE_BLOCK entries at a time, never the
-# whole file's text: a block of few distinct values formats each value once,
-# any other goes through the digit kernel below.  _read_file builds no array
-# before its size is checked.  It reads a file in _write_file's layout with _read_streamed, a block of
-# READ_BLOCK characters at a time into arrays sized from the header; any
-# other file, or one that departs from that layout anywhere, it parses whole
-# with json.load, and that path alone gives every refusal.  Both paths take
-# their entries through _read_numbers, the one entry rule (plain numbers
-# only, finite after conversion), and expand a row's dims with _axes.
+# whole file's text: a block of few distinct values, or of few entries,
+# formats each value once, any other goes through the digit kernel below.
+# _read_file builds no array before its size is checked.  It reads a file in
+# _write_file's layout with _read_streamed, a block of READ_BLOCK characters
+# at a time into arrays sized from the header; any other file, or one that
+# departs from that layout anywhere, it parses whole with json.load, and
+# that path alone gives every refusal.  The streamed reader parses each
+# distinct spelling of a list of few of them once (_Spellings), by the same
+# DEDUPLICATE_SHARE as the writer, and every other list a piece at a time.
+# Both paths take their entries through _read_numbers, the one entry rule
+# (plain numbers only, finite after conversion), and expand a row's dims
+# with _axes.  On perfbench certify's corpus (2 vCPUs, Python 3.11.7, numpy
+# 2.4.6, best of 5) load_behavior takes 31-33 ms on a three-valued (5, 4)
+# file, 97-99 ms when parsing every entry, and 4.5-4.7 ms on a (4, 4) one
+# against 13.6 ms; all-distinct files read as before.
 
 
 # entries per written block, the largest share of distinct entries at which
-# a block is deduplicated, and entries per slice of the digit kernel; all
-# measured in the docstrings below
+# a block is deduplicated, the most entries of a block deduplicated whatever
+# its share, and entries per slice of the digit kernel; all measured in the
+# docstrings below
 WRITE_BLOCK = 2**16
 DEDUPLICATE_SHARE = 1 / 8
+SMALL_BLOCK = 2**7
 KERNEL_SLICE = 2**13
-# characters per read of the streamed reader, measured in _read_streamed
+# characters per read of the streamed reader, measured in _read_streamed,
+# and tokens of a list's first piece that decide whether _Spellings reads it
 READ_BLOCK = 2**16
+READ_SAMPLE = 512
 # float64's negative zero as a bit pattern: "%.17g" prints it "-0", which
 # JSON reads as the integer 0, so the writer prints it "-0.0"
 NEGATIVE_ZERO = np.uint64(1 << 63)
@@ -356,24 +367,29 @@ def _block_text(bits):
     joined by ", ", and negative zero as "-0.0": the same bytes as
     formatting each entry alone.
 
-    When at most DEDUPLICATE_SHARE of the entries are distinct, each
-    distinct value is formatted once: the distinct values are formatted by
-    one % call and split, NEGATIVE_ZERO's text is replaced, every entry
-    finds its string by np.searchsorted, and one ", ".join builds the text.
-    Otherwise the block is cut into slices of KERNEL_SLICE entries, each
-    written by _slice_text, and joined by ", ".
+    When at most DEDUPLICATE_SHARE of the entries are distinct, or the
+    block holds at most SMALL_BLOCK entries, each distinct value is
+    formatted once: the distinct values are formatted by one % call and
+    split, NEGATIVE_ZERO's text is replaced, every entry finds its string
+    by np.searchsorted, and one ", ".join builds the text.  Otherwise the
+    block is cut into slices of KERNEL_SLICE entries, each written by
+    _slice_text, and joined by ", ".
 
     The cut-off rests on one block of 2**16 entries drawn from a pool of
     random values (2 vCPUs, Python 3.11.7, numpy 2.4.6, best of 7, two
     runs, the sort included): at 1/64, 1/32, 1/16, 1/8, 1/4, 1/2 and all
     distinct, deduplicating took 8-11, 9, 11, 15, 21-22, 30-33 and 39-40 ms
     against the kernel's 11 ms throughout, so the two break even near 1/16.
-    The share stays 1/8 all the same: a block of 64 entries takes 16 us
-    deduplicated and 100 us in the kernel, whose fixed cost per call rules
-    small blocks, and gen's quantum and saturation behaviors hold 8 and 7
-    distinct values in 64 entries.  Random continuous behaviors have all
-    entries distinct, and the built-in families and deterministic
-    strategies a handful, so neither kind is near the cut-off.
+    The share stays 1/8 all the same, and gen's quantum and saturation
+    behaviors hold 8 and 7 distinct values in 64 entries.  The kernel costs
+    about 90 us per call whatever the slice, so small blocks are
+    deduplicated whatever their share: all distinct, blocks of 16, 64, 128,
+    256 and 512 entries took 17, 46, 84-88, 161-163 and 313 us deduplicated
+    against 90, 94, 105-111, 120-123 and 156 us in the kernel (best of 7,
+    two runs), breaking even between 144 and 192 entries.  Random
+    continuous behaviors have all entries distinct, and the built-in
+    families and deterministic strategies a handful, so neither kind is
+    near the share's cut-off.
     """
     distinct = _few_distinct(bits)
     if distinct is None:
@@ -387,7 +403,8 @@ def _block_text(bits):
 
 def _few_distinct(bits):
     """The distinct bit patterns of bits in ascending order when at most
-    DEDUPLICATE_SHARE of the entries are distinct, else None.  Distinct
+    DEDUPLICATE_SHARE of the entries are distinct or bits holds at most
+    SMALL_BLOCK entries, else None.  Distinct
     means a distinct bit pattern, so -0.0 and 0.0, which compare equal but
     print apart, stay apart.  The patterns are found by np.sort and an
     adjacent-difference mask: np.unique (numpy 2.4.6) took 0.42 s on 524288
@@ -396,7 +413,7 @@ def _few_distinct(bits):
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size:
+    if bits.size > SMALL_BLOCK and np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size:
         return None
     return ordered[first]
 
@@ -654,17 +671,21 @@ def _read_streamed(fh, size, header, fields):
     against MAX_AXES and its entries, with those of the rows before it,
     against size, as each entry takes at least one byte.  Each list is then
     read by _Text.numbers into its float64 array.  Every number it takes is
-    parsed by json.loads and converted by _read_numbers, so what this
-    returns is, bit for bit, what json.load gives for the same text.
+    parsed by json.loads and converted by _read_numbers, once per entry or,
+    in a list of few distinct spellings, once per spelling (_Spellings), so
+    what this returns is, bit for bit, what json.load gives for the same
+    text.
 
     READ_BLOCK rests on load_behavior of two (5, 4) files of 524288 entries
     (2 vCPUs, Python 3.11.7, numpy 2.4.6; median of 21 runs interleaved in
-    one process): at 2**14, 2**16, 2**18 and 2**20 characters per read an
-    all-distinct 11.0 MB file took 237, 222, 248 and 247 ms against the
-    whole-document reader's 258 ms, and a three-valued 7.0 MB one 99, 88,
-    86 and 91 ms against 95 ms.  The tracemalloc peaks were 5.2, 5.2, 6.3
-    and 12.7 MB (all-distinct) and 5.2, 5.2, 6.8 and 14.7 MB (three-valued)
-    against 28.3 and 24.3 MB, of which the float64 array takes 4.2 MB.
+    one process, three processes): at 2**14, 2**16, 2**18 and 2**20
+    characters per read an all-distinct 11.0 MB file took 191-209, 183-195,
+    189-199 and 193-212 ms against the whole-document reader's 188-210 ms,
+    and a three-valued 7.0 MB one, read by its spellings, 46-51, 32-33,
+    31-32 and 44-45 ms against 87-94 ms.  The tracemalloc peaks were 5.2,
+    5.2, 6.2 and 12.1 MB (all-distinct) and 5.2, 5.2, 6.7-7.0 and 14.4-15.4
+    MB (three-valued) against 28.3 and 24.3 MB, of which the float64 array
+    takes 4.2 MB.
     """
     keys = ("n", "k", *header)
     template = "{" + ", ".join('"%s": %%d' % key for key in keys)
@@ -741,22 +762,33 @@ class _Text:
         the whitespace between entries as json.load does, and passed to
         _read_numbers as a list of its own length; so a piece holds at most
         READ_BLOCK characters more than one entry, and the entry rule is the
-        whole-document reader's."""
+        whole-document reader's.  A list whose first piece _Spellings.sample
+        keeps has its pieces read by their spellings instead, up to the
+        first piece that _Spellings.read does not cover; that piece and the
+        rest of the list are parsed as above."""
         if not self.match(r"\["):
             return False
         filled, text, self.head = 0, self.head, ""
         seen = 0  # text[:seen] holds no "]" and no comma
+        spellings = None  # the list's _Spellings, False once it is read whole
         while True:
             close = text.find("]", seen)
             cut = close if close >= 0 else text.rfind(",", seen)
             if cut >= 0:
-                values = json.loads("[" + text[:cut] + "]")
-                # an empty piece is an empty entry, as in "[1, , 2]"
-                if not values:
-                    return False
+                piece = text[:cut]
+                if spellings is None:
+                    spellings = _Spellings.sample(piece, key)
+                values = spellings.read(piece, key) if spellings else None
+                if values is None:
+                    spellings = False
+                    values = json.loads("[" + piece + "]")
+                    # an empty piece is an empty entry, as in "[1, , 2]"
+                    if not values:
+                        return False
+                    values = _read_numbers(values, key, ((len(values), 1),))
                 end = filled + len(values)
                 # a ValueError if out has no room for them
-                out[filled:end] = _read_numbers(values, key, ((len(values), 1),))
+                out[filled:end] = values
                 filled = end
                 if close >= 0:
                     self.head = text[close + 1 :]
@@ -775,6 +807,116 @@ class _Text:
             if not self.head:
                 return True
         return False
+
+
+class _Spellings:
+    """The distinct spellings of one number list's entries, each with its
+    value, so that a list of few of them parses each spelling once.
+
+    sample keeps a list when at most DEDUPLICATE_SHARE of the first
+    READ_SAMPLE tokens of its first piece, cut at the writer's ", ", are
+    distinct; read then gives each piece's values while the list holds at
+    most DEDUPLICATE_SHARE * READ_SAMPLE spellings, and None at the first
+    piece that would hold more or holds anything else.
+
+    Spellings are admitted a batch at a time, and only when _read_numbers
+    takes what json.loads reads from the batch joined by ", " as one entry
+    per spelling.  No such spelling holds a comma, so each is one plain
+    number with JSON whitespace around it, and a piece that is ", ".join of
+    known spellings is read by json.loads as their values in order.  read guesses each token's spelling from its last characters
+    (_token_keys) and then checks that join against the piece, character
+    for character, so what it gives is bit for bit what json.loads and
+    _read_numbers give for the piece.
+
+    READ_SAMPLE rests on pieces of the three-valued full-5-4 file of
+    perfbench certify's corpus (2 vCPUs, Python 3.11.7, numpy 2.4.6,
+    timeit best of 7): a first piece of 64, 128, 256, 512, 1024 and 4096
+    tokens took 99, 102, 109, 122, 146 and 278 us by its spellings, sample
+    and learning included, against 22, 39, 72, 134, 291 and 982 us parsed
+    whole, and a later piece 33, 37, 44, 56, 78 and 201 us.  So the route
+    pays from about 512 tokens in a list's first piece, and a piece of
+    READ_BLOCK characters holds 2700 or more of the writer's tokens.
+    """
+
+    def __init__(self):
+        self.keys = np.zeros(0, dtype=np.uint64)  # ascending
+        self.texts = np.zeros(0, dtype=object)  # the spelling of each key
+        self.values = np.zeros(0)  # and its value
+
+    @classmethod
+    def sample(cls, piece, key):
+        """A _Spellings holding the spellings of piece's first READ_SAMPLE
+        tokens when at most DEDUPLICATE_SHARE of those are distinct, else
+        False."""
+        tokens = _body(piece).split(", ", READ_SAMPLE)[:READ_SAMPLE]
+        if len(tokens) < READ_SAMPLE or not piece.isascii():
+            return False
+        spellings = cls()
+        return spellings.learn(tokens, key) and spellings
+
+    def learn(self, tokens, key):
+        """Whether the spellings among tokens that are not yet known could
+        be admitted, which they then are: the list would hold at most
+        DEDUPLICATE_SHARE * READ_SAMPLE, and they read as plain numbers."""
+        new = list(set(tokens).difference(self.texts.tolist()))
+        if self.keys.size + len(new) > DEDUPLICATE_SHARE * READ_SAMPLE:
+            return False
+        try:
+            values = _read_numbers(json.loads("[" + ", ".join(new) + "]"), key, ((len(new), 1),))
+        except (ValueError, RecursionError):
+            return False
+        keys = np.concatenate([self.keys, _token_keys(", ".join(new))])
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.texts = np.concatenate([self.texts, np.array(new, dtype=object)])[order]
+        self.values = np.concatenate([self.values, values])[order]
+        return True
+
+    def read(self, piece, key):
+        """The values of piece's tokens, learning its new spellings, or None
+        when piece is not ", ".join of at most DEDUPLICATE_SHARE *
+        READ_SAMPLE spellings with the ones known."""
+        if not piece.isascii():
+            return None
+        piece = _body(piece)
+        keys = _token_keys(piece)
+        at = self.find(keys)
+        if at is None and self.learn(piece.split(", "), key):
+            at = self.find(keys)
+        if at is None or ", ".join(self.texts[at].tolist()) != piece:
+            return None
+        return self.values[at]
+
+    def find(self, keys):
+        """The index of each of keys among the known ones, or None if one
+        is not known."""
+        at = np.searchsorted(self.keys, keys)
+        np.minimum(at, self.keys.size - 1, out=at)
+        return at if np.array_equal(self.keys[at], keys) else None
+
+
+def _body(piece):
+    """piece without the space of the ", " before it: each piece but a
+    list's first starts with one."""
+    return piece[1:] if piece.startswith(" ") else piece
+
+
+# masks keeping a uint64's top i bytes, i = 0..8
+KEY_MASKS = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * i) - 1) for i in range(9)], dtype=np.uint64)
+
+
+def _token_keys(text):
+    """For each token of the ASCII text, cut at ",", its last eight
+    characters, or all of it when shorter, as the top bytes of a uint64 and
+    zeros below them: one unaligned uint64 view of the text's bytes, read at
+    each token's end."""
+    raw = (" " * 8 + text).encode("ascii")
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(chars == ord(",")), chars.size)
+    # each token but the first starts two characters after a comma
+    lengths = np.diff(ends, prepend=6) - 2
+    words = np.ndarray((chars.size - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    return words[ends - 8] & KEY_MASKS[np.clip(lengths, 0, 8)]
 
 
 def _axes(dims):

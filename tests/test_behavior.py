@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
     SHOWN_CHARS,
+    SMALL_BLOCK,
     ScenarioShape,
     WRITE_BLOCK,
     _count_text,
@@ -713,10 +715,11 @@ def spy_on_searchsorted(monkeypatch):
 
 @pytest.mark.parametrize("extra, deduplicates", [(0, True), (1, False)])
 def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
-    # 64 entries with exactly 64 * DEDUPLICATE_SHARE distinct values, then one more
-    size = 64
+    # a block past SMALL_BLOCK with exactly DEDUPLICATE_SHARE of its entries
+    # distinct, then one more: every POOL_FLOATS value, then values from 2 up
+    size = 2 * SMALL_BLOCK
     distinct = int(size * DEDUPLICATE_SHARE) + extra
-    values = np.array(POOL_FLOATS[:distinct])
+    values = np.array(POOL_FLOATS + [2 + j / 7 for j in range(distinct)])[:distinct]
     assert len(np.unique(values.view(np.uint64))) == distinct
     arr = np.resize(values, size)
     calls = spy_on_searchsorted(monkeypatch)
@@ -724,10 +727,22 @@ def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     assert calls == ([size] if deduplicates else [])
 
 
+@pytest.mark.parametrize("size, deduplicates", [(1, True), (SMALL_BLOCK, True), (SMALL_BLOCK + 1, False)])
+def test_small_blocks_are_deduplicated_whatever_their_share(monkeypatch, size, deduplicates):
+    # all distinct, with POOL_FLOATS first: up to SMALL_BLOCK entries the
+    # digit kernel's fixed cost exceeds formatting each entry once
+    arr = np.concatenate([POOL_FLOATS, np.random.default_rng(4).random(size)])[:size]
+    assert len(np.unique(arr.view(np.uint64))) == size
+    calls = spy_on_searchsorted(monkeypatch)
+    assert number_text(arr) == single_call_number_text(arr) == reference_number_text(arr)
+    assert calls == ([size] if deduplicates else [])
+
+
 def test_a_block_holding_negative_zero_takes_the_per_entry_route(monkeypatch):
-    # all distinct, so the digit kernel writes the block; -0.0, 0 and the
-    # entries of 1 and more are each formatted alone and spliced in place
-    arr = np.arange(64.0) / 8
+    # all distinct and past SMALL_BLOCK, so the digit kernel writes the
+    # block; -0.0, 0 and the entries of 1 and more are each formatted alone
+    # and spliced in place
+    arr = np.arange(2.0 * SMALL_BLOCK) / 8
     arr[5] = -0.0
     calls = spy_on_searchsorted(monkeypatch)
     text = number_text(arr)
@@ -748,9 +763,9 @@ def first_difference(got, want):
 
 def deduplicated_block_sizes(arr):
     """The sizes of the blocks of arr that take the deduplicating branch,
-    those with few distinct values."""
+    those with few distinct values or few entries."""
     blocks = [arr[start : start + WRITE_BLOCK].view(np.uint64) for start in range(0, arr.size, WRITE_BLOCK)]
-    return [b.size for b in blocks if np.unique(b).size <= DEDUPLICATE_SHARE * b.size]
+    return [b.size for b in blocks if b.size <= SMALL_BLOCK or np.unique(b).size <= DEDUPLICATE_SHARE * b.size]
 
 
 # no shrink phase: each run writes up to 200,000 entries several times, so
@@ -863,6 +878,116 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
                 assert streamed_read(path, *BEHAVIOR_FORMAT) is None, edited
             assert all(count <= len(edited) for count in allocated), edited
         assert isinstance(whole_document_read(path, *BEHAVIOR_FORMAT), InvalidBehaviorError), edited
+    # few-valued lists of 256 entries with READ_SAMPLE = 64, so at most 8
+    # spellings, read whole and in pieces of about 1024 characters: each
+    # (tokens, whether every piece is read by its spellings, whether a
+    # reader takes it)
+    base = ["0.03125"] * 256
+
+    def base_with(at, token):
+        return base[:at] + [token] + base[at + 1 :]
+
+    for tokens, by_spellings, valid in [
+        # one-character tokens, shorter than a key's 8 characters
+        (["1"] * 256, True, True),
+        (["1", "0"] * 128, True, True),
+        # a spelling inside another
+        (["0.5", "0.55"] * 128, True, True),
+        (["0.55", "0.5"] * 128, True, True),
+        # two spellings of one value, and -0, which JSON reads as the integer 0
+        (["0.0625", "6.25E-2", "-0", "-0.0"] * 64, True, True),
+        # new values after the sample, and in a later piece
+        (base_with(100, "1e-3"), True, True),
+        (base_with(250, "0.25"), True, True),
+        # a separator without its space, in the sample and after it
+        (base_with(10, "0.03125,0.03125")[:-1], False, True),
+        (base_with(200, "0.03125,0.03125")[:-1], False, True),
+        # a new value after the sample that ends in the same 8 characters as
+        # a known one
+        (["0.10000000000000001"] * 100 + ["0.20000000000000001"] * 156, False, True),
+        # more than 8 spellings after the sample
+        (base[:128] + [str(j / 4) for j in range(8)] * 16, False, True),
+        *[(base_with(at, token), False, False) for at in (10, 100, 250)
+          for token in ["true", '"0.03125"', "NaN", "1e400", "[0.03125]"]],
+    ]:
+        path.write_text('{"n": 3, "k": 2, "probabilities": [%s]}\n' % ", ".join(tokens))
+        want = whole_document_read(path, *BEHAVIOR_FORMAT)
+        assert isinstance(want, InvalidBehaviorError) != valid, tokens
+        for block in (WRITE_BLOCK, 1024):
+            with monkeypatch.context() as patch:
+                patch.setattr(behavior_module, "READ_SAMPLE", 64)
+                patch.setattr(behavior_module, "READ_BLOCK", block)
+                parsed = json_characters(patch)
+                got = streamed_read(path, *BEHAVIOR_FORMAT)
+            if valid:
+                assert_same_read(got, want)
+            else:
+                assert got is None, tokens
+            # by its spellings, a list passes json.loads its few spellings alone
+            assert (sum(parsed) < 100) == by_spellings, (tokens, block)
+
+
+def json_characters(monkeypatch):
+    """Record the length of each text json.loads is passed."""
+    lengths = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        lengths.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return lengths
+
+
+# plain numbers, spelled as the writer does and not, and tokens that no
+# reader takes
+SPELLINGS = [
+    "0", "1", "-0", "-0.0", "0.5", "0.55", "0.0625", "6.25E-2", "1e-3", "0.10000000000000001",
+    "4.9406564584124654e-324", "-1.2345678901234567e-308", "1.7976931348623157e308",
+    "123456789012345678901234567890", " 0.25", "0.125 ", "0.75\n",
+    "1e400", "NaN", "true", '"0.5"', "[0.5]", "0.5,0.5", "", "0.5 0.5", "0x1",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spellings=st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=8, unique=True),
+    n=st.sampled_from([1, 2, 3, 4]),
+    block=st.sampled_from([1, 7, 64, 1024, behavior_module.READ_BLOCK]),
+    sample=st.sampled_from([64, behavior_module.READ_SAMPLE]),
+    data=st.data(),
+)
+def test_few_valued_lists_read_alike_on_both_paths(tmp_path_factory, spellings, n, block, sample, data):
+    # a (n, 2) behavior's 2**(2n + 2) entries in the writer's layout, each one
+    # of at most 8 spellings: the streamed reader reads the same bits as the
+    # whole-document reader, and takes every text that reader takes
+    shape = ScenarioShape(n, 2)
+    size = math.prod(shape.tensor_shape)
+    picks = data.draw(hnp.arrays(np.intp, size, elements=st.integers(0, len(spellings) - 1)))
+    path = tmp_path_factory.mktemp("few_valued") / "b.json"
+    path.write_text('{"n": %d, "k": 2, "probabilities": [%s]}\n' % (n, ", ".join(spellings[i] for i in picks)))
+    want = whole_document_read(path, *BEHAVIOR_FORMAT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(behavior_module, "READ_BLOCK", block)
+        patch.setattr(behavior_module, "READ_SAMPLE", sample)
+        got = streamed_read(path, *BEHAVIOR_FORMAT)
+    if isinstance(want, InvalidBehaviorError):
+        assert got is None
+    else:
+        assert_same_read(got, want)
+
+
+def test_a_three_valued_list_is_read_by_its_spellings(tmp_path, monkeypatch):
+    # 524288 entries in 7 MB of text, 3 spellings: json.loads is passed the
+    # spellings, not the list
+    path = tmp_path / "b.json"
+    save_behavior(three_valued_behavior(), path)
+    want = whole_document_read(path, *BEHAVIOR_FORMAT)
+    parsed = json_characters(monkeypatch)
+    got = load_behavior(path)
+    assert 0 < sum(parsed) < 1000, sum(parsed)
+    assert np.array_equal(got.probabilities.view(np.uint64), want[1]["probabilities"].view(np.uint64))
 
 
 @pytest.fixture(scope="module")
