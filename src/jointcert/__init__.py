@@ -9,8 +9,6 @@ attributable to the measurement itself.
 """
 from .behavior import (
     BehaviorTensor,
-    InvalidBehaviorError,
-    ScenarioShape,
     correlator_table,
     load_behavior,
     save_behavior,
@@ -53,6 +51,7 @@ from .quantum import (
     quantum_behavior,
     validate_povm,
 )
+from .scenario import InvalidBehaviorError, ScenarioShape
 
 __version__ = "0.1.0"
 

@@ -24,17 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import (
-    BehaviorTensor,
-    ScenarioShape,
-    _assemble,
-    _axes,
-    _exceeds,
-    _integer,
-    _read_file,
-    _write_file,
-)
+from .behavior import BehaviorTensor, _assemble
+from .codec import _axes, _read_file, _write_file
 from .inequalities import evaluate_chain
+from .scenario import ScenarioShape, _exceeds, _integer
 
 ROW_TOL = 1e-12
 # the optimizer refuses runs whose logits alone exceed this many floats, its

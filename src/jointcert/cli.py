@@ -34,11 +34,12 @@ import sys
 
 import numpy as np
 
-from .behavior import ScenarioShape, load_behavior, save_behavior
+from .behavior import load_behavior, save_behavior
 from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
 from .inequalities import VERDICT_TOL, check_tol, evaluate_chain, evaluate_mn, exceeds_bound, report_to_json
 from .postselect import _gap_reports
 from .quantum import POVM_TOL, _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
+from .scenario import ScenarioShape
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import BehaviorTensor, ScenarioShape, _integer
+from .behavior import BehaviorTensor
 from .inequalities import VERDICT_TOL, check_tol, evaluate_mn, exceeds_bound
 from .quantum import BELL_LABELING, PAULIS, _bsm_elements, _sharpness, _simulated, _state_tensor, proj
+from .scenario import ScenarioShape, _integer
 
 WERNER_LHV_THRESHOLD = 0.66
 

@@ -44,7 +44,8 @@ import functools
 
 import numpy as np
 
-from .behavior import BehaviorTensor, ScenarioShape
+from .behavior import BehaviorTensor
+from .scenario import ScenarioShape
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,13 +1,13 @@
 """The two paths of the file reader, called one at a time, for tests that
-compare them: behavior._read_streamed, which reads a file in the writer's
+compare them: codec._read_streamed, which reads a file in the writer's
 exact layout a block at a time, and the whole-document json.load path that
-behavior._read_file takes for every file the streamed reader declines."""
+codec._read_file takes for every file the streamed reader declines."""
 import os
 
 import numpy as np
 import pytest
 
-from jointcert import behavior
+from jointcert import codec
 from jointcert.behavior import BEHAVIOR_FIELDS, InvalidBehaviorError
 from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
 
@@ -19,16 +19,16 @@ STRATEGY_FORMAT = (STRATEGY_HEADER, STRATEGY_FIELDS)
 def streamed_read(path, header, fields):
     """The streamed reader's result on the file at path, None if it declines."""
     with open(path) as fh:
-        return behavior._read_streamed(fh, os.fstat(fh.fileno()).st_size, header, fields)
+        return codec._read_streamed(fh, os.fstat(fh.fileno()).st_size, header, fields)
 
 
 def whole_document_read(path, header, fields):
     """_read_file's result with the streamed reader declining every file, or
     the InvalidBehaviorError it raises."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(behavior, "_read_streamed", lambda *args: None)
+        patch.setattr(codec, "_read_streamed", lambda *args: None)
         try:
-            return behavior._read_file(path, header, fields)
+            return codec._read_file(path, header, fields)
         except InvalidBehaviorError as exc:
             return exc
 

@@ -10,18 +10,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from jointcert import behavior as behavior_module
+from jointcert import codec
 from jointcert.behavior import (
-    DEDUPLICATE_SHARE,
     BehaviorTensor,
     InvalidBehaviorError,
-    SHOWN_CHARS,
-    SMALL_BLOCK,
     ScenarioShape,
-    WRITE_BLOCK,
-    _count_text,
-    _exceeds,
-    _number_chunks,
     correlator_table,
     load_behavior,
     save_behavior,
@@ -29,6 +22,8 @@ from jointcert.behavior import (
     validate_behavior,
 )
 from jointcert.classical import MAX_COUNT_BITS, MAX_OPTIMIZER_CELLS, ClassicalStrategy, load_strategy, save_strategy
+from jointcert.codec import DEDUPLICATE_SHARE, SMALL_BLOCK, WRITE_BLOCK, _count_text, _number_chunks
+from jointcert.scenario import SHOWN_CHARS, _exceeds
 from read_paths import BEHAVIOR_FORMAT, STRATEGY_FORMAT, assert_same_read, streamed_read, whole_document_read
 
 SHAPE22 = ScenarioShape(2, 2)
@@ -643,7 +638,7 @@ def test_save_load_save_is_byte_identical_over_edge_floats(tmp_path_factory, dat
 def test_save_to_a_directory_fails_before_formatting(tmp_path, monkeypatch):
     # an all-distinct (5, 4) behavior, which the digit kernel would format
     formatted = []
-    monkeypatch.setattr(behavior_module, "_block_text", formatted.append)
+    monkeypatch.setattr(codec, "_block_text", formatted.append)
     shape = ScenarioShape(5, 4)
     behavior = BehaviorTensor(shape, np.random.default_rng(3).random(shape.tensor_shape))
     with pytest.raises(OSError):
@@ -874,7 +869,7 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
             allocated.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np, "empty", spy)
-                patch.setattr(behavior_module, "READ_BLOCK", block)
+                patch.setattr(codec, "READ_BLOCK", block)
                 assert streamed_read(path, *BEHAVIOR_FORMAT) is None, edited
             assert all(count <= len(edited) for count in allocated), edited
         assert isinstance(whole_document_read(path, *BEHAVIOR_FORMAT), InvalidBehaviorError), edited
@@ -915,8 +910,8 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
         assert isinstance(want, InvalidBehaviorError) != valid, tokens
         for block in (WRITE_BLOCK, 1024):
             with monkeypatch.context() as patch:
-                patch.setattr(behavior_module, "READ_SAMPLE", 64)
-                patch.setattr(behavior_module, "READ_BLOCK", block)
+                patch.setattr(codec, "READ_SAMPLE", 64)
+                patch.setattr(codec, "READ_BLOCK", block)
                 parsed = json_characters(patch)
                 got = streamed_read(path, *BEHAVIOR_FORMAT)
             if valid:
@@ -954,8 +949,8 @@ SPELLINGS = [
 @given(
     spellings=st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=8, unique=True),
     n=st.sampled_from([1, 2, 3, 4]),
-    block=st.sampled_from([1, 7, 64, 1024, behavior_module.READ_BLOCK]),
-    sample=st.sampled_from([64, behavior_module.READ_SAMPLE]),
+    block=st.sampled_from([1, 7, 64, 1024, codec.READ_BLOCK]),
+    sample=st.sampled_from([64, codec.READ_SAMPLE]),
     data=st.data(),
 )
 def test_few_valued_lists_read_alike_on_both_paths(tmp_path_factory, spellings, n, block, sample, data):
@@ -969,8 +964,8 @@ def test_few_valued_lists_read_alike_on_both_paths(tmp_path_factory, spellings, 
     path.write_text('{"n": %d, "k": 2, "probabilities": [%s]}\n' % (n, ", ".join(spellings[i] for i in picks)))
     want = whole_document_read(path, *BEHAVIOR_FORMAT)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(behavior_module, "READ_BLOCK", block)
-        patch.setattr(behavior_module, "READ_SAMPLE", sample)
+        patch.setattr(codec, "READ_BLOCK", block)
+        patch.setattr(codec, "READ_SAMPLE", sample)
         got = streamed_read(path, *BEHAVIOR_FORMAT)
     if isinstance(want, InvalidBehaviorError):
         assert got is None
@@ -1019,7 +1014,7 @@ def read_boundary_files(tmp_path_factory):
 def test_read_block_boundaries_never_change_the_values(read_boundary_files, monkeypatch, block):
     # with reads of 1, 2, 7 and 64 characters, the pieces are cut at every
     # offset of entries, separators and keys
-    monkeypatch.setattr(behavior_module, "READ_BLOCK", block)
+    monkeypatch.setattr(codec, "READ_BLOCK", block)
     for path, file_format in read_boundary_files:
         got = streamed_read(path, *file_format)
         assert got is not None

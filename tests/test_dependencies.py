@@ -1,10 +1,13 @@
-"""The package's runtime dependency is numpy alone.
+"""The package's runtime dependency is numpy alone, and its own modules
+import each other without a cycle.
 
 Every import under src/jointcert names the standard library, numpy, or the
 package itself by a relative import.  scipy, sympy and Hypothesis serve the
-tests only.
+tests only.  Every import statement sits at module level, so no module can
+lean on a lazy import to break a cycle.
 """
 import ast
+import graphlib
 import pathlib
 import sys
 
@@ -29,3 +32,24 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 imported.add(name.split(".")[0])
     # a walk that found nothing would pass vacuously
     assert "numpy" in imported and "json" in imported
+
+
+def test_relative_imports_form_no_cycle_and_sit_at_module_level():
+    # module name -> the package modules it imports, by relative imports
+    graph = {}
+    for source in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        imported = graph.setdefault(source.stem, set())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            # an import inside a function or block could hide a cycle
+            assert node in tree.body, f"{source.name}:{node.lineno} imports below module level"
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"relative imports form a cycle: {exc.args[1]}") from exc
+    # a walk that found no edge would pass vacuously
+    assert order.index("scenario") < order.index("codec") < order.index("behavior")

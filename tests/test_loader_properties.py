@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from jointcert import behavior as behavior_module
+from jointcert import codec
 from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
@@ -211,5 +211,5 @@ def test_mutated_files_load_or_are_refused(doc_path, saved_docs, data):
 def test_mutated_file_texts_read_alike_on_both_paths(doc_path, saved_texts, data):
     # small reads cut the lists into pieces at the edits
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(behavior_module, "READ_BLOCK", data.draw(st.sampled_from([1, 7, behavior_module.READ_BLOCK])))
+        patch.setattr(codec, "READ_BLOCK", data.draw(st.sampled_from([1, 7, codec.READ_BLOCK])))
         _check_text(doc_path, data.draw(mutated_texts(saved_texts)))

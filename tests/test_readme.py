@@ -21,8 +21,8 @@ import sys
 import pytest
 
 import jointcert
-from jointcert.behavior import _axes
 from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
+from jointcert.codec import _axes
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 EXIT = re.compile(r"#.*\bexit (\d+)")
