@@ -47,9 +47,9 @@ def test_relative_imports_form_no_cycle_and_sit_at_module_level():
             assert node in tree.body, f"{source.name}:{node.lineno} imports below module level"
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    # a walk that found no edge would pass vacuously
+    assert {"codec", "scenario"} <= graph["behavior"] and "scenario" in graph["codec"]
     try:
-        order = list(graphlib.TopologicalSorter(graph).static_order())
+        graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         raise AssertionError(f"relative imports form a cycle: {exc.args[1]}") from exc
-    # a walk that found no edge would pass vacuously
-    assert order.index("scenario") < order.index("codec") < order.index("behavior")
