@@ -10,6 +10,7 @@ attributable to the measurement itself.
 from .behavior import (
     BehaviorTensor,
     correlator_table,
+    independence_residual,
     load_behavior,
     save_behavior,
     signalling_residuals,
@@ -60,6 +61,7 @@ __all__ = [
     "InvalidBehaviorError",
     "ScenarioShape",
     "correlator_table",
+    "independence_residual",
     "load_behavior",
     "save_behavior",
     "signalling_residuals",

@@ -17,7 +17,8 @@ Behavior files are read and written by the file codec, jointcert.codec.
 
 Tolerances: entries may be negative down to -1e-12 (clamped to 0 on load),
 each setting slice must sum to 1 within 1e-10, and no party may signal by
-more than 1e-9 in total variation (see signalling_residuals).
+more than 1e-9 in total variation (see signalling_residuals), nor may the
+parties' outputs be correlated by more than 1e-9 (see independence_residual).
 """
 import functools
 from dataclasses import dataclass
@@ -108,6 +109,11 @@ def validate_behavior(behavior):
         if residual > SIGNALLING_TOL:
             problems.append(f"party {party} signals: its setting moves the other outputs and the outcome "
                             f"by {residual:.3e} in total variation (tolerance {SIGNALLING_TOL:g})")
+    residual = independence_residual(behavior)
+    if residual > SIGNALLING_TOL:
+        problems.append(f"the parties' outputs are correlated: P(a_1..a_n | x) departs from the product of "
+                        f"its one-party marginals by {residual:.3e} in total variation (tolerance "
+                        f"{SIGNALLING_TOL:g}), which independent sources forbid")
     return problems
 
 
@@ -129,6 +135,25 @@ def signalling_residuals(behavior):
         np.abs(moved, out=moved)
         residuals[j] = 0.5 * moved.sum(axis=-1).max()
     return residuals
+
+
+def independence_residual(behavior):
+    """The largest total-variation distance over all settings x between
+    P(a_1..a_n | x) and the product of its one-party marginals P(a_j | x).
+    With independent sources the outcome summed out leaves the parties
+    independent, in every model of the scenario, classical or quantum, so
+    this is 0 up to rounding.  No loop over settings: one sum over the
+    outcome, one marginal sum per party, their product and one reduction."""
+    n, k = behavior.shape.n, behavior.shape.k
+    outputs = behavior.probabilities.reshape((k**n,) + (2,) * n + (-1,)).sum(axis=-1)
+    product = 1.0
+    for j in range(n):
+        others = tuple(1 + i for i in range(n) if i != j)
+        product = product * outputs.sum(axis=others, keepdims=True)
+    # a non-finite entry, which validation reports, can make inf - inf here
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(outputs - product).reshape(k**n, -1)
+    return 0.5 * gap.sum(axis=-1).max()
 
 
 @functools.cache

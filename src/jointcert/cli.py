@@ -26,8 +26,6 @@ columns of sweep come from the exact closed form of the quantum model, the
 post-selection columns from density-matrix simulation.
 """
 import argparse
-import csv
-import errno
 import functools
 import os
 import sys
@@ -36,6 +34,7 @@ import numpy as np
 
 from .behavior import load_behavior, save_behavior
 from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
+from .codec import _target, _write_text
 from .inequalities import VERDICT_TOL, check_tol, evaluate_chain, evaluate_mn, exceeds_bound, report_to_json
 from .postselect import _gap_reports
 from .quantum import POVM_TOL, _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
@@ -87,39 +86,29 @@ def cmd_sweep(args):
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"need 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
     tol = check_tol(args.tol, "--tol")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        grid = np.linspace(args.pmin, args.pmax, args.steps)
-        for block in np.split(grid, range(SWEEP_BLOCK, args.steps, SWEEP_BLOCK)):
-            for p, gap in zip(block, _gap_reports(block, tol)):
-                exact = evaluate_mn(closed_form_behavior(p))
-                row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
-                flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
-                writer.writerow([_fmt(value) for value in row + flags])
+    _write_text(args.out, _sweep_lines(np.linspace(args.pmin, args.pmax, args.steps), tol))
     return EXIT_OK
 
 
-def _unwritable(path):
-    """The reason no file can be written at path, checked without creating
-    or opening it: the path is empty or a directory, or its parent directory
-    does not exist.  None otherwise; other OSErrors surface at the write."""
-    if not path:  # the error open("") raises
-        return f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
-    if os.path.isdir(path):
-        return f"{path}: {os.strerror(errno.EISDIR)}"
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        return f"{path}: {os.strerror(errno.ENOENT)} (no directory {parent})"
-    return None
+def _sweep_lines(grid, tol):
+    """The sweep's CSV lines, each ended by "\r\n": the header, then one row
+    per sharpness of grid.  No field holds a comma, a quote or a line break,
+    so these are csv.writer's bytes."""
+    yield ",".join(SWEEP_COLUMNS) + "\r\n"
+    for block in np.split(grid, range(SWEEP_BLOCK, grid.size, SWEEP_BLOCK)):
+        for p, gap in zip(block, _gap_reports(block, tol)):
+            exact = evaluate_mn(closed_form_behavior(p))
+            row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
+            flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
+            yield ",".join(_fmt(value) for value in row + flags) + "\r\n"
 
 
 def cmd_optimize(args):
     # refuse an output path that cannot be written before the ascent runs,
     # so neither a long run nor a half-written pair of files is wasted
     for path in (args.report_out, args.strategy_out):
-        if path is not None and (problem := _unwritable(path)):
-            raise ValueError(problem)
+        if path is not None:
+            _target(path)
     # the strategy would be written over the report: one path once resolved,
     # or, when both exist, one file under two names, as with a hard link
     report_out, strategy_out = args.report_out, args.strategy_out
@@ -138,8 +127,7 @@ def cmd_optimize(args):
     )
     text = report_to_json(report)
     if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.report_out, [text + "\n"])
     if args.strategy_out:
         save_strategy(strategy, args.strategy_out)
     print(text)

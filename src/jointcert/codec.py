@@ -6,10 +6,12 @@ or classical.STRATEGY_FIELDS, in table order: a flat row-major float list with
 dims(n, k, *header ints) axes, or n such lists if per_party, in 17 significant
 digits, which round-trip float64, so save -> load -> save is byte-identical.
 
-_write_file checks every list for non-finite entries, then opens the file
-and streams each list a block of WRITE_BLOCK entries at a time, never the
-whole file's text: a block of few distinct values, or of few entries,
-formats each value once, any other goes through the digit kernel below.
+_write_file checks every list for non-finite entries, then streams each list
+a block of WRITE_BLOCK entries at a time, never the whole file's text, to
+_write_text, the one writer of every file the package writes: a block of few
+distinct values, or of few entries, formats each value once, any other goes
+through the digit kernel below.  _write_text leaves the path as it was when a
+write fails part way.
 
 _read_file builds no array before its size is checked.  It reads a file in
 _write_file's layout with _read_streamed, a block of READ_BLOCK characters at
@@ -21,6 +23,7 @@ writer, and every other list a piece at a time.  Both paths take their
 entries through _read_numbers, the one entry rule (plain numbers only, finite
 after conversion), and expand a row's dims with _axes.
 """
+import errno
 import functools
 import itertools
 import json
@@ -329,9 +332,66 @@ def _write_file(path, header, fields, values):
             parts += [[", " if j else ', "%s": %s' % (key, "[" * per_party)], _number_chunks(item)]
         parts.append(["]" * per_party])
     parts.append(["}\n"])
-    with open(path, "w") as fh:
-        for part in parts:
-            fh.writelines(part)
+    _write_text(path, itertools.chain.from_iterable(parts))
+
+
+def _write_text(path, chunks):
+    """Write the strings of the iterable chunks, unchanged, as the file at
+    path: the one place the package opens a file for writing.
+
+    _target refuses the path before any chunk is read.  A regular file, new
+    or old, is written whole to a temporary file beside it and moved into
+    place by os.replace; a write that fails part way unlinks the temporary
+    file, so the path is left as it was, with no file or the old file's
+    bytes.  The temporary file is created as open creates a file, so its
+    mode follows the umask, and it takes an old file's permission bits.
+    Any other file, such as /dev/full or a FIFO, is written in place."""
+    target, mode = _target(path)
+    temp = target and "%s.%s.tmp" % (target, os.urandom(8).hex())
+    fh = open(temp or path, "x" if temp else "w", newline="")
+    try:
+        with fh:
+            if temp and mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        if temp:
+            os.replace(temp, target)
+    except BaseException:
+        if temp:
+            os.unlink(temp)
+        raise
+
+
+def _target(path):
+    """(target, mode) for a write to path: the regular file _write_text
+    replaces, path itself or the file a symlink at path points to, and its
+    st_mode, None for a new file; (None, None) when path exists and is not a
+    regular file, so it is written in place.
+
+    Raises the OSError, with its text, that open(path, "w") raises for an
+    empty path, a missing parent, a directory, or a file or new file's
+    folder the user may not write, and creates or changes nothing.  A rename
+    needs the folder's write permission, so a file in a folder the user may
+    not write is refused too."""
+    path = os.fspath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        if not path:
+            raise
+        mode = None
+    # any other error of stat, such as a parent that is a file, is open's own
+    if (mode is None and path.endswith(os.sep)) or (mode is not None and stat.S_ISDIR(mode)):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if mode is not None and not stat.S_ISREG(mode):
+        return None, None
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
+    if not os.path.isdir(folder):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not (os.access(folder, os.W_OK | os.X_OK) and (mode is None or os.access(target, os.W_OK))):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return target, mode
 
 
 def _read_file(path, header, fields):

@@ -16,14 +16,25 @@ from jointcert.behavior import (
     InvalidBehaviorError,
     ScenarioShape,
     correlator_table,
+    independence_residual,
     load_behavior,
     save_behavior,
     signalling_residuals,
     validate_behavior,
 )
-from jointcert.classical import MAX_COUNT_BITS, MAX_OPTIMIZER_CELLS, ClassicalStrategy, load_strategy, save_strategy
+from jointcert.classical import (
+    MAX_COUNT_BITS,
+    MAX_OPTIMIZER_CELLS,
+    ClassicalStrategy,
+    load_strategy,
+    saturation_strategy,
+    save_strategy,
+    strategy_to_behavior,
+)
 from jointcert.codec import DEDUPLICATE_SHARE, SMALL_BLOCK, WRITE_BLOCK, _count_text, _number_chunks
+from jointcert.quantum import closed_form_behavior, quantum_behavior
 from jointcert.scenario import SHOWN_CHARS, _exceeds
+from test_classical import random_strategy
 from read_paths import BEHAVIOR_FORMAT, STRATEGY_FORMAT, assert_same_read, streamed_read, whole_document_read
 
 SHAPE22 = ScenarioShape(2, 2)
@@ -190,13 +201,18 @@ def test_marginal_detects_signalling():
 
 
 def test_correlated_outputs_do_not_signal():
-    # outputs perfectly correlated, a = b uniform: correlation is not signalling
+    # outputs perfectly correlated, a = b uniform: correlation is not
+    # signalling, but independent sources forbid it, so validation refuses it
     arr = np.zeros(SHAPE22.tensor_shape)
     for x, y, a in itertools.product(range(2), repeat=3):
         arr[x, y, a, a, 0, 0] = 0.5
     behavior = BehaviorTensor(SHAPE22, arr)
     np.testing.assert_array_equal(signalling_residuals(behavior), [0.0, 0.0])
-    assert validate_behavior(behavior) == []
+    assert independence_residual(behavior) == 0.5
+    assert validate_behavior(behavior) == [
+        "the parties' outputs are correlated: P(a_1..a_n | x) departs from the product of its one-party "
+        "marginals by 5.000e-01 in total variation (tolerance 1e-09), which independent sources forbid"
+    ]
 
 
 def signalling_reference(behavior):
@@ -267,6 +283,87 @@ def test_a_marginal_moves_no_further_than_the_other_parties_signal(nk, t, seed):
     for i in range(n):
         _, marginal = marginal_party(behavior, i)
         assert marginal <= (2 - 3 / k) * (residuals.sum() - residuals[i]) + 1e-14
+
+
+def independence_reference(behavior):
+    """Loop-based oracle for independence_residual: the largest total
+    variation between P(a_1..a_n | x) and the outer product of its one-party
+    marginals, one setting tuple at a time."""
+    n, k = behavior.shape.n, behavior.shape.k
+    worst = 0.0
+    for setting in itertools.product(range(k), repeat=n):
+        outputs = behavior.probabilities[setting].reshape((2,) * n + (-1,)).sum(axis=-1)
+        product = np.ones(())
+        for j in range(n):
+            product = np.multiply.outer(product, outputs.sum(axis=tuple(i for i in range(n) if i != j)))
+        worst = max(worst, 0.5 * np.abs(outputs - product).sum())
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(nk=st.sampled_from(SIGNALLING_SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_independence_residual_matches_the_loop_oracle(nk, seed):
+    # random behaviors signal and correlate their parties alike
+    shape = ScenarioShape(*nk)
+    rng = np.random.default_rng(seed)
+    arr = rng.dirichlet(np.ones(shape.cells_per_setting), size=shape.k**shape.n).reshape(shape.tensor_shape)
+    behavior = BehaviorTensor(shape, arr)
+    assert independence_residual(behavior) == pytest.approx(independence_reference(behavior), rel=0, abs=1e-15)
+    assert shape.n == 1 or independence_residual(behavior) > 1e-3
+
+
+def test_the_built_in_families_have_independent_parties():
+    for p in np.linspace(0.0, 1.0, 11):
+        assert independence_residual(quantum_behavior(p)) <= 1e-15
+        assert independence_residual(closed_form_behavior(p)) == 0.0
+    for r in np.linspace(0.0, 1.0, 11):
+        assert independence_residual(strategy_to_behavior(saturation_strategy(r))) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nkl=st.sampled_from([(1, 2, 2), (2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 2, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_classical_behavior_is_refused_for_correlation(nkl, seed):
+    behavior = strategy_to_behavior(random_strategy(*nkl, np.random.default_rng(seed)))
+    assert independence_residual(behavior) <= 1e-15
+    assert validate_behavior(behavior) == []
+
+
+def test_pairwise_independence_is_not_enough():
+    # n = 3: a_1 and a_2 uniform, a_3 = a_1 xor a_2, a uniform outcome; every
+    # pair of parties is independent and nothing signals, but the three
+    # outputs are not independent
+    shape = ScenarioShape(3, 2)
+    arr = np.zeros(shape.tensor_shape)
+    for x in itertools.product(range(2), repeat=3):
+        for a1, a2 in itertools.product(range(2), repeat=2):
+            arr[x + (a1, a2, a1 ^ a2)] = 1 / 16
+    behavior = BehaviorTensor(shape, arr)
+    outputs = arr[0, 0, 0].sum(axis=(-2, -1))
+    for pair in itertools.combinations(range(3), 2):
+        (other,) = set(range(3)) - set(pair)
+        np.testing.assert_array_equal(outputs.sum(axis=other), np.full((2, 2), 0.25))
+    np.testing.assert_array_equal(signalling_residuals(behavior), [0.0, 0.0, 0.0])
+    assert independence_residual(behavior) == 0.5
+    assert len(validate_behavior(behavior)) == 1
+
+
+@pytest.mark.parametrize("residual, refused", [(2e-9, True), (5e-10, False)])
+def test_correlation_is_refused_above_the_signalling_tolerance(residual, refused):
+    # moving residual / 2 from a != b to a = b at every setting keeps both
+    # marginals uniform and signals nothing
+    arr = BehaviorTensor.uniform(SHAPE22).probabilities.copy()
+    for a, b in itertools.product(range(2), repeat=2):
+        arr[:, :, a, b] += (1 if a == b else -1) * residual / 2 / 4
+    behavior = BehaviorTensor(SHAPE22, arr)
+    assert signalling_residuals(behavior).max() == 0.0
+    assert independence_residual(behavior) == pytest.approx(residual, rel=1e-6)
+    problems = validate_behavior(behavior)
+    assert problems == ([f"the parties' outputs are correlated: P(a_1..a_n | x) departs from the product of its "
+                         f"one-party marginals by {residual:.3e} in total variation (tolerance 1e-09), which "
+                         f"independent sources forbid"] if refused else [])
 
 
 def test_the_marginal_bound_is_reached_at_four_settings():
@@ -983,6 +1080,38 @@ def test_a_three_valued_list_is_read_by_its_spellings(tmp_path, monkeypatch):
     got = load_behavior(path)
     assert 0 < sum(parsed) < 1000, sum(parsed)
     assert np.array_equal(got.probabilities.view(np.uint64), want[1]["probabilities"].view(np.uint64))
+
+
+def test_a_non_ascii_piece_after_the_first_is_read_whole(tmp_path, monkeypatch):
+    # 256 entries of one spelling read in pieces of about 1024 characters,
+    # so the first piece, over 100 tokens, is kept by its spellings; the
+    # second holds a non-ASCII character, which _Spellings.read declines,
+    # and the whole-document reader refuses the text
+    tokens = ["0.03125"] * 256
+    tokens[150] = "0.03125\u00e9"
+    path = tmp_path / "b.json"
+    text = '{"n": 3, "k": 2, "probabilities": [%s]}\n' % ", ".join(tokens)
+    path.write_text(text, encoding="utf-8")
+    assert 1024 < text.index("\u00e9") < 2048
+    want = whole_document_read(path, *BEHAVIOR_FORMAT)
+    assert isinstance(want, InvalidBehaviorError)
+    monkeypatch.setattr(codec, "READ_SAMPLE", 64)
+    monkeypatch.setattr(codec, "READ_BLOCK", 1024)
+    # what read gives for each piece; without its ASCII check the second
+    # piece would raise in _token_keys instead
+    declined = []
+    read = codec._Spellings.read
+
+    def spy(spellings, piece, key):
+        declined.append(read(spellings, piece, key))
+        return declined[-1]
+
+    monkeypatch.setattr(codec._Spellings, "read", spy)
+    assert streamed_read(path, *BEHAVIOR_FORMAT) is None
+    assert len(declined) == 2 and declined[0] is not None and declined[1] is None
+    with pytest.raises(InvalidBehaviorError) as refused:
+        load_behavior(path)
+    assert str(refused.value) == str(want)
 
 
 @pytest.fixture(scope="module")

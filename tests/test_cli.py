@@ -19,6 +19,7 @@ from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
     ScenarioShape,
+    independence_residual,
     load_behavior,
     save_behavior,
     signalling_residuals,
@@ -179,7 +180,9 @@ def test_certify_missing_file(capsys):
 
 def test_shared_coin_mixture_of_classical_devices_reads_violated(tmp_path, capsys):
     # the bound assumes independent hidden sources: devices that share one
-    # fair coin choosing (M, N) = (1, 0) or (0, 1) break it while classical
+    # fair coin choosing (M, N) = (1, 0) or (0, 1) break it while classical;
+    # the coin also correlates the parties' outputs, which independent
+    # sources forbid, so certify refuses the file
     pure = [strategy_to_behavior(classical.saturation_strategy(r)).probabilities for r in (1.0, 0.0)]
     for arr, components in zip(pure, [(1.0, 0.0), (0.0, 1.0)]):
         assert evaluate_mn(BehaviorTensor(ScenarioShape(2, 2), arr)).components == components
@@ -189,9 +192,28 @@ def test_shared_coin_mixture_of_classical_devices_reads_violated(tmp_path, capsy
     assert report.violated and report.floor == pytest.approx(1.41421356237309, abs=1e-14)
     path = tmp_path / "coin.json"
     save_behavior(mixture, path)
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: the parties' outputs are correlated") and err.count("\n") == 1
+    assert "by 5.000e-01 in total variation" in err
+
+
+def test_a_shared_coin_with_independent_parties_still_reads_violated(tmp_path, capsys):
+    # the README's shared source that validation cannot see: private bits
+    # u_j, one coin z seen by every device, a_j = u_j xor (x_j and z), and
+    # the outcome's c_z = u_0 xor u_1 beside a fresh bit; the parties'
+    # outputs are independent and nothing signals, yet M = N = 1/2
+    arr = np.zeros(ScenarioShape(2, 2).tensor_shape)
+    for x, y, u0, u1, z, fresh in itertools.product(range(2), repeat=6):
+        c = (u0 ^ u1, fresh) if z == 0 else (fresh, u0 ^ u1)
+        arr[x, y, u0 ^ (x & z), u1 ^ (y & z), c[0], c[1]] += 1 / 16
+    behavior = BehaviorTensor(ScenarioShape(2, 2), arr)
+    assert independence_residual(behavior) == 0.0 and signalling_residuals(behavior).max() == 0.0
+    path = tmp_path / "shared.json"
+    save_behavior(behavior, path)
     code, out, _ = run(capsys, "certify", str(path))
     assert code == EXIT_VIOLATED
-    assert json.loads(out)["statistic"] == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert json.loads(out)["components"] == [0.5, 0.5]
 
 
 def test_certify_refuses_the_signalling_example(tmp_path, capsys):
