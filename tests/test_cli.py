@@ -328,6 +328,10 @@ SWEEP_DIGESTS = {
     ("--pmin", "0.0043", "--pmax", "0.9943", "--steps", "101"): (
         "3afc1977e70538db9e73ae3baa6acd50bd27d1699c60d99b0bacc62f171f230e"
     ),
+    # three blocks of the sweep: 256 + 256 + 88 values of p
+    ("--pmin", "0.0017", "--pmax", "0.9983", "--steps", "600"): (
+        "649d1c28c2f54550581aad0b1c016c7cde242c89333de88e1ecce3c97de391d4"
+    ),
 }
 
 
