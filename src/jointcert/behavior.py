@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _read_file, _write_file
+from .codec import _file_chunks, _read_file, _write_text
 from .scenario import InvalidBehaviorError, ScenarioShape
 
 NEGATIVITY_TOL = 1e-12
@@ -179,11 +179,19 @@ def _charlie_bit_signs(k):
 
 def correlator_table(behavior):
     """Every full correlator at once: an array T of shape (k,)*n + (k,) with
-    T[x_1, .., x_n, i] = <A^1_{x_1} .. A^n_{x_n} C^i>."""
-    n, k = behavior.shape.n, behavior.shape.k
-    probs = behavior.probabilities.reshape(k**n, 2**n, 2**k)
-    charlie = _party_signs(n) @ probs  # (k**n, 2**k): party parity summed out
-    return (charlie @ _charlie_bit_signs(k)).reshape((k,) * n + (k,))
+    T[x_1, .., x_n, i] = <A^1_{x_1} .. A^n_{x_n} C^i>.  The contraction,
+    _correlators, also takes a stack of probability arrays with leading
+    axes, and gives each item the bits this gives its behavior."""
+    return _correlators(behavior.probabilities, behavior.shape.n, behavior.shape.k)
+
+
+def _correlators(probabilities, n, k):
+    """correlator_table of probability arrays of shape stack + tensor_shape,
+    shape stack + (k,)*n + (k,): the same two matmuls, looped over the stack
+    item by item inside numpy."""
+    stack = probabilities.shape[: -2 * n - k]
+    charlie = _party_signs(n) @ probabilities.reshape(stack + (k**n, 2**n, 2**k))  # party parity summed out
+    return (charlie @ _charlie_bit_signs(k)).reshape(stack + (k,) * n + (k,))
 
 
 def save_behavior(behavior, path):
@@ -193,7 +201,7 @@ def save_behavior(behavior, path):
     exactly, so save -> load -> save is byte-identical.  A NaN or infinite
     entry raises InvalidBehaviorError and leaves no file at path.
     """
-    _write_file(path, (), BEHAVIOR_FIELDS, behavior)
+    _write_text((path, _file_chunks((), BEHAVIOR_FIELDS, behavior)))
 
 
 # the behavior file after n and k: (key, one list per party, dims(n, k))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTensor, _assemble
-from .codec import _axes, _read_file, _write_file
+from .codec import _axes, _file_chunks, _read_file, _write_text
 from .inequalities import evaluate_chain
 from .scenario import ScenarioShape, _exceeds, _integer
 
@@ -264,7 +264,7 @@ def enumerate_deterministic(shape, hidden_alphabet):
 
 def save_strategy(strategy, path):
     """Write a strategy as JSON with flat row-major float lists (17 digits)."""
-    _write_file(path, STRATEGY_HEADER, STRATEGY_FIELDS, strategy)
+    _write_text((path, _file_chunks(STRATEGY_HEADER, STRATEGY_FIELDS, strategy)))
 
 
 def load_strategy(path):

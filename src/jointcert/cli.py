@@ -8,7 +8,8 @@ Subcommands:
    per p with correlator averages, statistic, post-selected CHSH/visibility,
    and the certification-gap flags.
  - optimize: run the seeded classical-strategy ascent and write report and
-   strategy JSON; byte-identical outputs for identical flags.
+   strategy JSON, both or neither; byte-identical outputs for identical
+   flags.
  - validate-povm: build the noisy Bell-measurement elements at a given
    sharpness (any float, so invalid ones are constructible) and check them.
  - gen: write a behavior file for one of the built-in families
@@ -23,7 +24,10 @@ itself, so certify and sweep refuse it with exit 2.  main maps every
 ValueError and OSError of a subcommand, a failed write of any output file
 or of stdout included, to one error: line and exit 2.  The correlator
 columns of sweep come from the exact closed form of the quantum model, the
-post-selection columns from density-matrix simulation.
+post-selection columns from density-matrix simulation.  Both sides take a
+stack of p: each block of SWEEP_BLOCK values is one closed-form stack, one
+stacked correlator contraction (inequalities._mn_reports) and one stacked
+simulation, so per row only the reports and the CSV text are left.
 """
 import argparse
 import functools
@@ -33,11 +37,13 @@ import sys
 import numpy as np
 
 from .behavior import load_behavior, save_behavior
-from .classical import optimize_classical, saturation_strategy, save_strategy, strategy_to_behavior
-from .codec import _target, _write_text
-from .inequalities import VERDICT_TOL, check_tol, evaluate_chain, evaluate_mn, exceeds_bound, report_to_json
+from .classical import STRATEGY_FIELDS, STRATEGY_HEADER, optimize_classical, saturation_strategy, strategy_to_behavior
+from .codec import _file_chunks, _target, _write_text
+from .inequalities import (
+    VERDICT_TOL, _mn_reports, check_tol, evaluate_chain, evaluate_mn, exceeds_bound, report_to_json,
+)
 from .postselect import _gap_reports
-from .quantum import POVM_TOL, _bsm_elements, _check_povm, closed_form_behavior, quantum_behavior
+from .quantum import POVM_TOL, _bsm_elements, _check_povm, _closed_form, closed_form_behavior, quantum_behavior
 from .scenario import ScenarioShape
 
 EXIT_OK = 0
@@ -86,7 +92,7 @@ def cmd_sweep(args):
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"need 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
     tol = check_tol(args.tol, "--tol")
-    _write_text(args.out, _sweep_lines(np.linspace(args.pmin, args.pmax, args.steps), tol))
+    _write_text((args.out, _sweep_lines(np.linspace(args.pmin, args.pmax, args.steps), tol)))
     return EXIT_OK
 
 
@@ -96,8 +102,7 @@ def _sweep_lines(grid, tol):
     so these are csv.writer's bytes."""
     yield ",".join(SWEEP_COLUMNS) + "\r\n"
     for block in np.split(grid, range(SWEEP_BLOCK, grid.size, SWEEP_BLOCK)):
-        for p, gap in zip(block, _gap_reports(block, tol)):
-            exact = evaluate_mn(closed_form_behavior(p))
+        for p, exact, gap in zip(block, _mn_reports(_closed_form(block)), _gap_reports(block, tol)):
             row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
             flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
             yield ",".join(_fmt(value) for value in row + flags) + "\r\n"
@@ -126,10 +131,11 @@ def cmd_optimize(args):
         iterations=args.iterations,
     )
     text = report_to_json(report)
-    if args.report_out:
-        _write_text(args.report_out, [text + "\n"])
-    if args.strategy_out:
-        save_strategy(strategy, args.strategy_out)
+    # both files or neither: each is moved into place only once both are whole
+    outputs = [(report_out, [text + "\n"])] if report_out else []
+    if strategy_out:
+        outputs.append((strategy_out, _file_chunks(STRATEGY_HEADER, STRATEGY_FIELDS, strategy)))
+    _write_text(*outputs)
     print(text)
     return EXIT_OK
 

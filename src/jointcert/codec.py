@@ -6,15 +6,15 @@ or classical.STRATEGY_FIELDS, in table order: a flat row-major float list with
 dims(n, k, *header ints) axes, or n such lists if per_party, in 17 significant
 digits, which round-trip float64, so save -> load -> save is byte-identical.
 
-_write_file checks every list for non-finite entries, then streams each list
+_file_chunks checks every list for non-finite entries, then streams each list
 a block of WRITE_BLOCK entries at a time, never the whole file's text, to
 _write_text, the one writer of every file the package writes: a block of few
 distinct values, or of few entries, formats each value once, any other goes
-through the digit kernel below.  _write_text leaves the path as it was when a
-write fails part way.
+through the digit kernel below.  _write_text leaves every path as it was when
+a write fails part way, also when it writes several files at once.
 
 _read_file builds no array before its size is checked.  It reads a file in
-_write_file's layout with _read_streamed, a block of READ_BLOCK characters at
+_file_chunks' layout with _read_streamed, a block of READ_BLOCK characters at
 a time into arrays sized from the header; any other file, or one that departs
 from that layout anywhere, it parses whole with json.load, and that path alone
 gives every refusal.  The streamed reader parses each distinct spelling of a
@@ -321,9 +321,10 @@ def _slice_text(bits):
     return str(text.reshape(-1)[keep.reshape(-1)], "ascii")
 
 
-def _write_file(path, header, fields, values):
-    """Write values, with a .shape and an attribute for each key of header
-    and of the table fields, as the file at path."""
+def _file_chunks(header, fields, values):
+    """The file of values, with a .shape and an attribute for each key of
+    header and of the table fields, as an iterator of its text's chunks for
+    _write_text; a non-finite entry raises here, before any chunk is read."""
     ints = [("n", values.shape.n), ("k", values.shape.k)] + [(key, getattr(values, key)) for key in header]
     parts = [["{" + ", ".join('"%s": %d' % pair for pair in ints)]]
     for key, per_party, _ in fields:
@@ -332,32 +333,39 @@ def _write_file(path, header, fields, values):
             parts += [[", " if j else ', "%s": %s' % (key, "[" * per_party)], _number_chunks(item)]
         parts.append(["]" * per_party])
     parts.append(["}\n"])
-    _write_text(path, itertools.chain.from_iterable(parts))
+    return itertools.chain.from_iterable(parts)
 
 
-def _write_text(path, chunks):
-    """Write the strings of the iterable chunks, unchanged, as the file at
-    path: the one place the package opens a file for writing.
+def _write_text(*files):
+    """Write each (path, chunks) pair of files, the strings of the iterable
+    chunks unchanged, as the file at path, all or nothing: the one place the
+    package opens a file for writing.
 
-    _target refuses the path before any chunk is read.  A regular file, new
-    or old, is written whole to a temporary file beside it and moved into
-    place by os.replace; a write that fails part way unlinks the temporary
-    file, so the path is left as it was, with no file or the old file's
-    bytes.  The temporary file is created as open creates a file, so its
-    mode follows the umask, and it takes an old file's permission bits.
-    Any other file, such as /dev/full or a FIFO, is written in place."""
-    target, mode = _target(path)
-    temp = target and "%s.%s.tmp" % (target, os.urandom(8).hex())
-    fh = open(temp or path, "x" if temp else "w", newline="")
+    _target refuses every path before any chunk is read.  A regular file,
+    new or old, is written whole to a temporary file beside it, and the
+    temporary files are moved into place by os.replace, in order, only once
+    every file is whole; a write that fails part way unlinks every temporary
+    file, so each such path is left as it was, with no file or the old
+    file's bytes.  A temporary file is created as open creates a file, so
+    its mode follows the umask, and it takes an old file's permission bits.
+    Any other file, such as /dev/full or a FIFO, is written in place, and
+    what reached it stays."""
+    targets = [_target(path) for path, _ in files]
+    moves = []  # (temporary file, target) of each regular file opened so far
     try:
-        with fh:
-            if temp and mode is not None:
-                os.chmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.writelines(chunks)
-        if temp:
-            os.replace(temp, target)
+        for (path, chunks), (target, mode) in zip(files, targets):
+            temp = target and "%s.%s.tmp" % (target, os.urandom(8).hex())
+            with open(temp or path, "x" if temp else "w", newline="") as fh:
+                if temp:
+                    moves.append((temp, target))
+                    if mode is not None:
+                        os.chmod(fh.fileno(), stat.S_IMODE(mode))
+                fh.writelines(chunks)
+        while moves:  # a file in place leaves moves, so a failure unlinks the rest
+            os.replace(*moves[0])
+            del moves[0]
     except BaseException:
-        if temp:
+        for temp, _ in moves:
             os.unlink(temp)
         raise
 
@@ -399,7 +407,7 @@ def _read_file(path, header, fields):
     each header int, read by _integer(value, key, 1), and each row's array,
     or tuple of n arrays if per_party.
 
-    A regular file in _write_file's layout is read by _read_streamed.
+    A regular file in _file_chunks' layout is read by _read_streamed.
     Any other file, or one it declines, is parsed whole by json.load and
     checked here; whole tensors are read first, so a shape past numpy's axis
     limit is refused by the tensor's own message."""
@@ -442,7 +450,7 @@ def _read_file(path, header, fields):
 
 def _read_streamed(fh, size, header, fields):
     """_read_file's result for the open file fh of size bytes when its text
-    is laid out as _write_file writes it, and None at the first departure,
+    is laid out as _file_chunks writes it, and None at the first departure,
     so that json.load decides: other whitespace or key order outside the
     number lists, a missing, extra or repeated key, a value that is not a
     plain finite number, an empty entry, a wrong count or anything but

@@ -21,6 +21,8 @@ Two evaluators are provided:
 Both evaluators read their correlators from behavior.correlator_table, whose
 entry [x_1, .., x_n, i] is <A^1_{x_1} .. A^n_{x_n} C^i>, and each applies its
 own sign pattern, so criterion 6 still compares two independent formulas.
+The M, N formula has one copy, _mn_report, which evaluate_mn and the stacked
+_mn_reports (the sweep's) both call per behavior.
 
 At n = k = 2 the chain form reduces exactly to (M, N): I_0 = M and I_1 = N.
 
@@ -58,7 +60,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .behavior import _assemble, correlator_table
+from .behavior import _assemble, _correlators, correlator_table
 
 VERDICT_TOL = 1e-9
 
@@ -145,9 +147,20 @@ def evaluate_mn(behavior):
     n, k = behavior.shape.n, behavior.shape.k
     if (n, k) != (2, 2):
         raise ValueError(f"this form needs n = k = 2, got n={n}, k={k}")
-    # rows (C^0, C^1) at (x, y) = 00, 01, 10, 11; the sums run left to right
-    # from 0.0 in that order
-    rows = correlator_table(behavior).reshape(4, 2).tolist()
+    return _mn_report(correlator_table(behavior).reshape(4, 2).tolist())
+
+
+def _mn_reports(probabilities):
+    """evaluate_mn of each behavior array in a stack of shape
+    stack + (2,) * 6, as a list in row-major stack order: one stacked
+    correlator contraction, then the report of each row of it."""
+    return [_mn_report(rows) for rows in _correlators(probabilities, 2, 2).reshape(-1, 4, 2).tolist()]
+
+
+def _mn_report(rows):
+    """The report of the 4x2 correlator rows (C^0, C^1) at (x, y) = 00, 01,
+    10, 11, as Python floats; the sums run left to right from 0.0 in that
+    order."""
     (c00, d00), (c01, d01), (c10, d10), (c11, d11) = rows
     m = (0.0 + c00 + c01 + c10 + c11) / 4.0
     n_comp = (0.0 + d00 - d01 - d10 + d11) / 4.0

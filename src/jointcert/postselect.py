@@ -20,19 +20,20 @@ Every function takes stacks: leading axes of p, rho or target carry through,
 and one state still gives a (4, 4) matrix or a float.  The induced states of
 all four outcomes at every p are one einsum of the rank-8 state tensor with
 the (P, 4, 4, 4) POVM stack; fidelities are one stacked matmul, CHSH values
-and residuals one batched svd and eigvalsh.  gap_report(p) is a stack of one;
-cli's sweep runs SWEEP_BLOCK values of p per stack.  chsh_max squares by s * s,
-so it can sit 1 ulp from the former per-state s ** 2 (libm pow), as at p = 0.375.
+and residuals one batched svd and eigvalsh, and the joint statistic of every
+simulated behavior one stacked correlator contraction (inequalities._mn_reports).
+gap_report(p) is a stack of one; cli's sweep runs SWEEP_BLOCK values of p per
+stack.  chsh_max squares by s * s, so it can sit 1 ulp from the former
+per-state s ** 2 (libm pow), as at p = 0.375.
 """
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import BehaviorTensor
-from .inequalities import VERDICT_TOL, check_tol, evaluate_mn, exceeds_bound
+from .inequalities import VERDICT_TOL, _mn_reports, check_tol, exceeds_bound
 from .quantum import BELL_LABELING, PAULIS, _bsm_elements, _sharpness, _simulated, _state_tensor, proj
-from .scenario import ScenarioShape, _integer
+from .scenario import _integer
 
 WERNER_LHV_THRESHOLD = 0.66
 
@@ -131,14 +132,14 @@ def gap_report(p, tol=VERDICT_TOL):
 
 def _gap_reports(p, tol):
     """gap_report for each of a 1-D stack of sharpness values (or one p), in
-    order: one stacked simulation and one stacked pass over the four outcomes."""
+    order: one stacked simulation, one stacked pass over the four outcomes and
+    one stacked correlator contraction."""
     tol = check_tol(tol)
     p = np.atleast_1d(_sharpness(p))
     rho, _ = _induced_states(p)
     visibility, residual = werner_visibility(rho, [vec for _, vec in BELL_LABELING])
     worst = (chsh_max(rho).max(-1), visibility.max(-1), residual.max(-1))
-    for p_i, arr, chsh, v, res in zip(p.tolist(), _simulated(p), *(w.tolist() for w in worst)):
-        report = evaluate_mn(BehaviorTensor(ScenarioShape(2, 2), arr))
+    for p_i, report, chsh, v, res in zip(p.tolist(), _mn_reports(_simulated(p)), *(w.tolist() for w in worst)):
         nonclassical, simulable = exceeds_bound(report, tol), v < WERNER_LHV_THRESHOLD
         yield GapReport(p_i, report.statistic, report.components, chsh, v, res, nonclassical, simulable,
                         nonclassical and simulable)

@@ -223,7 +223,14 @@ def _closed_form_signs():
     return signs
 
 
+def _closed_form(p):
+    """Behavior arrays from the closed form for p or a stack of sharpness
+    values, shape p.shape + (2,) * 6, as _simulated's; raises unless every p
+    lies in [0, 1].  Each entry rounds as for that p alone."""
+    p = _sharpness(p)
+    return (1.0 + p[(...,) + (None,) * 6] * _closed_form_signs()) / 16.0
+
+
 def closed_form_behavior(p):
     """The same behavior directly from its exact closed form."""
-    p = float(_sharpness(p))
-    return BehaviorTensor(ScenarioShape(2, 2), (1.0 + p * _closed_form_signs()) / 16.0)
+    return BehaviorTensor(ScenarioShape(2, 2), _closed_form(p))

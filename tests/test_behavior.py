@@ -15,6 +15,7 @@ from jointcert.behavior import (
     BehaviorTensor,
     InvalidBehaviorError,
     ScenarioShape,
+    _correlators,
     correlator_table,
     independence_residual,
     load_behavior,
@@ -421,6 +422,18 @@ def test_correlator_table_matches_nested_loop(nk, seed):
     table = correlator_table(behavior)
     assert table.shape == (shape.k,) * shape.n + (shape.k,)
     np.testing.assert_allclose(table, nested_loop_table(behavior), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nk", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("stack", [(1,), (5,), (2, 3)])
+def test_stacked_correlators_are_each_items_table_bit_for_bit(nk, stack):
+    shape = ScenarioShape(*nk)
+    arrays = np.random.default_rng(sum(nk) + len(stack)).random(stack + shape.tensor_shape)
+    tables = _correlators(arrays, *nk)
+    assert tables.shape == stack + (shape.k,) * shape.n + (shape.k,)
+    for index in np.ndindex(stack):
+        alone = correlator_table(BehaviorTensor(shape, arrays[index]))
+        assert tables[index].tobytes() == alone.tobytes()
 
 
 def test_save_load_round_trip_is_exact(tmp_path):

@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -26,10 +29,11 @@ from jointcert.behavior import (
 )
 from jointcert import classical, cli
 from jointcert.classical import load_strategy, strategy_to_behavior
-from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, SWEEP_BLOCK, SWEEP_COLUMNS, _fmt, main
+from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, MAX_SWEEP_STEPS, SWEEP_BLOCK, SWEEP_COLUMNS, _fmt, main
 from jointcert.inequalities import evaluate_mn
 from jointcert.postselect import gap_report
 from jointcert.quantum import closed_form_behavior
+from test_writer import listing
 
 
 def run(capsys, *argv):
@@ -360,6 +364,30 @@ def test_sweep_across_a_block_boundary_writes_the_rows_of_one_p_at_a_time(tmp_pa
     assert path.read_bytes() == want.read_bytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=2, max_value=30),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.1]),
+)
+def test_stacked_sweep_rows_are_the_per_p_routes_bit_for_bit(a, b, steps, tol):
+    # blocks of 7 cut short grids several times; each row's correlator
+    # columns must be evaluate_mn of closed_form_behavior at its p, and its
+    # post-selection columns gap_report at its p, to the last bit
+    grid = np.linspace(min(a, b), max(a, b), steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "SWEEP_BLOCK", 7)
+        lines = list(cli._sweep_lines(grid, tol))
+    want = [",".join(SWEEP_COLUMNS) + "\r\n"]
+    for p in grid:
+        exact, gap = evaluate_mn(closed_form_behavior(p)), gap_report(p, tol)
+        row = (p, *exact.components, exact.statistic, gap.chsh_max, gap.werner_visibility)
+        flags = (gap.jointly_nonclassical, gap.postselected_lhv_simulable, gap.gap_witness)
+        want.append(",".join(_fmt(value) for value in row + flags) + "\r\n")
+    assert lines == want
+
+
 def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
     def peak(steps):
         tracemalloc.start()
@@ -395,6 +423,52 @@ def test_sweep_refuses_bad_tolerance(tmp_path, capsys, tol):
     assert stdout == ""
     assert err.startswith("error:") and "--tol" in err
     assert not out.exists()
+
+
+SWEEP_NUMBERS = ["0", "0.25", "0.5", "1", "1e-12", "nan", "inf", "-inf", "-0.5", "1.5", "abc", ""]
+SWEEP_STEPS = ["1", "2", "3", "17", "50", str(MAX_SWEEP_STEPS + 1), "100000000000", "-4", "x"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["--pmin", "--pmax", "--tol"]), st.sampled_from(SWEEP_NUMBERS)),
+    st.none() | st.sampled_from(SWEEP_STEPS),
+    st.sampled_from(["fresh", "directory", "missing-parent", "/dev/full"]),
+)
+def test_sweep_exits_0_or_2_with_one_error_line_and_no_new_file(numbers, steps, output):
+    # every input gives 0 or 2, returned or raised by argparse, and never a
+    # traceback; a refusal writes one error: line and creates no file.
+    # Valid grids stay at 50 steps or fewer: longer ones are refused before
+    # a grid is built
+    if output == "/dev/full" and not os.path.exists(output):
+        return
+    with tempfile.TemporaryDirectory() as name:
+        folder = pathlib.Path(name)
+        (folder / "directory").mkdir()
+        paths = {"fresh": folder / "out.csv", "directory": folder / "directory", "missing-parent": folder / "x" / "out"}
+        out = str(paths.get(output, output))
+        argv = ["sweep", *itertools.chain.from_iterable(numbers.items()), "--out", out]
+        argv += ["--steps", steps] if steps is not None else []
+        before = listing(folder)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as stdout:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's refusal of a flag's text
+                code, returned = exc.code, False
+            else:
+                returned = True
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_INVALID), (argv, err)
+        assert "Traceback" not in err and stdout.getvalue() == ""
+        if code == EXIT_INVALID:
+            if returned:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+            assert listing(folder) == before, argv
+        else:
+            assert err == "" and output == "fresh"
+            rows = pathlib.Path(out).read_bytes().count(b"\r\n")
+            assert rows == 1 + int(steps if steps is not None else 11)
 
 
 def test_optimize_outputs_byte_identical(tmp_path, capsys):
@@ -515,6 +589,26 @@ def test_optimize_refuses_a_hard_link_pair(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and "same file" in err and err.count("\n") == 1
     assert report.read_bytes() == link.read_bytes() == b"kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("full", ["--report-out", "--strategy-out"])
+@pytest.mark.parametrize("old", [None, b"old\n"], ids=["fresh", "old"])
+def test_optimize_writes_both_outputs_or_neither(tmp_path, capsys, full, old):
+    # the strategy's write to /dev/full used to fail after the report was
+    # in place, leaving a whole report beside no strategy
+    other = {"--report-out": "--strategy-out", "--strategy-out": "--report-out"}[full]
+    path = tmp_path / "r.json"
+    if old is not None:
+        path.write_bytes(old)
+    argv = ["optimize", "--restarts", "1", "--iterations", "1", other, str(path), full, "/dev/full"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert listing(tmp_path) == ([] if old is None else ["r.json"])
+    if old is not None:
+        assert path.read_bytes() == old
 
 
 @pytest.mark.parametrize("n", ["20", "40"])

@@ -18,6 +18,7 @@ from jointcert.quantum import (
     _bell_projectors,
     _bsm_elements,
     _check_povm,
+    _closed_form,
     _projector_stack,
     _simulated,
     _state_tensor,
@@ -211,6 +212,15 @@ def reference_closed_form(p):
 def test_closed_form_matches_the_reference_loop_bit_for_bit(p):
     assert np.array_equal(closed_form_behavior(p).probabilities, reference_closed_form(p))
     assert np.array_equal(closed_form_behavior(np.float64(p)).probabilities, reference_closed_form(np.float64(p)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=50))
+def test_stacked_closed_form_is_each_ps_behavior_bit_for_bit(ps):
+    stack = _closed_form(np.array(ps))
+    assert stack.shape == (len(ps),) + (2,) * 6
+    for p, arr in zip(ps, stack):
+        assert arr.tobytes() == closed_form_behavior(p).probabilities.tobytes()
 
 
 def one_state_behavior(p):

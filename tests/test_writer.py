@@ -2,8 +2,9 @@
 
 It refuses a path as open(path, "w") does, with the same error text, before
 it reads any chunk; it writes a regular file through a temporary file beside
-it, so a write that fails part way leaves the path as it was; and it writes
-any other file, such as a FIFO, in place.
+it, so a write that fails part way leaves the path as it was, and several
+files all or nothing; and it writes any other file, such as a FIFO, in
+place.
 """
 import os
 import pathlib
@@ -90,7 +91,7 @@ def test_refuses_what_open_refuses_with_its_text(tmp_path, monkeypatch, setup):
     monkeypatch.chdir(written)
     path = setup(written)
     before = listing(written)
-    assert outcome(lambda path: _write_text(path, chunks()), path) == want
+    assert outcome(lambda path: _write_text((path, chunks())), path) == want
     if want is None:
         assert (written / path).read_text() == "new\n"
     else:
@@ -111,7 +112,7 @@ def test_a_file_the_user_may_not_write_is_not_replaced(tmp_path, monkeypatch, lo
     access, locked = os.access, os.path.realpath(tmp_path / locked)
     monkeypatch.setattr(os, "access", lambda path, mode: path != locked and access(path, mode))
     with pytest.raises(PermissionError) as refused:
-        _write_text(old, ["new\n"])
+        _write_text((old, ["new\n"]))
     assert str(refused.value) == f"[Errno 13] Permission denied: {str(old)!r}"
     assert old.read_text() == "old\n" and listing(tmp_path) == ["old.txt"]
 
@@ -125,18 +126,45 @@ def test_a_failed_write_leaves_the_old_bytes_and_no_temporary_file(tmp_path):
         raise ValueError("cut short")
 
     with pytest.raises(ValueError, match="cut short"):
-        _write_text(path, chunks())
+        _write_text((path, chunks()))
     assert path.read_text() == "old\n"
     assert listing(tmp_path) == ["out.txt"]
     with pytest.raises(ValueError, match="cut short"):
-        _write_text(tmp_path / "fresh.txt", chunks())
+        _write_text((tmp_path / "fresh.txt", chunks()))
     assert listing(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("old", [None, "old\n"], ids=["fresh", "old"])
+def test_several_files_are_written_all_or_nothing(tmp_path, old):
+    # no file is moved into place until every file is whole, and a refused
+    # path stops the write before any chunk is read
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    names = [] if old is None else ["first.txt", "second.txt"]
+    for path in (first, second)[: len(names)]:
+        path.write_text(old)
+    read = []
+
+    def chunks():
+        read.append(True)
+        yield "new"
+        raise ValueError("cut short")
+
+    with pytest.raises(FileNotFoundError):
+        _write_text((first, chunks()), (tmp_path / "missing" / "third.txt", chunks()))
+    assert read == []
+    with pytest.raises(ValueError, match="cut short"):
+        _write_text((first, ["whole\n"]), (second, chunks()))
+    assert listing(tmp_path) == names
+    assert all(path.read_text() == old for path in (first, second)[: len(names)])
+    _write_text((first, ["one\n"]), (second, ["two\n"]))
+    assert (first.read_text(), second.read_text()) == ("one\n", "two\n")
+    assert listing(tmp_path) == ["first.txt", "second.txt"]
 
 
 def test_the_mode_follows_the_umask_and_an_old_file_keeps_its_own(tmp_path):
     old_umask = os.umask(0o027)
     try:
-        _write_text(tmp_path / "new.txt", ["new\n"])
+        _write_text((tmp_path / "new.txt", ["new\n"]))
         with open(tmp_path / "plain.txt", "w"):
             pass
     finally:
@@ -144,7 +172,7 @@ def test_the_mode_follows_the_umask_and_an_old_file_keeps_its_own(tmp_path):
     assert stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode) == 0o640
     assert os.stat(tmp_path / "plain.txt").st_mode == os.stat(tmp_path / "new.txt").st_mode
     os.chmod(tmp_path / "new.txt", 0o600)
-    _write_text(tmp_path / "new.txt", ["again\n"])
+    _write_text((tmp_path / "new.txt", ["again\n"]))
     assert stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode) == 0o600
     assert (tmp_path / "new.txt").read_text() == "again\n"
 
@@ -153,11 +181,11 @@ def test_a_symlink_is_written_through(tmp_path):
     target, link, dangling = tmp_path / "target.txt", tmp_path / "link.txt", tmp_path / "dangling.txt"
     target.write_text("old\n")
     os.symlink(target.name, link)
-    _write_text(link, ["new\n"])
+    _write_text((link, ["new\n"]))
     assert link.is_symlink() and target.read_text() == "new\n"
     # a symlink to no file makes its target, as open does
     os.symlink("made.txt", dangling)
-    _write_text(dangling, ["made\n"])
+    _write_text((dangling, ["made\n"]))
     assert dangling.is_symlink() and (tmp_path / "made.txt").read_text() == "made\n"
     assert listing(tmp_path) == ["dangling.txt", "link.txt", "made.txt", "target.txt"]
 
@@ -168,7 +196,7 @@ def test_a_fifo_is_written_in_place(tmp_path):
     # a reader opened first lets the writer's open return at once
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        _write_text(fifo, ["through ", "the pipe\n"])
+        _write_text((fifo, ["through ", "the pipe\n"]))
         assert os.read(reader, 100) == b"through the pipe\n"
     finally:
         os.close(reader)
