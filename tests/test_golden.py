@@ -3,8 +3,11 @@
 Every output is made in-process through cli.main, or save_behavior for
 behaviors no gen family makes: gen files, certify's exit code and stdout on
 them, optimize's stdout, report and strategy files, and the sweep CSVs,
-whose digests test_cli.SWEEP_DIGESTS holds.  A change that moves one of these
-bytes updates GOLDEN and lists each old and new digest.  The digests are of
+whose digests test_cli.SWEEP_DIGESTS holds.  One more entry pins the
+simulated side of the sweep, which its CSV shows only as verdict flags: the
+float.hex of each gap report's components and statistic on a seeded grid.
+A change that moves one of these bytes updates GOLDEN and lists each old
+and new digest.  The digests are of
 numpy 2.4.6; a numpy release that moves one is a finding to report, not a
 reason to drop the entry.
 """
@@ -17,6 +20,8 @@ import numpy as np
 from jointcert.behavior import BehaviorTensor, ScenarioShape, save_behavior
 from jointcert.classical import ClassicalStrategy, strategy_to_behavior
 from jointcert.cli import main
+from jointcert.inequalities import VERDICT_TOL
+from jointcert.postselect import _gap_reports
 from test_classical import random_strategy
 from test_cli import SWEEP_DIGESTS
 
@@ -66,6 +71,7 @@ GOLDEN = {
     "optimize --n 3 --k 2 --alphabet 2 --restarts 3 --iterations 40 --seed 7": "7edab9e60cc867c07a749e8a46311582af544433fa33a117ec621a6e6ea27c2a",
     "optimize --n 3 --k 2 --alphabet 2 --restarts 3 --iterations 40 --seed 7 --report-out": "6ef3cf9b1c6fdf38435022dfb3516794557688f28699b37e914758c1a59764e6",
     "optimize --n 3 --k 2 --alphabet 2 --restarts 3 --iterations 40 --seed 7 --strategy-out": "08f861e5dfb4c84d96aae02fece2128e35c3a09451531ea63a6db61da61776ce",
+    "gap reports": "efffd8dc56c8cf0419ba07061a86ec2a4d93c3d52283f87fc3de6f4667cac27e",
 }
 
 
@@ -108,10 +114,21 @@ def saved_behaviors():
     yield "classical (4, 4)", negative_zeros(mixed)
 
 
+def gap_report_text():
+    """The float.hex of each gap report's M, N and statistic, one line per
+    p of 1000 seeded draws from [0, 1], by the sweep's stacked route.  The
+    closed form's correlators share one magnitude per p, so the sweep CSV's
+    components leave the association of the simulated sums free; these pin
+    it."""
+    p = np.random.default_rng(3401).uniform(0.0, 1.0, 1000)
+    rows = ((*report.components, report.statistic) for report in _gap_reports(p, VERDICT_TOL))
+    return "".join(" ".join(x.hex() for x in row) + "\n" for row in rows).encode()
+
+
 def produced(tmp_path):
     """The digest of every pinned output, keyed by the command or file that
     makes it."""
-    outputs = {}
+    outputs = {"gap reports": gap_report_text()}
     for flags in SWEEP_DIGESTS:
         path = tmp_path / "sweep.csv"
         run("sweep", *flags, "--out", str(path))
