@@ -17,11 +17,13 @@ _read_file builds no array before its size is checked.  It reads a file in
 _file_chunks' layout with _read_streamed, a block of READ_BLOCK characters at
 a time into arrays sized from the header; any other file, or one that departs
 from that layout anywhere, it parses whole with json.load, and that path alone
-gives every refusal.  The streamed reader parses each distinct spelling of a
-list of few of them once (_Spellings), by the same DEDUPLICATE_SHARE as the
-writer, and every other list a piece at a time.  Both paths take their
-entries through _read_numbers, the one entry rule (plain numbers only, finite
-after conversion), and expand a row's dims with _axes.
+gives every refusal.  The streamed reader learns the spellings of a list
+once, from its first piece, when that piece holds few distinct ones, by the
+same DEDUPLICATE_SHARE as the writer, and parses each of them once
+(_spellings); every other list, and the rest of a list from its first piece
+that holds another spelling, it parses a piece at a time.  Both paths take
+their entries through _read_numbers, the one entry rule (plain numbers only,
+finite after conversion), and expand a row's dims with _axes.
 """
 import errno
 import functools
@@ -45,7 +47,7 @@ DEDUPLICATE_SHARE = 1 / 8
 SMALL_BLOCK = 2**7
 KERNEL_SLICE = 2**13
 # characters per read of the streamed reader, measured in _read_streamed,
-# and tokens of a list's first piece that decide whether _Spellings reads it
+# and tokens of a list's first piece that decide whether _spellings reads it
 READ_BLOCK = 2**16
 READ_SAMPLE = 512
 # float64's negative zero as a bit pattern: "%.17g" prints it "-0", which
@@ -462,7 +464,7 @@ def _read_streamed(fh, size, header, fields):
     against size, as each entry takes at least one byte.  Each list is then
     read by _Text.numbers into its float64 array.  Every number it takes is
     parsed by json.loads and converted by _read_numbers, once per entry or,
-    in a list of few distinct spellings, once per spelling (_Spellings), so
+    in a list of few distinct spellings, once per spelling (_spellings), so
     what this returns is, bit for bit, what json.load gives for the same
     text.
 
@@ -552,23 +554,23 @@ class _Text:
         the whitespace between entries as json.load does, and passed to
         _read_numbers as a list of its own length; so a piece holds at most
         READ_BLOCK characters more than one entry, and the entry rule is the
-        whole-document reader's.  A list whose first piece _Spellings.sample
-        keeps has its pieces read by their spellings instead, up to the
-        first piece that _Spellings.read does not cover; that piece and the
-        rest of the list are parsed as above."""
+        whole-document reader's.  A list whose first piece gives a spelling
+        table (_spellings) has its pieces read by those spellings instead
+        (_spelled), up to the first piece that holds any other; that piece
+        and the rest of the list are parsed as above."""
         if not self.match(r"\["):
             return False
         filled, text, self.head = 0, self.head, ""
         seen = 0  # text[:seen] holds no "]" and no comma
-        spellings = None  # the list's _Spellings, False once it is read whole
+        spellings = None  # the list's spelling table, False once it is read whole
         while True:
             close = text.find("]", seen)
             cut = close if close >= 0 else text.rfind(",", seen)
             if cut >= 0:
                 piece = text[:cut]
                 if spellings is None:
-                    spellings = _Spellings.sample(piece, key)
-                values = spellings.read(piece, key) if spellings else None
+                    spellings = _spellings(piece, key)
+                values = _spelled(spellings, piece) if spellings else None
                 if values is None:
                     spellings = False
                     values = json.loads("[" + piece + "]")
@@ -599,91 +601,55 @@ class _Text:
         return False
 
 
-class _Spellings:
-    """The distinct spellings of one number list's entries, each with its
-    value, so that a list of few of them parses each spelling once.
+def _spellings(piece, key):
+    """The spelling table of a list whose first piece is piece: its
+    distinct spellings, cut at the writer's ", ", each with its key
+    (_token_keys) and its value, in ascending key order; or False unless
+    piece holds at least READ_SAMPLE tokens of at most DEDUPLICATE_SHARE *
+    READ_SAMPLE spellings.  The table is built once and never grows: a later
+    piece holding any other spelling is read whole (_Text.numbers).
 
-    sample keeps a list when at most DEDUPLICATE_SHARE of the first
-    READ_SAMPLE tokens of its first piece, cut at the writer's ", ", are
-    distinct; read then gives each piece's values while the list holds at
-    most DEDUPLICATE_SHARE * READ_SAMPLE spellings, and None at the first
-    piece that would hold more or holds anything else.
-
-    Spellings are admitted a batch at a time, and only when _read_numbers
-    takes what json.loads reads from the batch joined by ", " as one entry
-    per spelling.  No such spelling holds a comma, so each is one plain
-    number with JSON whitespace around it, and a piece that is ", ".join of
-    known spellings is read by json.loads as their values in order.  read
-    guesses each token's spelling from its last characters (_token_keys)
-    and then checks that join against the piece, character for character,
-    so what it gives is bit for bit what json.loads and _read_numbers give
-    for the piece.
+    A table is built only when _read_numbers takes what json.loads reads
+    from the spellings joined by ", " as one entry per spelling.  No such
+    spelling holds a comma, so each is one plain number with JSON whitespace
+    around it, and a piece that is ", ".join of them is read by json.loads
+    as their values in order.
 
     READ_SAMPLE rests on pieces of the three-valued full-5-4 file of
     perfbench certify's corpus (2 vCPUs, Python 3.11.7, numpy 2.4.6,
     timeit best of 7): a first piece of 64, 128, 256, 512, 1024 and 4096
-    tokens took 99, 102, 109, 122, 146 and 278 us by its spellings, sample
-    and learning included, against 22, 39, 72, 134, 291 and 982 us parsed
-    whole, and a later piece 33, 37, 44, 56, 78 and 201 us.  So the route
-    pays from about 512 tokens in a list's first piece, and a piece of
+    tokens took 99, 102, 109, 122, 146 and 278 us by its spellings, the
+    table included, against 22, 39, 72, 134, 291 and 982 us parsed whole,
+    and a later piece 33, 37, 44, 56, 78 and 201 us.  So the route pays
+    from about 512 tokens in a list's first piece, and a piece of
     READ_BLOCK characters holds 2700 or more of the writer's tokens.
     """
+    tokens = _body(piece).split(", ")
+    texts = list(set(tokens))
+    if len(tokens) < READ_SAMPLE or len(texts) > DEDUPLICATE_SHARE * READ_SAMPLE or not piece.isascii():
+        return False
+    try:
+        values = _read_numbers(json.loads("[" + ", ".join(texts) + "]"), key, ((len(texts), 1),))
+    except (ValueError, RecursionError):
+        return False
+    keys = _token_keys(", ".join(texts))
+    order = np.argsort(keys)
+    return keys[order], np.array(texts, dtype=object)[order], values[order]
 
-    def __init__(self):
-        self.keys = np.zeros(0, dtype=np.uint64)  # ascending
-        self.texts = np.zeros(0, dtype=object)  # the spelling of each key
-        self.values = np.zeros(0)  # and its value
 
-    @classmethod
-    def sample(cls, piece, key):
-        """A _Spellings holding the spellings of piece's first READ_SAMPLE
-        tokens when at most DEDUPLICATE_SHARE of those are distinct, else
-        False."""
-        tokens = _body(piece).split(", ", READ_SAMPLE)[:READ_SAMPLE]
-        if len(tokens) < READ_SAMPLE or not piece.isascii():
-            return False
-        spellings = cls()
-        return spellings.learn(tokens, key) and spellings
-
-    def learn(self, tokens, key):
-        """Whether the spellings among tokens that are not yet known could
-        be admitted, which they then are: the list would hold at most
-        DEDUPLICATE_SHARE * READ_SAMPLE, and they read as plain numbers."""
-        new = list(set(tokens).difference(self.texts.tolist()))
-        if self.keys.size + len(new) > DEDUPLICATE_SHARE * READ_SAMPLE:
-            return False
-        try:
-            values = _read_numbers(json.loads("[" + ", ".join(new) + "]"), key, ((len(new), 1),))
-        except (ValueError, RecursionError):
-            return False
-        keys = np.concatenate([self.keys, _token_keys(", ".join(new))])
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.texts = np.concatenate([self.texts, np.array(new, dtype=object)])[order]
-        self.values = np.concatenate([self.values, values])[order]
-        return True
-
-    def read(self, piece, key):
-        """The values of piece's tokens, learning its new spellings, or None
-        when piece is not ", ".join of at most DEDUPLICATE_SHARE *
-        READ_SAMPLE spellings with the ones known."""
-        if not piece.isascii():
-            return None
-        piece = _body(piece)
-        keys = _token_keys(piece)
-        at = self.find(keys)
-        if at is None and self.learn(piece.split(", "), key):
-            at = self.find(keys)
-        if at is None or ", ".join(self.texts[at].tolist()) != piece:
-            return None
-        return self.values[at]
-
-    def find(self, keys):
-        """The index of each of keys among the known ones, or None if one
-        is not known."""
-        at = np.searchsorted(self.keys, keys)
-        np.minimum(at, self.keys.size - 1, out=at)
-        return at if np.array_equal(self.keys[at], keys) else None
+def _spelled(spellings, piece):
+    """The values of piece's tokens by the table spellings, or None when
+    piece is not ", ".join of its spellings.  Each token's spelling is
+    guessed from its last characters (_token_keys), and the join of the
+    guesses is checked against the piece, character for character, so what
+    this gives is bit for bit what json.loads and _read_numbers give for the
+    piece."""
+    keys, texts, values = spellings
+    if not piece.isascii():
+        return None
+    piece = _body(piece)
+    at = np.minimum(np.searchsorted(keys, _token_keys(piece)), keys.size - 1)
+    return values[at] if ", ".join(texts[at].tolist()) == piece else None
 
 
 def _body(piece):

@@ -985,34 +985,37 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
         assert isinstance(whole_document_read(path, *BEHAVIOR_FORMAT), InvalidBehaviorError), edited
     # few-valued lists of 256 entries with READ_SAMPLE = 64, so at most 8
     # spellings, read whole and in pieces of about 1024 characters: each
-    # (tokens, whether every piece is read by its spellings, whether a
-    # reader takes it)
+    # (tokens, the blocks at which every piece is read by its spellings,
+    # whether a reader takes it)
     base = ["0.03125"] * 256
+    both, neither = (WRITE_BLOCK, 1024), ()
 
     def base_with(at, token):
         return base[:at] + [token] + base[at + 1 :]
 
     for tokens, by_spellings, valid in [
         # one-character tokens, shorter than a key's 8 characters
-        (["1"] * 256, True, True),
-        (["1", "0"] * 128, True, True),
+        (["1"] * 256, both, True),
+        (["1", "0"] * 128, both, True),
         # a spelling inside another
-        (["0.5", "0.55"] * 128, True, True),
-        (["0.55", "0.5"] * 128, True, True),
+        (["0.5", "0.55"] * 128, both, True),
+        (["0.55", "0.5"] * 128, both, True),
         # two spellings of one value, and -0, which JSON reads as the integer 0
-        (["0.0625", "6.25E-2", "-0", "-0.0"] * 64, True, True),
-        # new values after the sample, and in a later piece
-        (base_with(100, "1e-3"), True, True),
-        (base_with(250, "0.25"), True, True),
+        (["0.0625", "6.25E-2", "-0", "-0.0"] * 64, both, True),
+        # a new value after the sample, in the first piece
+        (base_with(100, "1e-3"), both, True),
+        # and in a later piece, whose spellings the first piece's table
+        # lacks, so that piece and the rest of the list are read whole
+        (base_with(250, "0.25"), (WRITE_BLOCK,), True),
         # a separator without its space, in the sample and after it
-        (base_with(10, "0.03125,0.03125")[:-1], False, True),
-        (base_with(200, "0.03125,0.03125")[:-1], False, True),
+        (base_with(10, "0.03125,0.03125")[:-1], neither, True),
+        (base_with(200, "0.03125,0.03125")[:-1], neither, True),
         # a new value after the sample that ends in the same 8 characters as
         # a known one
-        (["0.10000000000000001"] * 100 + ["0.20000000000000001"] * 156, False, True),
+        (["0.10000000000000001"] * 100 + ["0.20000000000000001"] * 156, neither, True),
         # more than 8 spellings after the sample
-        (base[:128] + [str(j / 4) for j in range(8)] * 16, False, True),
-        *[(base_with(at, token), False, False) for at in (10, 100, 250)
+        (base[:128] + [str(j / 4) for j in range(8)] * 16, neither, True),
+        *[(base_with(at, token), neither, False) for at in (10, 100, 250)
           for token in ["true", '"0.03125"', "NaN", "1e400", "[0.03125]"]],
     ]:
         path.write_text('{"n": 3, "k": 2, "probabilities": [%s]}\n' % ", ".join(tokens))
@@ -1029,7 +1032,7 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
             else:
                 assert got is None, tokens
             # by its spellings, a list passes json.loads its few spellings alone
-            assert (sum(parsed) < 100) == by_spellings, (tokens, block)
+            assert (sum(parsed) < 100) == (block in by_spellings), (tokens, block)
 
 
 def json_characters(monkeypatch):
@@ -1098,8 +1101,8 @@ def test_a_three_valued_list_is_read_by_its_spellings(tmp_path, monkeypatch):
 def test_a_non_ascii_piece_after_the_first_is_read_whole(tmp_path, monkeypatch):
     # 256 entries of one spelling read in pieces of about 1024 characters,
     # so the first piece, over 100 tokens, is kept by its spellings; the
-    # second holds a non-ASCII character, which _Spellings.read declines,
-    # and the whole-document reader refuses the text
+    # second holds a non-ASCII character, which _spelled declines, and the
+    # whole-document reader refuses the text
     tokens = ["0.03125"] * 256
     tokens[150] = "0.03125\u00e9"
     path = tmp_path / "b.json"
@@ -1110,16 +1113,16 @@ def test_a_non_ascii_piece_after_the_first_is_read_whole(tmp_path, monkeypatch):
     assert isinstance(want, InvalidBehaviorError)
     monkeypatch.setattr(codec, "READ_SAMPLE", 64)
     monkeypatch.setattr(codec, "READ_BLOCK", 1024)
-    # what read gives for each piece; without its ASCII check the second
+    # what _spelled gives for each piece; without its ASCII check the second
     # piece would raise in _token_keys instead
     declined = []
-    read = codec._Spellings.read
+    spelled = codec._spelled
 
-    def spy(spellings, piece, key):
-        declined.append(read(spellings, piece, key))
+    def spy(spellings, piece):
+        declined.append(spelled(spellings, piece))
         return declined[-1]
 
-    monkeypatch.setattr(codec._Spellings, "read", spy)
+    monkeypatch.setattr(codec, "_spelled", spy)
     assert streamed_read(path, *BEHAVIOR_FORMAT) is None
     assert len(declined) == 2 and declined[0] is not None and declined[1] is None
     with pytest.raises(InvalidBehaviorError) as refused:
