@@ -87,11 +87,16 @@ def validate_behavior(behavior):
     shape = behavior.shape
     arr = behavior.probabilities
     if arr.min() < -NEGATIVITY_TOL:
-        idx = np.unravel_index(arr.argmin(), arr.shape)
+        idx = tuple(int(i) for i in np.unravel_index(arr.argmin(), arr.shape))
         problems.append(
             f"negative probability {arr.min():.3e} at index {idx} (tolerance -{NEGATIVITY_TOL:g})"
         )
-    sums = arr.reshape(shape.settings_shape + (-1,)).sum(axis=-1)
+    # a non-finite or huge entry makes sums and residuals overflow to
+    # infinity or NaN, which the checks below report, so numpy's warnings
+    # about it are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = arr.reshape(shape.settings_shape + (-1,)).sum(axis=-1)
+        signalling, independence = signalling_residuals(behavior), independence_residual(behavior)
     # a non-finite entry makes its setting's sum NaN or infinite, and the
     # negated comparison flags NaN too
     bad = ~(np.abs(sums - 1.0) <= NORMALIZATION_TOL)
@@ -105,14 +110,13 @@ def validate_behavior(behavior):
                 f"setting {setting} sums to {sums[st]:.12f}, "
                 f"expected 1 within {NORMALIZATION_TOL:g}"
             )
-    for party, residual in enumerate(signalling_residuals(behavior)):
+    for party, residual in enumerate(signalling):
         if residual > SIGNALLING_TOL:
             problems.append(f"party {party} signals: its setting moves the other outputs and the outcome "
                             f"by {residual:.3e} in total variation (tolerance {SIGNALLING_TOL:g})")
-    residual = independence_residual(behavior)
-    if residual > SIGNALLING_TOL:
+    if independence > SIGNALLING_TOL:
         problems.append(f"the parties' outputs are correlated: P(a_1..a_n | x) departs from the product of "
-                        f"its one-party marginals by {residual:.3e} in total variation (tolerance "
+                        f"its one-party marginals by {independence:.3e} in total variation (tolerance "
                         f"{SIGNALLING_TOL:g}), which independent sources forbid")
     return problems
 
@@ -150,9 +154,7 @@ def independence_residual(behavior):
     for j in range(n):
         others = tuple(1 + i for i in range(n) if i != j)
         product = product * outputs.sum(axis=others, keepdims=True)
-    # a non-finite entry, which validation reports, can make inf - inf here
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(outputs - product).reshape(k**n, -1)
+    gap = np.abs(outputs - product).reshape(k**n, -1)
     return 0.5 * gap.sum(axis=-1).max()
 
 

@@ -141,9 +141,13 @@ def cmd_optimize(args):
 
 
 def cmd_validate_povm(args):
-    elements = _bsm_elements(args.p)
-    problems, floor, residual = _check_povm(elements)
-    projective = all(np.abs(el @ el - el).max() <= POVM_TOL for el in elements)
+    # a huge or non-finite p overflows the elements and their squares to
+    # infinity or NaN, which the checks report, so numpy's warnings about it
+    # are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        elements = _bsm_elements(args.p)
+        problems, floor, residual = _check_povm(elements)
+        projective = all(np.abs(el @ el - el).max() <= POVM_TOL for el in elements)
     print("eigenvalue floor: %.17g" % floor)
     print("completeness residual: %.17g" % residual)
     print("projective: %s" % ("true" if projective else "false"))

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_validate_catches_negative_and_unnormalized():
         arr[0, 1, 1, 0, 0, 1] = value
         problems = validate_behavior(BehaviorTensor(SHAPE22, arr))
         assert any("setting (0, 1) has 1 non-finite" in p for p in problems), problems
+
+
+def test_a_negative_entry_is_named_by_its_index_in_plain_ints(tmp_path):
+    # numpy 2 prints the index tuple of np.unravel_index as np.int64(...)
+    arr = BehaviorTensor.uniform(SHAPE22).probabilities.copy()
+    arr[1, 0, 1, 1, 0, 1] = -0.01
+    message = "negative probability -1.000e-02 at index (1, 0, 1, 1, 0, 1) (tolerance -1e-12)"
+    assert validate_behavior(BehaviorTensor(SHAPE22, arr))[0] == message
+    path = tmp_path / "b.json"
+    save_behavior(BehaviorTensor(SHAPE22, arr), path)
+    with pytest.raises(InvalidBehaviorError) as refused:
+        load_behavior(path, strict=True)
+    assert str(refused.value).startswith(message + "; ")
+
+
+@pytest.mark.parametrize("entries", [[1e308] * 64, [1e308, -1e308] * 32], ids=["1e308", "+-1e308"])
+def test_validation_reports_overflowing_sums_without_numpy_warnings(entries):
+    behavior = BehaviorTensor(SHAPE22, np.reshape(entries, SHAPE22.tensor_shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problems = validate_behavior(behavior)
+    assert [p for p in problems if "sums to" in p] == [
+        f"setting {setting} sums to {'inf' if len(set(entries)) == 1 else 'nan'}, expected 1 within 1e-10"
+        for setting in itertools.product(range(2), repeat=2)
+    ]
 
 
 def marginal_party(behavior, party):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from jointcert.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, MAX_SWEEP_STEPS,
 from jointcert.inequalities import evaluate_mn
 from jointcert.postselect import gap_report
 from jointcert.quantum import closed_form_behavior
+from test_loader_properties import mutated, mutated_texts, saved_docs, saved_texts, doc_path  # noqa: F401
 from test_writer import listing
 
 
@@ -469,6 +471,110 @@ def test_sweep_exits_0_or_2_with_one_error_line_and_no_new_file(numbers, steps, 
             assert err == "" and output == "fresh"
             rows = pathlib.Path(out).read_bytes().count(b"\r\n")
             assert rows == 1 + int(steps if steps is not None else 11)
+
+
+def exits_by_contract(argv, folder, codes=(EXIT_OK, EXIT_INVALID, EXIT_VIOLATED)):
+    """main(argv) run in-process on outputs under folder: the exit code,
+    returned or raised by argparse, is one of codes, no traceback appears
+    and no warning is issued; a returned 2 writes one error: line and
+    nothing to stdout, or only problem: lines for validate-povm, and a 2
+    creates no file under folder.  Returns the exit code and stdout."""
+    before = listing(folder)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal of a flag's text
+            code, returned = exc.code, False
+        else:
+            returned = True
+    out, err = out.getvalue(), err.getvalue()
+    assert code in codes, (argv, err)
+    assert "Traceback" not in err, argv
+    assert not caught, (argv, [str(warning.message) for warning in caught])
+    if code == EXIT_INVALID:
+        lines = err.splitlines()
+        if argv[0] == "validate-povm" and returned:
+            assert lines and all(line.startswith("problem: ") for line in lines), (argv, err)
+        elif returned:
+            assert len(lines) == 1 and lines[0].startswith("error: ") and out == "", (argv, err)
+        assert listing(folder) == before, argv
+    return code, out
+
+
+# flag values: valid, NaN, infinite, negative, huge and not numbers at all
+FLAG_NUMBERS = ["0", "0.3", "0.5", "0.8", "1", "nan", "inf", "-inf", "-0.5", "1.5", "1e308", "abc"]
+FLAG_INTS = ["1", "2", "3", "0", "-1", "1000000000", "x"]
+# behavior files of finite entries whose sums overflow
+HUGE_BEHAVIORS = {
+    "1e308": {"n": 2, "k": 2, "probabilities": [1e308] * 64},
+    "+-1e308": {"n": 2, "k": 2, "probabilities": [1e308, -1e308] * 32},
+}
+OUTPUTS = ["fresh", "directory", "missing-parent", "/dev/full"]
+
+
+def output_path(folder, output):
+    """The --out path named by one of OUTPUTS, with folder/directory made."""
+    (folder / "directory").mkdir(exist_ok=True)
+    paths = {"fresh": folder / "out.json", "directory": folder / "directory", "missing-parent": folder / "x" / "out"}
+    return str(paths.get(output, output))
+
+
+def flags(data, names, values):
+    """Each of names with a value drawn from values, or left out."""
+    chosen = data.draw(st.dictionaries(st.sampled_from(names), st.sampled_from(values)))
+    return list(itertools.chain.from_iterable(chosen.items()))
+
+
+@settings(max_examples=160, deadline=None)
+@given(command=st.sampled_from(["certify", "gen", "optimize", "validate-povm"]), data=st.data())
+def test_certify_gen_optimize_and_validate_povm_exit_by_contract(saved_texts, saved_docs, command, data):
+    # the sweep's property (above) for the other subcommands: 0, 2 or 10, 0
+    # or 2 for validate-povm, with one error: line and no new file on 2, and
+    # never a traceback or a numpy warning.  optimize runs at most 2
+    # restarts of 3 iterations
+    outputs = st.sampled_from([o for o in OUTPUTS if o != "/dev/full" or os.path.exists(o)])
+    with tempfile.TemporaryDirectory() as name:
+        folder = pathlib.Path(name)
+        codes = (EXIT_OK, EXIT_INVALID, EXIT_VIOLATED)
+        if command == "certify":
+            source = data.draw(st.sampled_from(["text", "document", *HUGE_BEHAVIORS, "missing", "directory"]))
+            path = folder / "in.json"
+            if source == "text":
+                path.write_text(data.draw(mutated_texts(saved_texts)))
+            elif source == "document":
+                path.write_text(json.dumps(data.draw(mutated(saved_docs))))
+            elif source in HUGE_BEHAVIORS:
+                path.write_text(json.dumps(HUGE_BEHAVIORS[source]))
+            elif source == "directory":
+                path.mkdir()
+            argv = ["certify", str(path), *flags(data, ["--tol"], FLAG_NUMBERS), *flags(data, ["--mode"], ["mn", "chain"])]
+        elif command == "gen":
+            family = data.draw(st.sampled_from(["quantum", "closed-form", "saturation"]))
+            argv = ["gen", family, *flags(data, ["--p", "--r"], FLAG_NUMBERS), "--out", output_path(folder, data.draw(outputs))]
+        elif command == "optimize":
+            argv = ["optimize", *flags(data, ["--n", "--k", "--alphabet", "--seed"], FLAG_INTS)]
+            argv += ["--restarts", data.draw(st.sampled_from(["1", "2", "0", "-1", "x"]))]
+            argv += ["--iterations", data.draw(st.sampled_from(["0", "3", "-1", "x"]))]
+            for flag in data.draw(st.sets(st.sampled_from(["--report-out", "--strategy-out"]))):
+                argv += [flag, output_path(folder, data.draw(outputs))]
+        else:
+            argv, codes = ["validate-povm", *flags(data, ["--p"], FLAG_NUMBERS)], (EXIT_OK, EXIT_INVALID)
+        exits_by_contract(argv, folder, codes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "{1e308}"], ["certify", "{+-1e308}"], ["validate-povm", "--p", "inf"], ["validate-povm", "--p", "1e308"]],
+)
+def test_finite_but_huge_inputs_are_refused_without_numpy_warnings(tmp_path, argv):
+    # their sums and squares overflow; the refusal reports it, numpy does not
+    for label, behavior in HUGE_BEHAVIORS.items():
+        (tmp_path / f"{label}.json").write_text(json.dumps(behavior))
+    argv = [arg.format_map({label: str(tmp_path / f"{label}.json") for label in HUGE_BEHAVIORS}) for arg in argv]
+    code, _ = exits_by_contract(argv, tmp_path)
+    assert code == EXIT_INVALID
 
 
 def test_optimize_outputs_byte_identical(tmp_path, capsys):
