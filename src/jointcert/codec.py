@@ -617,12 +617,14 @@ def _spellings(piece, key):
 
     READ_SAMPLE rests on pieces of the three-valued full-5-4 file of
     perfbench certify's corpus (2 vCPUs, Python 3.11.7, numpy 2.4.6,
-    timeit best of 7): a first piece of 64, 128, 256, 512, 1024 and 4096
-    tokens took 99, 102, 109, 122, 146 and 278 us by its spellings, the
-    table included, against 22, 39, 72, 134, 291 and 982 us parsed whole,
-    and a later piece 33, 37, 44, 56, 78 and 201 us.  So the route pays
-    from about 512 tokens in a list's first piece, and a piece of
-    READ_BLOCK characters holds 2700 or more of the writer's tokens.
+    timeit best of 7, when the table was still learned from the first
+    READ_SAMPLE tokens and grown piece by piece): a first piece of 64, 128,
+    256, 512, 1024 and 4096 tokens took 99, 102, 109, 122, 146 and 278 us by
+    its spellings, the table included, against 22, 39, 72, 134, 291 and 982
+    us parsed whole, and a later piece 33, 37, 44, 56, 78 and 201 us.  So
+    the route pays from about 512 tokens in a list's first piece, and a
+    piece of READ_BLOCK characters holds 2700 or more of the writer's
+    tokens.
     """
     tokens = _body(piece).split(", ")
     texts = list(set(tokens))
