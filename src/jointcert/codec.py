@@ -9,19 +9,20 @@ digits, which round-trip float64, so save -> load -> save is byte-identical.
 _file_chunks checks every list for non-finite entries, then streams each list
 a block of WRITE_BLOCK entries at a time, never the whole file's text, to
 _write_text, the one writer of every file the package writes: a block of few
-distinct values, or of few entries, formats each value once, any other goes
-through the digit kernel below.  _write_text leaves every path as it was when
-a write fails part way, also when it writes several files at once.
+distinct values, at most DEDUPLICATE_SHARE of its entries, formats each value
+once, any other goes through the digit kernel below.  _write_text leaves
+every path as it was when a write fails part way, also when it writes several
+files at once.
 
 _read_file builds no array before its size is checked.  It reads a file in
 _file_chunks' layout with _read_streamed, a block of READ_BLOCK characters at
 a time into arrays sized from the header; any other file, or one that departs
 from that layout anywhere, it parses whole with json.load, and that path alone
 gives every refusal.  The streamed reader learns the spellings of a list
-once, from its first piece, when that piece holds few distinct ones, by the
-same DEDUPLICATE_SHARE as the writer, and parses each of them once
-(_spellings); every other list, and the rest of a list from its first piece
-that holds another spelling, it parses a piece at a time.  Both paths take
+once, from its first piece, when at most DEDUPLICATE_SHARE of that piece's
+tokens are distinct spellings, the writer's rule, and parses each of them
+once (_spellings); every other list, and the rest of a list from its first
+piece that holds another spelling, it parses a piece at a time.  Both paths take
 their entries through _read_numbers, the one entry rule (plain numbers only,
 finite after conversion), and expand a row's dims with _axes.
 """
@@ -38,18 +39,13 @@ import numpy as np
 
 from .scenario import MAX_AXES, SHOWN_CHARS, InvalidBehaviorError, ScenarioShape, _bit_floor, _exceeds, _integer
 
-# entries per written block, the largest share of distinct entries at which
-# a block is deduplicated, the most entries of a block deduplicated whatever
-# its share, and entries per slice of the digit kernel; all measured in the
-# docstrings below
-WRITE_BLOCK = 2**16
+# entries per written block, and the largest share of distinct values at
+# which a written block, or a read list's first piece, is taken by its
+# distinct values; both measured in the docstrings below
+WRITE_BLOCK = 2**13
 DEDUPLICATE_SHARE = 1 / 8
-SMALL_BLOCK = 2**7
-KERNEL_SLICE = 2**13
-# characters per read of the streamed reader, measured in _read_streamed,
-# and tokens of a list's first piece that decide whether _spellings reads it
+# characters per read of the streamed reader, measured in _read_streamed
 READ_BLOCK = 2**16
-READ_SAMPLE = 512
 # float64's negative zero as a bit pattern: "%.17g" prints it "-0", which
 # JSON reads as the integer 0, so the writer prints it "-0.0"
 NEGATIVE_ZERO = np.uint64(1 << 63)
@@ -67,11 +63,11 @@ def _number_chunks(values):
     file; nothing is formatted until the iterator is read.
 
     The block size rests on whole (5, 4) saves, 524288 entries (2 vCPUs,
-    Python 3.11.7, numpy 2.4.6, best of 5, two runs): at 2**14, 2**16 and
-    2**18 entries per block an all-distinct behavior took 108-115, 93 and
-    96-103 ms and a three-valued one 25-26, 21-23 and 20-22 ms, with
-    tracemalloc peaks of 1.9, 2.9 and 11.0 MB (all-distinct) and 0.5, 1.9
-    and 7.2 MB (three-valued).
+    Python 3.11.7, numpy 2.4.6, best of 5, two runs): at 2**12, 2**13 and
+    2**14 entries per block an all-distinct behavior took 64, 59-61 and
+    58-59 ms and a three-valued one 17-19, 17-18 and 17 ms, with
+    tracemalloc peaks of 0.9, 1.8 and 3.6 MB (all-distinct) and 0.5 MB at
+    each (three-valued).
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     nonfinite = arr.size - np.count_nonzero(np.isfinite(arr))
@@ -98,33 +94,28 @@ def _block_text(bits):
     joined by ", ", and negative zero as "-0.0": the same bytes as
     formatting each entry alone.
 
-    When at most DEDUPLICATE_SHARE of the entries are distinct, or the
-    block holds at most SMALL_BLOCK entries, each distinct value is
-    formatted once: the distinct values are formatted by _texts, every
-    entry finds its string by np.searchsorted, and one ", ".join builds the
-    text.  Otherwise the block is cut into slices of KERNEL_SLICE entries,
-    each written by _slice_text, and joined by ", ".
+    When at most DEDUPLICATE_SHARE of the entries are distinct, each
+    distinct value is formatted once: the distinct values are formatted by
+    _texts, every entry finds its string by np.searchsorted, and one
+    ", ".join builds the text.  Otherwise the digit kernel writes the block
+    (_kernel_text).
 
-    The cut-off rests on one block of 2**16 entries drawn from a pool of
-    random values (2 vCPUs, Python 3.11.7, numpy 2.4.6, best of 7, two
+    The cut-off rests on one block of WRITE_BLOCK entries drawn from a pool
+    of random values (2 vCPUs, Python 3.11.7, numpy 2.4.6, best of 7, two
     runs, the sort included): at 1/64, 1/32, 1/16, 1/8, 1/4, 1/2 and all
-    distinct, deduplicating took 8-11, 9, 11, 15, 21-22, 30-33 and 39-40 ms
-    against the kernel's 11 ms throughout, so the two break even near 1/16.
-    The share stays 1/8 all the same, and gen's quantum and saturation
-    behaviors hold 8 and 7 distinct values in 64 entries.  The kernel costs
-    about 90 us per call whatever the slice, so small blocks are
-    deduplicated whatever their share: all distinct, blocks of 16, 64, 128,
-    256 and 512 entries took 17, 46, 84-88, 161-163 and 313 us deduplicated
-    against 90, 94, 105-111, 120-123 and 156 us in the kernel (best of 7,
-    two runs), breaking even between 144 and 192 entries.  Random
-    continuous behaviors have all entries distinct, and the built-in
-    families and deterministic strategies a handful, so neither kind is
-    near the share's cut-off.
+    distinct, deduplicating took 0.60, 0.73, 0.91, 1.21-1.23, 1.76-1.77,
+    2.54-2.55 and 4.74-4.77 ms against the kernel's 0.85-0.89 ms
+    throughout, so the two break even near 1/16.  The share stays 1/8 all
+    the same, and gen's quantum and saturation behaviors hold 8 and 7
+    distinct values in 64 entries.  Random continuous behaviors have all
+    entries distinct, and the built-in families and deterministic
+    strategies a handful, so neither kind is near the cut-off.  A small
+    all-distinct list pays the kernel's fixed cost: 64 random entries take
+    86 us, where formatting each once took 41 us (best of 7).
     """
     distinct = _few_distinct(bits)
     if distinct is None:
-        starts = range(0, bits.size, KERNEL_SLICE)
-        return ", ".join([_slice_text(bits[start : start + KERNEL_SLICE]) for start in starts])
+        return _kernel_text(bits)
     return ", ".join(_texts(distinct)[np.searchsorted(distinct, bits)].tolist())
 
 
@@ -138,17 +129,16 @@ def _texts(bits):
 
 def _few_distinct(bits):
     """The distinct bit patterns of bits in ascending order when at most
-    DEDUPLICATE_SHARE of the entries are distinct or bits holds at most
-    SMALL_BLOCK entries, else None.  Distinct means a distinct bit pattern,
-    so -0.0 and 0.0, which compare equal but print apart, stay apart.  The
-    patterns are found by np.sort and an adjacent-difference mask: np.unique
-    (numpy 2.4.6) took 0.42 s on 524288 distinct patterns where np.sort
-    took 6 ms."""
+    DEDUPLICATE_SHARE of the entries are distinct, else None.  Distinct
+    means a distinct bit pattern, so -0.0 and 0.0, which compare equal but
+    print apart, stay apart.  The patterns are found by np.sort and an
+    adjacent-difference mask: np.unique (numpy 2.4.6) took 0.42 s on 524288
+    distinct patterns where np.sort took 6 ms."""
     ordered = np.sort(bits)
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if bits.size > SMALL_BLOCK and np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size:
+    if np.count_nonzero(first) > DEDUPLICATE_SHARE * bits.size:
         return None
     return ordered[first]
 
@@ -159,7 +149,7 @@ def _few_distinct(bits):
 # integer |x| * 10**(16 - e) rounded half to even, as "0.000ddd" with -e - 1
 # zeros after the point when -4 <= e <= -1 and as "d.ddde-XX" when e < -4,
 # trailing zeros of D dropped (a D rounded up to 10**17 would print as
-# 10**16 with e + 1).  _slice_text computes D exactly for every x with |x|
+# 10**16 with e + 1).  _kernel_text computes D exactly for every x with |x|
 # in the window [2**-40, 1), which holds [1e-12, 1).  There x = m *
 # 2**(E - 52), m the 53-bit significand and -40 <= E <= -1, and
 # -13 <= e <= -1.  With t = 16 - e,
@@ -189,15 +179,9 @@ def _few_distinct(bits):
 #     7      "."       e < -4 and more than one digit
 #     8-23   the other 16 digits of D, up to its last nonzero one
 #     24-27  "e-XX"    e < -4
-#     28-29  ", "      every entry but the slice's last
+#     28-29  ", "      every entry but the block's last
 #
-# One boolean compress of the rows then gives the slice's text.
-#
-# KERNEL_SLICE rests on one all-distinct block of 2**16 random entries
-# (2 vCPUs, Python 3.11.7, numpy 2.4.6, best of 7, three runs): at 2**11,
-# 2**12, 2**13, 2**14 and 2**16 entries per slice it took 11.8-17.8,
-# 11.7-16.7, 11.4-12.5, 10.9-11.8 and 16.5-17.0 ms with tracemalloc peaks
-# of 2.63, 2.63, 2.80, 4.28 and 13.19 MiB.
+# One boolean compress of the rows then gives the block's text.
 
 KERNEL_ROW = 32
 # bit patterns of the window's ends, 2**-40 and 1.0
@@ -268,8 +252,8 @@ def _scaled(scales, m0, m1, index):
     return high, (middle << 32) | (a & 0xFFFF_FFFF)
 
 
-def _slice_text(bits):
-    """The entries of one slice, given as float64 bit patterns, in "%.17g"
+def _kernel_text(bits):
+    """The entries of one block, given as float64 bit patterns, in "%.17g"
     joined by ", ", and negative zero as "-0.0", by the digit kernel above.
     An entry outside the window is run through the kernel as 2**-40, and
     its row then holds its own "%.17g" text, or "-0.0", in bytes 0-23; no
@@ -605,30 +589,19 @@ def _spellings(piece, key):
     """The spelling table of a list whose first piece is piece: its
     distinct spellings, cut at the writer's ", ", each with its key
     (_token_keys) and its value, in ascending key order; or False unless
-    piece holds at least READ_SAMPLE tokens of at most DEDUPLICATE_SHARE *
-    READ_SAMPLE spellings.  The table is built once and never grows: a later
-    piece holding any other spelling is read whole (_Text.numbers).
+    at most DEDUPLICATE_SHARE of piece's tokens are distinct spellings, the
+    writer's rule.  The table is built once and never grows: a later piece
+    holding any other spelling is read whole (_Text.numbers).
 
     A table is built only when _read_numbers takes what json.loads reads
     from the spellings joined by ", " as one entry per spelling.  No such
     spelling holds a comma, so each is one plain number with JSON whitespace
-    around it, and a piece that is ", ".join of them is read by json.loads
-    as their values in order.
-
-    READ_SAMPLE rests on pieces of the three-valued full-5-4 file of
-    perfbench certify's corpus (2 vCPUs, Python 3.11.7, numpy 2.4.6,
-    timeit best of 7, when the table was still learned from the first
-    READ_SAMPLE tokens and grown piece by piece): a first piece of 64, 128,
-    256, 512, 1024 and 4096 tokens took 99, 102, 109, 122, 146 and 278 us by
-    its spellings, the table included, against 22, 39, 72, 134, 291 and 982
-    us parsed whole, and a later piece 33, 37, 44, 56, 78 and 201 us.  So
-    the route pays from about 512 tokens in a list's first piece, and a
-    piece of READ_BLOCK characters holds 2700 or more of the writer's
-    tokens.
+    around it, all ASCII, and a piece that is ", ".join of them is read by
+    json.loads as their values in order.
     """
     tokens = _body(piece).split(", ")
     texts = list(set(tokens))
-    if len(tokens) < READ_SAMPLE or len(texts) > DEDUPLICATE_SHARE * READ_SAMPLE or not piece.isascii():
+    if len(texts) > DEDUPLICATE_SHARE * len(tokens):
         return False
     try:
         values = _read_numbers(json.loads("[" + ", ".join(texts) + "]"), key, ((len(texts), 1),))
@@ -645,10 +618,9 @@ def _spelled(spellings, piece):
     guessed from its last characters (_token_keys), and the join of the
     guesses is checked against the piece, character for character, so what
     this gives is bit for bit what json.loads and _read_numbers give for the
-    piece."""
+    piece.  A piece that is not ASCII makes _token_keys raise
+    UnicodeEncodeError, a ValueError, on which _read_streamed declines."""
     keys, texts, values = spellings
-    if not piece.isascii():
-        return None
     piece = _body(piece)
     at = np.minimum(np.searchsorted(keys, _token_keys(piece)), keys.size - 1)
     return values[at] if ", ".join(texts[at].tolist()) == piece else None

@@ -33,7 +33,7 @@ from jointcert.classical import (
     save_strategy,
     strategy_to_behavior,
 )
-from jointcert.codec import DEDUPLICATE_SHARE, SMALL_BLOCK, WRITE_BLOCK, _count_text, _number_chunks
+from jointcert.codec import DEDUPLICATE_SHARE, WRITE_BLOCK, _count_text, _number_chunks
 from jointcert.quantum import closed_form_behavior, quantum_behavior
 from jointcert.scenario import SHOWN_CHARS, _exceeds
 from test_classical import random_strategy
@@ -846,9 +846,9 @@ def spy_on_searchsorted(monkeypatch):
 
 @pytest.mark.parametrize("extra, deduplicates", [(0, True), (1, False)])
 def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
-    # a block past SMALL_BLOCK with exactly DEDUPLICATE_SHARE of its entries
-    # distinct, then one more: every POOL_FLOATS value, then values from 2 up
-    size = 2 * SMALL_BLOCK
+    # a block with exactly DEDUPLICATE_SHARE of its entries distinct, then
+    # one more: every POOL_FLOATS value, then values from 2 up
+    size = 256
     distinct = int(size * DEDUPLICATE_SHARE) + extra
     values = np.array(POOL_FLOATS + [2 + j / 7 for j in range(distinct)])[:distinct]
     assert len(np.unique(values.view(np.uint64))) == distinct
@@ -858,22 +858,21 @@ def test_number_text_at_the_cut_off(monkeypatch, extra, deduplicates):
     assert calls == ([size] if deduplicates else [])
 
 
-@pytest.mark.parametrize("size, deduplicates", [(1, True), (SMALL_BLOCK, True), (SMALL_BLOCK + 1, False)])
-def test_small_blocks_are_deduplicated_whatever_their_share(monkeypatch, size, deduplicates):
-    # all distinct, with POOL_FLOATS first: up to SMALL_BLOCK entries the
-    # digit kernel's fixed cost exceeds formatting each entry once
+@pytest.mark.parametrize("size", [1, 128, 129])
+def test_small_all_distinct_blocks_go_through_the_kernel(monkeypatch, size):
+    # all distinct, with POOL_FLOATS first: more than DEDUPLICATE_SHARE of
+    # the entries are distinct whatever the block's size
     arr = np.concatenate([POOL_FLOATS, np.random.default_rng(4).random(size)])[:size]
     assert len(np.unique(arr.view(np.uint64))) == size
     calls = spy_on_searchsorted(monkeypatch)
     assert number_text(arr) == single_call_number_text(arr) == reference_number_text(arr)
-    assert calls == ([size] if deduplicates else [])
+    assert calls == []
 
 
 def test_a_block_holding_negative_zero_takes_the_per_entry_route(monkeypatch):
-    # all distinct and past SMALL_BLOCK, so the digit kernel writes the
-    # block; -0.0, 0 and the entries of 1 and more are each formatted alone
-    # and spliced in place
-    arr = np.arange(2.0 * SMALL_BLOCK) / 8
+    # all distinct, so the digit kernel writes the block; -0.0, 0 and the
+    # entries of 1 and more are each formatted alone and spliced in place
+    arr = np.arange(256.0) / 8
     arr[5] = -0.0
     calls = spy_on_searchsorted(monkeypatch)
     text = number_text(arr)
@@ -894,14 +893,15 @@ def first_difference(got, want):
 
 def deduplicated_block_sizes(arr):
     """The sizes of the blocks of arr that take the deduplicating branch,
-    those with few distinct values or few entries."""
+    those with few distinct values."""
     blocks = [arr[start : start + WRITE_BLOCK].view(np.uint64) for start in range(0, arr.size, WRITE_BLOCK)]
-    return [b.size for b in blocks if b.size <= SMALL_BLOCK or np.unique(b).size <= DEDUPLICATE_SHARE * b.size]
+    return [b.size for b in blocks if np.unique(b).size <= DEDUPLICATE_SHARE * b.size]
 
 
 # no shrink phase: each run writes up to 200,000 entries several times, so
-# shrinking a failure would take thousands of such runs
-@pytest.mark.parametrize("size", [WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 3 * WRITE_BLOCK + 7])
+# shrinking a failure would take thousands of such runs; the sizes end a
+# block short of a boundary, at one, and one and 7 entries past one
+@pytest.mark.parametrize("size", [8 * WRITE_BLOCK - 1, 8 * WRITE_BLOCK, 8 * WRITE_BLOCK + 1, 24 * WRITE_BLOCK + 7])
 @settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(pool=st.lists(st.sampled_from(POOL_FLOATS), min_size=1, max_size=6), data=st.data())
 def test_block_boundaries_never_change_the_bytes(tmp_path_factory, size, pool, data):
@@ -1009,10 +1009,10 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
                 assert streamed_read(path, *BEHAVIOR_FORMAT) is None, edited
             assert all(count <= len(edited) for count in allocated), edited
         assert isinstance(whole_document_read(path, *BEHAVIOR_FORMAT), InvalidBehaviorError), edited
-    # few-valued lists of 256 entries with READ_SAMPLE = 64, so at most 8
-    # spellings, read whole and in pieces of about 1024 characters: each
-    # (tokens, the blocks at which every piece is read by its spellings,
-    # whether a reader takes it)
+    # few-valued lists of 256 entries, read whole and in pieces of about 1024
+    # characters: a first piece of at most one spelling in eight tokens gives
+    # a table.  Each (tokens, the blocks at which every piece is read by its
+    # spellings, whether a reader takes it)
     base = ["0.03125"] * 256
     both, neither = (WRITE_BLOCK, 1024), ()
 
@@ -1028,19 +1028,22 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
         (["0.55", "0.5"] * 128, both, True),
         # two spellings of one value, and -0, which JSON reads as the integer 0
         (["0.0625", "6.25E-2", "-0", "-0.0"] * 64, both, True),
-        # a new value after the sample, in the first piece
+        # a second value in the first piece
         (base_with(100, "1e-3"), both, True),
         # and in a later piece, whose spellings the first piece's table
         # lacks, so that piece and the rest of the list are read whole
         (base_with(250, "0.25"), (WRITE_BLOCK,), True),
-        # a separator without its space, in the sample and after it
+        # a separator without its space, in the first piece and after it
         (base_with(10, "0.03125,0.03125")[:-1], neither, True),
         (base_with(200, "0.03125,0.03125")[:-1], neither, True),
-        # a new value after the sample that ends in the same 8 characters as
-        # a known one
+        # a second value that ends in the same 8 characters as the first
         (["0.10000000000000001"] * 100 + ["0.20000000000000001"] * 156, neither, True),
-        # more than 8 spellings after the sample
-        (base[:128] + [str(j / 4) for j in range(8)] * 16, neither, True),
+        # 9 and 33 spellings, 8 and 32 of them in the second half: whole,
+        # at most one in eight of the tokens gives a table and more gives
+        # none; in pieces, the first piece's one spelling gives a table that
+        # a later piece departs from
+        (base[:128] + [str(j / 4) for j in range(8)] * 16, (WRITE_BLOCK,), True),
+        (base[:128] + [str(j / 4) for j in range(32)] * 4, neither, True),
         *[(base_with(at, token), neither, False) for at in (10, 100, 250)
           for token in ["true", '"0.03125"', "NaN", "1e400", "[0.03125]"]],
     ]:
@@ -1049,7 +1052,6 @@ def test_streamed_reader_takes_only_the_writer_layout(tmp_path, monkeypatch):
         assert isinstance(want, InvalidBehaviorError) != valid, tokens
         for block in (WRITE_BLOCK, 1024):
             with monkeypatch.context() as patch:
-                patch.setattr(codec, "READ_SAMPLE", 64)
                 patch.setattr(codec, "READ_BLOCK", block)
                 parsed = json_characters(patch)
                 got = streamed_read(path, *BEHAVIOR_FORMAT)
@@ -1089,10 +1091,9 @@ SPELLINGS = [
     spellings=st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=8, unique=True),
     n=st.sampled_from([1, 2, 3, 4]),
     block=st.sampled_from([1, 7, 64, 1024, codec.READ_BLOCK]),
-    sample=st.sampled_from([64, codec.READ_SAMPLE]),
     data=st.data(),
 )
-def test_few_valued_lists_read_alike_on_both_paths(tmp_path_factory, spellings, n, block, sample, data):
+def test_few_valued_lists_read_alike_on_both_paths(tmp_path_factory, spellings, n, block, data):
     # a (n, 2) behavior's 2**(2n + 2) entries in the writer's layout, each one
     # of at most 8 spellings: the streamed reader reads the same bits as the
     # whole-document reader, and takes every text that reader takes
@@ -1104,7 +1105,6 @@ def test_few_valued_lists_read_alike_on_both_paths(tmp_path_factory, spellings, 
     want = whole_document_read(path, *BEHAVIOR_FORMAT)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "READ_BLOCK", block)
-        patch.setattr(codec, "READ_SAMPLE", sample)
         got = streamed_read(path, *BEHAVIOR_FORMAT)
     if isinstance(want, InvalidBehaviorError):
         assert got is None
@@ -1124,11 +1124,28 @@ def test_a_three_valued_list_is_read_by_its_spellings(tmp_path, monkeypatch):
     assert np.array_equal(got.probabilities.view(np.uint64), want[1]["probabilities"].view(np.uint64))
 
 
+def test_a_first_piece_of_many_spellings_at_one_in_eight_is_read_by_them(tmp_path, monkeypatch):
+    # a (3, 3) behavior's 1728 entries in the writer's layout, over 100
+    # spellings: more than 64, and at most one in eight of the tokens
+    values = np.resize(np.arange(100) / 128, ScenarioShape(3, 3).tensor_shape)
+    path = tmp_path / "b.json"
+    save_behavior(BehaviorTensor(ScenarioShape(3, 3), values), path)
+    tokens = path.read_text().partition("[")[2].partition("]")[0].split(", ")
+    assert len(tokens) == 1728 and len(set(tokens)) == 100
+    want = whole_document_read(path, *BEHAVIOR_FORMAT)
+    parsed = json_characters(monkeypatch)
+    got = streamed_read(path, *BEHAVIOR_FORMAT)
+    # json.loads is passed the spellings alone, not the list
+    assert parsed == [len("[%s]" % ", ".join(set(tokens)))], parsed
+    assert_same_read(got, want)
+
+
 def test_a_non_ascii_piece_after_the_first_is_read_whole(tmp_path, monkeypatch):
     # 256 entries of one spelling read in pieces of about 1024 characters,
-    # so the first piece, over 100 tokens, is kept by its spellings; the
-    # second holds a non-ASCII character, which _spelled declines, and the
-    # whole-document reader refuses the text
+    # so the first piece, over 100 tokens, is read by its spellings; the
+    # second holds a non-ASCII character, which _token_keys cannot encode, so
+    # the streamed reader declines before parsing it, and the whole-document
+    # reader refuses the text
     tokens = ["0.03125"] * 256
     tokens[150] = "0.03125\u00e9"
     path = tmp_path / "b.json"
@@ -1137,20 +1154,12 @@ def test_a_non_ascii_piece_after_the_first_is_read_whole(tmp_path, monkeypatch):
     assert 1024 < text.index("\u00e9") < 2048
     want = whole_document_read(path, *BEHAVIOR_FORMAT)
     assert isinstance(want, InvalidBehaviorError)
-    monkeypatch.setattr(codec, "READ_SAMPLE", 64)
     monkeypatch.setattr(codec, "READ_BLOCK", 1024)
-    # what _spelled gives for each piece; without its ASCII check the second
-    # piece would raise in _token_keys instead
-    declined = []
-    spelled = codec._spelled
-
-    def spy(spellings, piece):
-        declined.append(spelled(spellings, piece))
-        return declined[-1]
-
-    monkeypatch.setattr(codec, "_spelled", spy)
-    assert streamed_read(path, *BEHAVIOR_FORMAT) is None
-    assert len(declined) == 2 and declined[0] is not None and declined[1] is None
+    with monkeypatch.context() as patch:
+        parsed = json_characters(patch)
+        assert streamed_read(path, *BEHAVIOR_FORMAT) is None
+    # json.loads was passed the one spelling alone
+    assert parsed == [len("[0.03125]")]
     with pytest.raises(InvalidBehaviorError) as refused:
         load_behavior(path)
     assert str(refused.value) == str(want)

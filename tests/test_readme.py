@@ -6,7 +6,8 @@ files earlier ones wrote.  A stated `# exit N` must be the exit code, and a
 stated `statistic X` must be the reported statistic within 1e-9.  A line
 that states no exit code must still not exit 2.  The strategy-file layout
 the section states names the keys of classical.STRATEGY_FIELDS in file order,
-and each list's length as that row's dims give it.
+and each list's length as that row's dims give it.  The writer's and
+reader's block sizes and few-values share are the codec's.
 """
 import itertools
 import json
@@ -22,6 +23,7 @@ import pytest
 
 import jointcert
 from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
+from jointcert import codec
 from jointcert.codec import _axes
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -136,3 +138,16 @@ def test_readme_states_the_strategy_list_lengths():
         for n, k, L in itertools.product((1, 2, 3), (2, 3, 5), (1, 2, 7)):
             want = math.prod(_axes(dims(n, k, L)))
             assert stated_count(phrase[1], {"n": n, "k": k, "L": L}) == want, (key, n, k, L)
+
+
+def test_readme_states_the_codec_numbers():
+    # the writer's "a block of N entries at a time", the reader's "a block of
+    # N characters at a time" and the few-values share, "one in eight"
+    text = README.read_text()
+    entries = re.findall(r"a block of ([0-9,]+) entries at a time", text)
+    characters = re.findall(r"a block of ([0-9,]+) characters at a time", text)
+    shares = re.findall(r"\bone[ -]in[ -](\w+)", text)
+    assert entries and characters and len(shares) >= 2, (entries, characters, shares)
+    assert {int(count.replace(",", "")) for count in entries} == {codec.WRITE_BLOCK}
+    assert {int(count.replace(",", "")) for count in characters} == {codec.READ_BLOCK}
+    assert set(shares) == {"eight"} and codec.DEDUPLICATE_SHARE == 1 / 8
