@@ -22,8 +22,8 @@ import sys
 import pytest
 
 import jointcert
-from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
 from jointcert import codec
+from jointcert.classical import STRATEGY_FIELDS, STRATEGY_HEADER
 from jointcert.codec import _axes
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
