@@ -38,6 +38,8 @@ GEN = (
 OPTIMIZE = (
     ("--n", "2", "--k", "2", "--alphabet", "4", "--restarts", "3", "--iterations", "40", "--seed", "7"),
     ("--n", "3", "--k", "2", "--alphabet", "2", "--restarts", "3", "--iterations", "40", "--seed", "7"),
+    ("--n", "1", "--k", "2", "--alphabet", "3", "--restarts", "3", "--iterations", "40", "--seed", "7"),
+    ("--n", "2", "--k", "3", "--alphabet", "2", "--restarts", "3", "--iterations", "40", "--seed", "7"),
 )
 
 GOLDEN = {
@@ -71,6 +73,12 @@ GOLDEN = {
     "optimize --n 3 --k 2 --alphabet 2 --restarts 3 --iterations 40 --seed 7": "7edab9e60cc867c07a749e8a46311582af544433fa33a117ec621a6e6ea27c2a",
     "optimize --n 3 --k 2 --alphabet 2 --restarts 3 --iterations 40 --seed 7 --report-out": "6ef3cf9b1c6fdf38435022dfb3516794557688f28699b37e914758c1a59764e6",
     "optimize --n 3 --k 2 --alphabet 2 --restarts 3 --iterations 40 --seed 7 --strategy-out": "08f861e5dfb4c84d96aae02fece2128e35c3a09451531ea63a6db61da61776ce",
+    "optimize --n 1 --k 2 --alphabet 3 --restarts 3 --iterations 40 --seed 7": "689cf6bae8b7139979f63cbd7dd4682e5489f2b3f6788c150ee85b0490dc00ee",
+    "optimize --n 1 --k 2 --alphabet 3 --restarts 3 --iterations 40 --seed 7 --report-out": "60f537f681c2d36c9ecab1f1f9e56d533d00d5a9c1057052af296e9f1298fa7a",
+    "optimize --n 1 --k 2 --alphabet 3 --restarts 3 --iterations 40 --seed 7 --strategy-out": "c0a58940b7785f0284ae7e276536d7b124b73ffdfd78196aad2d94d99d90d5a3",
+    "optimize --n 2 --k 3 --alphabet 2 --restarts 3 --iterations 40 --seed 7": "01edb6fe1dfed448de00c8d543641e08d62b86add585b2f7a454fb394bf013de",
+    "optimize --n 2 --k 3 --alphabet 2 --restarts 3 --iterations 40 --seed 7 --report-out": "49df32d69d55eb6e9ba5c50344be3eab4723e4adad533b1e7fda201111cae5ee",
+    "optimize --n 2 --k 3 --alphabet 2 --restarts 3 --iterations 40 --seed 7 --strategy-out": "3c3a4339fbc5e850d025cbcf8cceda8c03e07a7156e5a1965c89d37d1d3dff20",
     "gap reports": "efffd8dc56c8cf0419ba07061a86ec2a4d93c3d52283f87fc3de6f4667cac27e",
 }
 
