@@ -185,7 +185,7 @@ def saturation_strategy(r):
     return ClassicalStrategy(
         shape=shape,
         hidden_alphabet=2,
-        output_tables=(table, table.copy()),
+        output_tables=(table, table),
         hidden_dists=(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
         charlie_table=charlie,
     )
@@ -301,11 +301,11 @@ def load_strategy(path):
 # no softmax at all.  A step of eta on each of the row's two logits would
 # move their gap by 2 eta, so the gap segment of a gradient holds
 # 2 * d stat / du (the doubling is exact), and one step theta + eta * G
-# moves the whole state.  The step's gaps are then clipped to [-60, 60], the
-# range _normalize_logits leaves a width-2 row, and its hidden and response
-# rows are normalized, both in place.  Each hidden and response logit row
-# the optimizer builds comes out of _normalize_logits with a max of exactly
-# 0.0; _softmax relies on that instead of taking a row max of its own.
+# moves the whole state.  Gaps are not bounded, since tanh(u/2) is exactly
+# +-1 beyond |u| ~ 38.0; the step's hidden and response rows are then
+# normalized in place.  Each hidden and response logit row the optimizer
+# builds comes out of _normalize_logits with a max of exactly 0.0; _softmax
+# relies on that instead of taking a row max of its own.
 #
 # Each ascent step evaluates the model once: the gradient pass on the
 # candidate also yields its statistic.  The ascent runs on one workspace,
@@ -319,11 +319,16 @@ def load_strategy(path):
 # response slope last.  A step writes only into these buffers, through
 # ufunc calls with out=.  The five calls per pass that broadcast an
 # (L**n, R) or (2**k, 1, R) operand across the response axis still allocate
-# numpy's iterator buffer, 65,152 bytes under tracemalloc, not a temporary
-# of the output's size: at the three criterion-5 shapes such a multiply
-# took 5-14 us more than one of two full-size operands (numpy 2.4.6, 2
-# vCPUs, best of 5).  A broadcast_to view, a 2-D reshape, an (M, C, R)
-# layout of the responses and a per-row loop were each measured no better.
+# numpy's iterator buffer, of at most 8,000 floats.  Under tracemalloc
+# (numpy 2.4.6) such a call peaks at the output's size plus 1,152 bytes
+# where the output holds fewer floats, as at every criterion-5 shape at
+# perfbench's R = 100 (52,352 bytes at (2, 2, 4)), and at 65,152 bytes
+# beyond, as at criterion 5's R of 500 and 1000; an (L**n, R) operand of
+# 8,000 floats or more takes no buffer (1,152 bytes).  At the three
+# criterion-5 shapes such a multiply took 5-14 us more than one of two
+# full-size operands (numpy 2.4.6, 2 vCPUs, best of 5).  A broadcast_to
+# view, a 2-D reshape, an (M, C, R) layout of the responses and a per-row
+# loop were each measured no better.
 # The pass runs plain for loops over lists of per-party views, cut once with
 # the buffers: indexing the arrays in the loops would cut each view anew on
 # every call, a few microseconds per pass.  A restart keeps or drops its whole
@@ -364,7 +369,6 @@ def _output_rows(out_gap):
     return np.stack([(1.0 + means) / 2, (1.0 - means) / 2], axis=-1)
 
 
-@functools.cache
 def _charlie_signs(k):
     """Matrix S of shape (2**k, k): S[c, i] = (-1)**(bit i of outcome c),
     with bit 0 the most significant (row-major outcome flattening).
@@ -374,9 +378,7 @@ def _charlie_signs(k):
     c = np.arange(2**k)
     i = np.arange(k)
     bits = (c[:, None] >> (k - 1 - i[None, :])) & 1
-    signs = 1.0 - 2.0 * bits
-    signs.setflags(write=False)
-    return signs
+    return 1.0 - 2.0 * bits
 
 
 def _state_views(theta, n, k, L):
@@ -554,15 +556,6 @@ def _normalize_logits(z, top=None):
     return np.maximum(z, -60.0, out=z)
 
 
-def _clip_and_normalize(gaps, hid, cha, tops=(None, None)):
-    """Clip a state's output gaps to [-60, 60] and normalize its hidden and
-    response rows, in place; tops, when given, takes their row maxima."""
-    np.maximum(gaps, -60.0, out=gaps)
-    np.minimum(gaps, 60.0, out=gaps)
-    _normalize_logits(hid, tops[0])
-    _normalize_logits(cha, tops[1])
-
-
 def _ascend(theta, n, k, L, iterations):
     """Gradient ascent from a (D, R) state with a per-restart step size: a
     step that raises the statistic is kept and grows eta by 1.25, any other
@@ -575,15 +568,16 @@ def _ascend(theta, n, k, L, iterations):
     evaluate = _gradient_pass(cand, cand_grad, n, k, L)
     stat = evaluate().copy()
     grad = cand_grad.copy()
-    views = _state_views(cand, n, k, L)
-    tops = (np.empty((n, R)), np.empty((L**n, R)))
+    _, hid, cha = _state_views(cand, n, k, L)
+    hid_top, cha_top = np.empty((n, R)), np.empty((L**n, R))
     eta = np.full(R, 0.5)
     accept = np.empty(R, dtype=bool)
     accepted = np.empty(theta.shape, dtype=bool)  # accept down each column
     for _ in range(iterations):
         np.multiply(grad, eta, out=cand)
         np.add(state, cand, out=cand)
-        _clip_and_normalize(*views, tops)
+        _normalize_logits(hid, hid_top)
+        _normalize_logits(cha, cha_top)
         cand_stat = evaluate()
         np.greater(cand_stat, stat, out=accept)
         np.copyto(accepted, accept)
@@ -653,7 +647,8 @@ def optimize_classical(
         gaps[:, :, r] = out_logits[..., 0] - out_logits[..., 1]
         hid[:, :, r] = rng.normal(size=(n, L)).T
         cha[:, :, r] = rng.normal(size=(M, C)).T
-    _clip_and_normalize(gaps, hid, cha)
+    _normalize_logits(hid)
+    _normalize_logits(cha)
 
     theta, stat = _ascend(theta, n, k, L, iterations)
 
@@ -666,7 +661,7 @@ def optimize_classical(
         shape=shape,
         hidden_alphabet=L,
         output_tables=tuple(_output_rows(gaps[:, :, best])),
-        hidden_dists=tuple(_softmax(hid[:, :, best]).T.copy()),
+        hidden_dists=tuple(_softmax(hid[:, :, best]).T),
         charlie_table=_softmax(cha[:, :, best]).T.copy().reshape((L,) * n + (2,) * k),
     )
     report = evaluate_chain(strategy_to_behavior(strategy))
