@@ -824,7 +824,8 @@ def test_one_pass_ascent_matches_two_pass_reference():
     for (n, k, L), theta in cases:
         got, got_stat = _ascend(theta, n, k, L, iterations=50)
         want = reference_ascend(theta, n, k, L, iterations=50)
-        (got_gaps, *got_rows), (want_gaps, *want_rows) = _state_views(got, n, k, L), _state_views(want, n, k, L)
+        got_gaps, *got_rows = _state_views(got, n, k, L)
+        want_gaps, *want_rows = _state_views(want, n, k, L)
         np.testing.assert_array_equal(np.tanh(0.5 * got_gaps), np.tanh(0.5 * want_gaps))
         inside = np.abs(want_gaps) < 60.0
         np.testing.assert_array_equal(got_gaps[inside], want_gaps[inside])
