@@ -82,11 +82,13 @@ class ClassicalStrategy:
         joint hidden-source weight, the outer product of the per-party
         distributions flattened row-major."""
         n, k = self.shape.n, self.shape.k
-        # output part: the parties' tables broadcast onto their own axes
-        shapes = _table_shapes(n, k)
-        out = self.output_tables[0].reshape(shapes[0])
-        for table, dims in zip(self.output_tables[1:], shapes[1:]):
-            out = out * table.reshape(dims)
+        # output part: party j's table on axes x_j and a_j of the behavior
+        # tensor (k,)*n + (2,)*n + (2,)*k, size 1 elsewhere, multiplied in
+        # party order
+        for j, table in enumerate(self.output_tables):
+            dims = [1] * (2 * n + k)
+            dims[j], dims[n + j] = k, 2
+            out = table.reshape(dims) if j == 0 else out * table.reshape(dims)
         weights = self.hidden_dists[0]
         for dist in self.hidden_dists[1:]:
             weights = (weights[:, None] * dist).reshape(-1)
@@ -113,47 +115,34 @@ def _read_only(values):
 def validate_strategy(strategy):
     """Return a list of probability-invariant violations (empty iff valid).
 
-    Each kind of table, the n output tables, the n hidden distributions and
-    the response table, is checked in one pass: its tables stacked, then one
-    minimum and one row-sum residual per table.  Problems come per party,
-    output table then hidden distribution, then the response table; for
-    each table a negative entry, then non-finite entries or rows off
-    normalization."""
-    n = strategy.shape.n
-    # np.array stacks the equal-shaped tables, at a quarter of np.stack's cost
-    kinds = [
-        np.array(strategy.output_tables),
-        np.array(strategy.hidden_dists)[:, None],
-        strategy.charlie_table.reshape(1, strategy.hidden_alphabet**n, -1),
-    ]
-    lows = [kind.min(axis=(1, 2)).tolist() for kind in kinds]
-    # a non-finite entry makes its table's residual NaN or infinite
-    errs = [np.abs(kind.sum(axis=2) - 1.0).max(axis=1).tolist() for kind in kinds]
-    names = ("output table {}", "hidden distribution {}", "charlie table")
+    Each table is checked on its own, its rows over its last axis: per
+    party the output table, then the hidden distribution, and last the
+    response table as L**n rows of 2**k.  For each table a negative entry
+    comes first, then non-finite entries or rows off normalization.  A NaN
+    minimum compares false, so a table holding NaN is named for its
+    non-finite entries only."""
+    tables = []
+    for j, (table, dist) in enumerate(zip(strategy.output_tables, strategy.hidden_dists)):
+        tables += [(f"output table {j}", table), (f"hidden distribution {j}", dist)]
+    tables.append(("charlie table", strategy.charlie_table.reshape(-1, 2**strategy.shape.k)))
     problems = []
-    for kind, i in [(kind, j) for j in range(n) for kind in (0, 1)] + [(2, 0)]:
-        low, err = lows[kind][i], errs[kind][i]
-        if low < -ROW_TOL:
-            problems.append(f"{names[kind].format(i)} has a negative entry {low:.3e}")
-        if not err <= ROW_TOL:
-            nonfinite = np.count_nonzero(~np.isfinite(kinds[kind][i]))
-            if nonfinite:
-                problems.append(f"{names[kind].format(i)} has {nonfinite} non-finite entries (NaN or infinity)")
-            else:
-                problems.append(f"{names[kind].format(i)} rows off normalization by {err:.3e}")
+    # a non-finite or huge entry makes row sums overflow to infinity or NaN,
+    # which the residual check reports, so numpy's warnings about it are
+    # silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, rows in tables:
+            low = rows.min()
+            if low < -ROW_TOL:
+                problems.append(f"{name} has a negative entry {low:.3e}")
+            # a non-finite entry makes its table's residual NaN or infinite
+            err = np.abs(rows.sum(axis=-1) - 1.0).max()
+            if not err <= ROW_TOL:
+                nonfinite = np.count_nonzero(~np.isfinite(rows))
+                if nonfinite:
+                    problems.append(f"{name} has {nonfinite} non-finite entries (NaN or infinity)")
+                else:
+                    problems.append(f"{name} rows off normalization by {err:.3e}")
     return problems
-
-
-@functools.cache
-def _table_shapes(n, k):
-    """Per party j, the shape that lays its (k, 2) output table on axes x_j
-    and a_j of a behavior tensor (k,)*n + (2,)*n + (2,)*k, size 1 elsewhere."""
-    shapes = []
-    for j in range(n):
-        dims = [1] * (2 * n + k)
-        dims[j], dims[n + j] = k, 2
-        shapes.append(tuple(dims))
-    return tuple(shapes)
 
 
 def strategy_to_behavior(strategy):

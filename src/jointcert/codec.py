@@ -192,7 +192,7 @@ KERNEL_POWERS = range(17, 30)
 
 @functools.cache
 def _kernel_tables():
-    """The digit kernel's tables, built at its first call:
+    """The digit kernel's read-only tables, built at its first call:
 
      - scales, a (3, 40 * 13) uint64 array: the 32-bit limbs of K(E, t) at
        index (E + 40) * 13 + t - 17, zero for the pairs no x of the window
@@ -231,9 +231,12 @@ def _kernel_tables():
         row[6] = True
         row[8 : 8 + count] = True
         row[28:30] = True
+    digits = (four_digits + ord("0")).astype(np.uint8).view(np.uint32).reshape(-1)
+    for table in (scales, digits, ends, masks):
+        table.setflags(write=False)
     return (
         scales.reshape(3, -1),
-        (four_digits + ord("0")).astype(np.uint8).view(np.uint32).reshape(-1),
+        digits,
         ends,
         np.frombuffer(exponents.encode(), dtype=np.uint32),
         (np.frombuffer(b"-0.000d.", dtype=np.uint64)[0], np.frombuffer(b", ..", dtype=np.uint32)[0]),

@@ -23,8 +23,7 @@ the (P, 4, 4, 4) POVM stack; fidelities are one stacked matmul, CHSH values
 and residuals one batched svd and eigvalsh, and the joint statistic of every
 simulated behavior one stacked correlator contraction (inequalities._mn_reports).
 gap_report(p) is a stack of one; cli's sweep runs SWEEP_BLOCK values of p per
-stack.  chsh_max squares by s * s, so it can sit 1 ulp from the former
-per-state s ** 2 (libm pow), as at p = 0.375.
+stack.
 """
 import functools
 from dataclasses import dataclass

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from jointcert.classical import (
     strategy_to_behavior,
     validate_strategy,
 )
+from jointcert.cli import EXIT_OK, main
 from jointcert.inequalities import InequalityReport, evaluate_chain, evaluate_mn, report_to_json
 
 SHAPE22 = ScenarioShape(2, 2)
@@ -320,6 +322,44 @@ def test_validate_strategy_gives_every_problem_in_table_order():
         "charlie table has 1 non-finite entries (NaN or infinity)",
     ]
     assert validate_strategy(strategy) == []
+
+
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        (
+            [np.inf, -np.inf],
+            [
+                "output table 0 has a negative entry -inf",
+                "output table 0 has 2 non-finite entries (NaN or infinity)",
+            ],
+        ),
+        ([1e308, 1e308], ["output table 0 rows off normalization by inf"]),
+    ],
+)
+def test_validate_strategy_names_infinite_and_overflowing_rows_without_warnings(row, expected):
+    # the row sums are NaN or overflow; the texts say so, and numpy stays quiet
+    table = np.array([row, [0.5, 0.5]])
+    strategy = saturation_strategy(0.3)
+    odd = dataclasses.replace(strategy, output_tables=(table, strategy.output_tables[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_strategy(odd) == expected
+
+
+def test_every_strategy_the_package_builds_is_valid(tmp_path):
+    built = []
+    for n, k, L in [(1, 2, 3), (2, 3, 1), (3, 2, 1)]:
+        built += list(enumerate_deterministic(ScenarioShape(n, k), L))
+    assert len(built) == 768 + 512 + 256
+    built += [saturation_strategy(r) for r in np.linspace(0.0, 1.0, 11)]
+    for shape, L in [(ScenarioShape(2, 2), 4), (ScenarioShape(2, 3), 2), (ScenarioShape(3, 2), 2)]:
+        built.append(optimize_classical(shape, hidden_alphabet=L, restarts=3, seed=7, iterations=50)[1])
+    path = tmp_path / "s.json"
+    argv = ["optimize", "--n", "3", "--restarts", "3", "--iterations", "50", "--strategy-out", str(path)]
+    assert main(argv) == EXIT_OK
+    built.append(load_strategy(path))
+    assert [validate_strategy(strategy) for strategy in built] == [[]] * len(built)
 
 
 def test_strategy_behavior_is_valid_and_factorizes():

@@ -6,11 +6,16 @@ package itself by a relative import.  scipy, sympy and Hypothesis serve the
 tests only.  Every import statement sits at module level, so no module can
 lean on a lazy import to break a cycle.  Every builtin open that may write
 sits in codec._write_text, so its no-partial-file rule covers every output.
+Every array a functools.cache function returns is shared by the whole
+process, so it is read-only.
 """
 import ast
 import graphlib
+import importlib
 import pathlib
 import sys
+
+import numpy as np
 
 import jointcert
 
@@ -85,3 +90,46 @@ def test_one_function_opens_files_for_writing():
         opens += [(source.stem, function, line) for function, line in write_opens(tree)]
     # a walk that found no open would pass vacuously
     assert [(module, function) for module, function, _ in opens] == [("codec", "_write_text")], opens
+
+
+# one sample call per functools.cache function in the package, as
+# (module, function): arguments; a new cache must be listed here
+CACHE_CALLS = {
+    ("behavior", "_party_signs"): (2,),
+    ("behavior", "_charlie_bit_signs"): (2,),
+    ("cli", "build_parser"): (),
+    ("codec", "_kernel_tables"): (),
+    ("postselect", "_pauli_pairs"): (),
+    ("quantum", "_bell_projectors"): (),
+    ("quantum", "_state_tensor"): (),
+    ("quantum", "_projector_stack"): (0,),
+    ("quantum", "_closed_form_signs"): (),
+}
+
+
+def arrays_in(value):
+    """The ndarrays in value, itself or inside nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [arr for item in value for arr in arrays_in(item)]
+    return []
+
+
+def test_cached_arrays_are_read_only():
+    cached = set()
+    for source in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(ast.unparse(decorator) == "functools.cache" for decorator in node.decorator_list):
+                    cached.add((source.stem, node.name))
+    assert cached == set(CACHE_CALLS)
+    writable, checked = [], 0
+    for (module, name), args in CACHE_CALLS.items():
+        for arr in arrays_in(getattr(importlib.import_module(f"jointcert.{module}"), name)(*args)):
+            checked += 1
+            if arr.flags.writeable:
+                writable.append(f"{module}.{name}")
+    assert writable == []
+    # every cache but the parser returns arrays; finding none would pass vacuously
+    assert checked >= len(CACHE_CALLS) - 1
