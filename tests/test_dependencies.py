@@ -108,10 +108,10 @@ CACHE_CALLS = {
 
 
 def arrays_in(value):
-    """The ndarrays in value, itself or inside nested tuples and lists."""
+    """The ndarrays in value, itself or inside nested tuples."""
     if isinstance(value, np.ndarray):
         return [value]
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return [arr for item in value for arr in arrays_in(item)]
     return []
 
