@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _file_chunks, _read_file, _write_text
-from .scenario import InvalidBehaviorError, ScenarioShape
+from .scenario import InvalidBehaviorError, ScenarioShape, _read_only_cache
 
 NEGATIVITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -158,15 +158,13 @@ def independence_residual(behavior):
     return 0.5 * gap.sum(axis=-1).max()
 
 
-@functools.cache
+@_read_only_cache
 def _party_signs(n):
     """(-1)**(a_1 + .. + a_n) over the 2**n party outputs, row-major."""
-    signs = functools.reduce(np.kron, [np.array([1.0, -1.0])] * n)
-    signs.setflags(write=False)
-    return signs
+    return functools.reduce(np.kron, [np.array([1.0, -1.0])] * n)
 
 
-@functools.cache
+@_read_only_cache
 def _charlie_bit_signs(k):
     """Matrix S of shape (2**k, k): S[c, i] = (-1)**c_i over the row-major
     Charlie outcomes c = (c_0 .. c_{k-1}), c_0 the most significant bit.
@@ -174,9 +172,7 @@ def _charlie_bit_signs(k):
     The optimizer keeps its own copy (classical._charlie_signs), so its fast
     statistic stays an independent check of this route."""
     bits = (np.arange(2**k)[:, None] >> (k - 1 - np.arange(k))) & 1
-    signs = 1.0 - 2.0 * bits
-    signs.setflags(write=False)
-    return signs
+    return 1.0 - 2.0 * bits
 
 
 def correlator_table(behavior):

@@ -10,7 +10,8 @@ plus a response table for the measuring device, P(c | lambda_1 .. lambda_n)
 of shape (L,)*n + (2,)*k.  The hidden sources do not depend on the settings;
 this is the constraint that makes the inequality bounds hold, and behaviors
 generated here factorize as P(a|x) * P(c).  A strategy holds read-only
-float64 copies of its output tables and hidden distributions.
+float64 copies of its output tables and hidden distributions, frozen by
+scenario._read_only, the helper that also freezes every cached table.
 
 The module provides exact conversion to behavior tensors, exhaustive
 enumeration of deterministic strategies, a known family saturating the
@@ -27,7 +28,7 @@ import numpy as np
 from .behavior import BehaviorTensor, _assemble
 from .codec import _axes, _file_chunks, _read_file, _write_text
 from .inequalities import evaluate_chain
-from .scenario import ScenarioShape, _exceeds, _integer
+from .scenario import ScenarioShape, _exceeds, _integer, _read_only
 
 ROW_TOL = 1e-12
 # the optimizer refuses runs whose logits alone exceed this many floats, its
@@ -59,8 +60,8 @@ class ClassicalStrategy:
     def __post_init__(self):
         n, k = self.shape.n, self.shape.k
         L = _integer(self.hidden_alphabet, "hidden alphabet size", 1)
-        tables = tuple([_read_only(t) for t in self.output_tables])
-        dists = tuple([_read_only(d) for d in self.hidden_dists])
+        tables = _read_only(tuple([np.array(t, dtype=float) for t in self.output_tables]))
+        dists = _read_only(tuple([np.array(d, dtype=float) for d in self.hidden_dists]))
         charlie = np.asarray(self.charlie_table, dtype=float)
         expect = {key: _axes(dims(n, k, L)) for key, _, dims in STRATEGY_FIELDS}
         # one list comparison checks the count and every shape
@@ -103,13 +104,6 @@ STRATEGY_FIELDS = (
     ("hidden_dists", True, lambda n, k, L: ((L, 1),)),
     ("charlie_table", False, lambda n, k, L: ((L, n), (2, k))),
 )
-
-
-def _read_only(values):
-    """values as a float64 copy that cannot be written."""
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def validate_strategy(strategy):

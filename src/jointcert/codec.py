@@ -37,7 +37,9 @@ import stat
 
 import numpy as np
 
-from .scenario import MAX_AXES, SHOWN_CHARS, InvalidBehaviorError, ScenarioShape, _bit_floor, _exceeds, _integer
+from .scenario import (
+    MAX_AXES, SHOWN_CHARS, InvalidBehaviorError, ScenarioShape, _bit_floor, _exceeds, _integer, _read_only_cache,
+)
 
 # entries per written block, and the largest share of distinct values at
 # which a written block, or a read list's first piece, is taken by its
@@ -190,7 +192,7 @@ KERNEL_WINDOW = (np.uint64(0x3D70_0000_0000_0000), np.uint64(0x3FF0_0000_0000_00
 KERNEL_POWERS = range(17, 30)
 
 
-@functools.cache
+@_read_only_cache
 def _kernel_tables():
     """The digit kernel's read-only tables, built at its first call:
 
@@ -232,8 +234,6 @@ def _kernel_tables():
         row[8 : 8 + count] = True
         row[28:30] = True
     digits = (four_digits + ord("0")).astype(np.uint8).view(np.uint32).reshape(-1)
-    for table in (scales, digits, ends, masks):
-        table.setflags(write=False)
     return (
         scales.reshape(3, -1),
         digits,

@@ -120,16 +120,13 @@ def exceeds_bound(report, tol):
 def chain_components(behavior):
     """The k correlator averages I_0 .. I_{k-1} entering the chain statistic."""
     n, k = behavior.shape.n, behavior.shape.k
-    table = correlator_table(behavior)
-    # pick 0 -> setting i, pick 1 -> setting i+1; at i = k-1 that wraps to
-    # A_k = -A_0, one negation per wrapped party
-    picks = np.indices((2,) * n).sum(axis=0)
-    components = []
-    for i in range(k):
-        block = table[np.ix_(*[(i, (i + 1) % k)] * n + [(i,)])].reshape((2,) * n)
-        wrap = -1.0 if i == k - 1 else 1.0
-        components.append(float((wrap**picks * block).sum()) / 2**n)
-    return components
+    # settings[j, i, p]: party j's setting in corner p of component i, i for
+    # pick 0 and i+1 for pick 1, corners row-major over the picks; i+1 = k
+    # wraps to A_k = -A_0, one negation per wrapped party
+    settings = np.arange(k)[:, None] + np.indices((2,) * n).reshape(n, 1, -1)
+    signs = (-1.0) ** (settings >= k).sum(axis=0)
+    corners = correlator_table(behavior)[(*(settings % k), np.arange(k)[:, None])]
+    return ((signs * corners).sum(axis=-1) / 2**n).tolist()
 
 
 def evaluate_chain(behavior):

@@ -25,14 +25,13 @@ simulated behavior one stacked correlator contraction (inequalities._mn_reports)
 gap_report(p) is a stack of one; cli's sweep runs SWEEP_BLOCK values of p per
 stack.
 """
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inequalities import VERDICT_TOL, _mn_reports, check_tol, exceeds_bound
 from .quantum import BELL_LABELING, PAULIS, _bsm_elements, _sharpness, _simulated, _state_tensor, proj
-from .scenario import _integer
+from .scenario import _integer, _read_only_cache
 
 WERNER_LHV_THRESHOLD = 0.66
 
@@ -82,12 +81,10 @@ def werner_visibility(rho, target):
     return _scalar(v[..., 0, 0]), trace_distance(rho, model)
 
 
-@functools.cache
+@_read_only_cache
 def _pauli_pairs():
     """pairs[i, j] = sigma_i (x) sigma_j over (X, Y, Z), shape (3, 3, 4, 4)."""
-    pairs = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
-    pairs.setflags(write=False)
-    return pairs
+    return np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
 
 
 def correlation_matrix(rho):
@@ -123,9 +120,14 @@ def gap_report(p, tol=VERDICT_TOL):
     side, see inequalities) to exceed its bound by more than tol;
     postselected_lhv_simulable requires the worst-case visibility to stay
     strictly below the LHV threshold; gap_witness is their conjunction.
-    Raises ValueError unless tol is finite and >= 0, or for more than one p.
+    p is one value; an array of size 1, of any shape, gives that value's
+    report.  Raises ValueError unless tol is finite and >= 0, unless p lies
+    in [0, 1], or for an array of any other size, before simulating.
     """
-    (report,) = _gap_reports(p, tol)
+    p = _sharpness(p)
+    if p.size != 1:
+        raise ValueError(f"gap_report takes one sharpness value, got an array of size {p.size}")
+    (report,) = _gap_reports(p.reshape(1), tol)
     return report
 
 

@@ -40,12 +40,10 @@ Conventions: qubits are tensor factors in row-major (big-endian) order, so
 qubit 0 is the leftmost factor of a Kronecker product; states are numpy
 vectors and operators numpy matrices, all complex128.
 """
-import functools
-
 import numpy as np
 
 from .behavior import BehaviorTensor
-from .scenario import ScenarioShape
+from .scenario import ScenarioShape, _read_only_cache
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -88,12 +86,10 @@ def party_projector(party, outcome, setting):
     return (ID2 + sign * party_observable(setting)) / 2
 
 
-@functools.cache
+@_read_only_cache
 def _bell_projectors():
     """|beta_c><beta_c| in outcome order, shape (4, 4, 4), read-only."""
-    stack = np.array([proj(vec) for _, vec in BELL_LABELING])
-    stack.setflags(write=False)
-    return stack
+    return np.array([proj(vec) for _, vec in BELL_LABELING])
 
 
 def _sharpness(p):
@@ -170,21 +166,17 @@ def _check_povm(elements):
     return problems, min(lows, default=np.nan), residual
 
 
-@functools.cache
+@_read_only_cache
 def _state_tensor():
     """The 4-qubit state as the read-only rank-8 tensor described above."""
     singlet = proj(PSI_MINUS).reshape(2, 2, 2, 2)
-    state = np.multiply.outer(singlet, singlet)
-    state.setflags(write=False)
-    return state
+    return np.multiply.outer(singlet, singlet)
 
 
-@functools.cache
+@_read_only_cache
 def _projector_stack(party):
     """stack[x, a] = party_projector(party, a, x), shape (2, 2, 2, 2)."""
-    stack = np.array([[party_projector(party, a, x) for a in range(2)] for x in range(2)])
-    stack.setflags(write=False)
-    return stack
+    return np.array([[party_projector(party, a, x) for a in range(2)] for x in range(2)])
 
 
 # P(a, b, c | x, y) = Tr[rho P^0_{a|x} P^1_{b|y} E_c] for each sharpness value
@@ -213,14 +205,12 @@ def quantum_behavior(p):
     return BehaviorTensor(ScenarioShape(2, 2), _simulated(p))
 
 
-@functools.cache
+@_read_only_cache
 def _closed_form_signs():
     """(-1)**(a+b) * ((-1)**c0 + (-1)**(x+y+c1)) / 2 over (x, y, a, b, c0, c1),
     read-only; its entries are 0 and +-1, so p times it rounds as p times each factor in turn does."""
     x, y, a, b, c0, c1 = np.indices((2,) * 6, sparse=True)
-    signs = (-1.0) ** (a + b) * (((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0)
-    signs.setflags(write=False)
-    return signs
+    return (-1.0) ** (a + b) * (((-1.0) ** c0 + (-1.0) ** (x + y + c1)) / 2.0)
 
 
 def _closed_form(p):

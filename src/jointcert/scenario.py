@@ -1,6 +1,11 @@
 """The scenario's shape and the refusal primitives that the behavior model
 and the file codec share: ScenarioShape, InvalidBehaviorError, the integer
-check, the cut-short repr of refusal messages and the exact size screen."""
+check, the cut-short repr of refusal messages and the exact size screen.
+
+It also owns the rule that shared arrays are read-only: _read_only freezes
+every array in a value, and every table builder whose result the whole
+process shares is cached by _read_only_cache, which freezes it once."""
+import functools
 import math
 from dataclasses import dataclass
 
@@ -9,6 +14,24 @@ import numpy as np
 MAX_AXES = 64  # numpy's limit on array dimensions
 # refusal messages show at most this many characters of a refused value
 SHOWN_CHARS = 64
+
+
+def _read_only(value):
+    """value, with every ndarray in it, itself or inside nested tuples,
+    made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _read_only_cache(builder):
+    """functools.cache of the table builder, its result made _read_only once,
+    when the cache misses.  The cache is the outer wrapper, so a hit runs no
+    Python frame."""
+    return functools.cache(functools.wraps(builder)(lambda *args: _read_only(builder(*args))))
 
 
 class InvalidBehaviorError(ValueError):

@@ -6,8 +6,8 @@ package itself by a relative import.  scipy, sympy and Hypothesis serve the
 tests only.  Every import statement sits at module level, so no module can
 lean on a lazy import to break a cycle.  Every builtin open that may write
 sits in codec._write_text, so its no-partial-file rule covers every output.
-Every array a functools.cache function returns is shared by the whole
-process, so it is read-only.
+Every array a cached function returns is shared by the whole process, so it
+is read-only, and one helper, scenario._read_only, makes arrays read-only.
 """
 import ast
 import graphlib
@@ -61,38 +61,59 @@ def test_relative_imports_form_no_cycle_and_sit_at_module_level():
         raise AssertionError(f"relative imports form a cycle: {exc.args[1]}") from exc
 
 
-def write_opens(tree):
-    """(enclosing function, line) of each builtin open call in tree whose
-    mode may write: a mode holding "w", "a", "x" or "+", or one that is not
-    a string literal."""
+def package_calls(matches):
+    """(module, enclosing function, line) of each call node in the package
+    that matches."""
     found = []
 
-    def visit(node, function):
+    def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
-            given = node.args[1:2] + [keyword.value for keyword in node.keywords if keyword.arg == "mode"]
-            mode = given[0] if given else ast.Constant("r")
-            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-            if not literal or set(mode.value) & set("wax+"):
-                found.append((function, node.lineno))
+        if isinstance(node, ast.Call) and matches(node):
+            found.append((module, function, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, module, function)
 
-    visit(tree, None)
+    for source in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(source.read_text(), filename=str(source)), source.stem, None)
     return found
 
 
+def write_open(call):
+    """Whether call is a builtin open whose mode may write: a mode holding
+    "w", "a", "x" or "+", or one that is not a string literal."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    given = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    mode = given[0] if given else ast.Constant("r")
+    literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return not literal or bool(set(mode.value) & set("wax+"))
+
+
 def test_one_function_opens_files_for_writing():
-    opens = []
-    for source in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(source.read_text(), filename=str(source))
-        opens += [(source.stem, function, line) for function, line in write_opens(tree)]
+    opens = package_calls(write_open)
     # a walk that found no open would pass vacuously
     assert [(module, function) for module, function, _ in opens] == [("codec", "_write_text")], opens
 
 
-# one sample call per functools.cache function in the package, as
+def freeze(call):
+    """Whether call is some_array.setflags(write=False)."""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "setflags"
+        and any(ast.unparse(keyword) == "write=False" for keyword in call.keywords)
+    )
+
+
+def test_one_helper_makes_arrays_read_only():
+    freezes = package_calls(freeze)
+    # a walk that found no freeze would pass vacuously
+    assert [(module, function) for module, function, _ in freezes] == [("scenario", "_read_only")], freezes
+
+
+# the decorators that make a function a cache
+CACHES = ("functools.cache", "_read_only_cache")
+# one sample call per cached function in the package, as
 # (module, function): arguments; a new cache must be listed here
 CACHE_CALLS = {
     ("behavior", "_party_signs"): (2,),
@@ -121,7 +142,7 @@ def test_cached_arrays_are_read_only():
     for source in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(ast.unparse(decorator) == "functools.cache" for decorator in node.decorator_list):
+                if any(ast.unparse(decorator) in CACHES for decorator in node.decorator_list):
                     cached.add((source.stem, node.name))
     assert cached == set(CACHE_CALLS)
     writable, checked = [], 0

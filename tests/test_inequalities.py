@@ -105,6 +105,34 @@ def test_chain_components_linear_under_mixing():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def reference_chain_components(behavior):
+    """chain_components as one fancy-indexed block per setting i."""
+    n, k = behavior.shape.n, behavior.shape.k
+    table = correlator_table(behavior)
+    # pick 0 -> setting i, pick 1 -> setting i+1; at i = k-1 that wraps to
+    # A_k = -A_0, one negation per wrapped party
+    picks = np.indices((2,) * n).sum(axis=0)
+    components = []
+    for i in range(k):
+        block = table[np.ix_(*[(i, (i + 1) % k)] * n + [(i,)])].reshape((2,) * n)
+        wrap = -1.0 if i == k - 1 else 1.0
+        components.append(float((wrap**picks * block).sum()) / 2**n)
+    return components
+
+
+def test_chain_components_match_the_per_setting_loop_bit_for_bit():
+    rng = np.random.default_rng(38)
+    shapes = [
+        ScenarioShape(n, k) for n in range(1, 6) for k in range(2, 6) if k**n * 2 ** (n + k) <= 2**21
+    ]
+    assert len(shapes) == 19
+    for shape in shapes:
+        for _ in range(3):
+            behavior = random_behavior(shape, rng)
+            got, want = chain_components(behavior), reference_chain_components(behavior)
+            assert [c.hex() for c in got] == [c.hex() for c in want], shape
+
+
 def test_mixing_quantum_behaviors_moves_statistic_affinely():
     # mixing the p and q models gives the model at the mixed sharpness
     for p, q, w in [(0.2, 0.9, 0.3), (0.0, 1.0, 0.5), (0.4, 0.6, 0.75)]:

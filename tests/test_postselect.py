@@ -188,9 +188,14 @@ def test_gap_report_refuses_bad_tolerance(tol):
 
 def test_gap_report_refuses_more_than_one_sharpness_value():
     # one report per call; a stack goes through the stacked pass
-    with pytest.raises(ValueError):
-        gap_report([0.3, 0.6])
-    assert exact_fields(gap_report([0.6])) == exact_fields(gap_report(0.6))
+    for p, size in [([0.3, 0.6], 2), ([], 0), (np.full((2, 3), 0.6), 6)]:
+        with pytest.raises(ValueError, match=re.escape(f"one sharpness value, got an array of size {size}")):
+            gap_report(p)
+
+
+def test_gap_report_of_a_size_one_array_is_the_value_s_report():
+    for p in ([0.6], np.array([[0.6]]), np.full((1, 1, 1), 0.6)):
+        assert exact_fields(gap_report(p)) == exact_fields(gap_report(0.6))
 
 
 def test_gap_needs_both_conditions():
